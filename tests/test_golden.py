@@ -1,0 +1,50 @@
+"""Byte-level pins of the CLI output.
+
+Each case runs one subcommand in-process and hashes its whole standard
+output, trailing newline included, so any change to the canonical bytes of
+a report (key order, number formatting, map strings in messages) fails here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from blowup_rigidity.cli import main
+
+CONFIGS = {
+    "C0": {"n": 2, "r": 2, "s": [2, 3], "q": 13, "base": [[1, 2], [3, 4, 5]]},
+    "C1": {"n": 3, "r": 3, "s": [1, 2, 3], "q": 13, "base": [[1], [1, 2], [1, 2, 4]]},
+    # axis 1 is stabilized by z -> 4z, of order 6 > n
+    "non_generic": {"n": 3, "r": 2, "s": [2, 3], "q": 13, "zeta": 3,
+                    "base": [[1, 4], [1, 2, 4]]},
+}
+
+GOLDEN = [
+    ("C0", ["verify"], "f186d13f96c03fd8ca89960f1622c9ee5ed7e716122b7d591fb8695609add99a"),
+    ("C0", ["rigidity"], "21f075d76665e82fbcef11d9b399e8e95e55007fc4630e5284217c28928d3ab4"),
+    ("C0", ["vector-fields"], "87e2325fe3ecbbe170444373848a60f898597c08134980f5de5ff2d196f8d23d"),
+    ("C0", ["verify", "--q-extra", "17"],
+     "b5f0ddd2395fb2e73f7d315ff3865db5ccf5af7abb4a8ae9db5d04a40df585ca"),
+    ("C1", ["verify"], "21d5e29f7e8b0a3d90ea79381b024f2ce4cab94c0d45ee68163e7ecf844883dc"),
+    ("C1", ["rigidity"], "fbdce147f24e591583d7fc9a6452afbb7f8311b41191128de55a3a67b47a1656"),
+    ("C1", ["vector-fields"], "c26fa0bf9f1aa5f4aad0fa91c73a7508341cf0465e158da7e5757e1b89b0d715"),
+    ("non_generic", ["verify"],
+     "2aaabb75b7c9c355f1fa7b2f26195002f62084e331b09b9209f8a8fd1ff06ec4"),
+    ("non_generic", ["rigidity"],
+     "88608716a5d21a1d8820ab9a19de70f853490f51f6cc9bdb7702af566ca91006"),
+    ("non_generic", ["vector-fields"],
+     "649f071a0e2334ec45229bd58a991faaa19141009586afc0ffde767cf04cf248"),
+]
+
+
+@pytest.mark.parametrize(
+    "name,argv,digest", GOLDEN, ids=[f"{n}-{' '.join(a)}" for n, a, _ in GOLDEN]
+)
+def test_cli_stdout_sha256(name, argv, digest, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(CONFIGS[name]))
+    main([argv[0], "--config", str(path), *argv[1:]])
+    out = capsys.readouterr().out
+    assert out.endswith("\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
