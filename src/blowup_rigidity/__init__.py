@@ -1,62 +1,2 @@
 """Exact-arithmetic verification of automorphism rigidity for blow-ups of
 a product of projective lines at a torsion-stable point configuration."""
-
-from .errors import (
-    AmbiguousProfile,
-    AxisOutOfRange,
-    BlowupError,
-    CapExceeded,
-    ConfigMismatch,
-    ExhaustedRetries,
-    InvalidConfig,
-    NDoesNotDivide,
-    NonGeneric,
-    NotEffective,
-    NotPrime,
-    OrbitCollision,
-    SameAxis,
-    TooFewPoints,
-    TooSmallField,
-    UnknownCheckId,
-    ZeroBase,
-)
-from .fieldgeom import (
-    Config,
-    DeltaPoint,
-    FieldElement,
-    Lcg,
-    MoebiusMap,
-    ProjPoint,
-    build_delta,
-    config_is_generic,
-    g_action,
-    generate_config,
-    generate_config_smallest_q,
-    primitive_nth_root,
-    stabilizer_of_axis,
-    validate_config,
-)
-from .lattice import BlowupLattice, CurveClass, DivisorClass
-from .cone import Decomposition, EffectiveCone, Generator, GeneratorSet
-from .rigidity import (
-    Component,
-    GeometricAut,
-    IncidenceGraph,
-    build_graph,
-    census,
-    geometric_automorphisms,
-    incident,
-    pin_components,
-    verify_rigidity,
-)
-from .vectorfields import (
-    ConstraintRow,
-    KernelResult,
-    assemble_system,
-    derivation_kernel,
-    eigen_constraint_row,
-    verify_vanishing,
-)
-from .report import VerificationReport, run_all, sweep
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -12,8 +12,14 @@ import json
 import sys
 
 from .cone import EffectiveCone
-from .errors import BlowupError, InvalidConfig
-from .fieldgeom import Config, generate_config, primitive_nth_root
+from .errors import BlowupError
+from .fieldgeom import (
+    Config,
+    build_delta,
+    generate_config,
+    primitive_nth_root,
+    structural_problems,
+)
 from .lattice import BlowupLattice
 from .report import SweepCase, product_cases, run_all, sweep
 from .rigidity import build_graph, geometric_automorphisms, verify_rigidity
@@ -24,21 +30,41 @@ class UsageError(Exception):
     pass
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(_is_int(v) for v in x)
+
+
 def load_config(path: str) -> Config:
     """Read a config file: keys n, r, s, q, and optionally seed and base.
 
     zeta is always the canonical (smallest) primitive root and base is
-    generated from the seed when absent.  The config is *not* validated
-    here; `verify` reports validation results instead of crashing.
+    generated from the seed when absent.  Only the types are checked here;
+    the values are not validated, because `verify` reports validation
+    results instead of crashing.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise UsageError(f"config {path} is not a JSON object")
     for key in ("n", "r", "s", "q"):
         if key not in raw:
             raise UsageError(f"config {path} is missing key {key!r}")
+    for key in ("n", "r", "q", "seed", "zeta"):
+        if key in raw and not _is_int(raw[key]):
+            raise UsageError(f"config {path}: {key!r} must be an integer")
+    if not _is_int_list(raw["s"]):
+        raise UsageError(f"config {path}: 's' must be a list of integers")
+    if "base" in raw and not (
+        isinstance(raw["base"], list) and all(_is_int_list(b) for b in raw["base"])
+    ):
+        raise UsageError(f"config {path}: 'base' must be a list of integer lists")
     if "base" not in raw:
         try:
             return generate_config(
@@ -48,10 +74,22 @@ def load_config(path: str) -> Config:
             raise UsageError(f"cannot generate base coordinates: {exc}") from exc
     if "zeta" not in raw:
         try:
-            raw = {**raw, "zeta": primitive_nth_root(raw["q"], raw["n"]).value}
+            raw = {**raw, "zeta": primitive_nth_root(raw["q"], raw["n"])}
         except BlowupError as exc:
             raise UsageError(str(exc)) from exc
     return Config.from_dict(raw, skip_checks=True)
+
+
+def load_valid_config(path: str) -> Config:
+    """load_config, then refuse a config that fails the structural checks
+    (which `verify` reports as a FAIL record instead)."""
+    config = load_config(path)
+    problems = structural_problems(
+        config.n, config.r, config.s, config.q, config.zeta, config.base
+    )
+    if problems:
+        raise UsageError(f"invalid configuration: {'; '.join(problems)}")
+    return config
 
 
 def _write(text: str, out: str | None) -> None:
@@ -71,9 +109,7 @@ def cmd_gen_config(args) -> int:
 
 def cmd_verify(args) -> int:
     config = load_config(args.config)
-    report = run_all(
-        config, draws=args.draws, cap=args.cap, extra_q=args.q_extra
-    )
+    report = run_all(config, draws=args.draws, extra_q=args.q_extra)
     if args.format == "md":
         _write(report.to_markdown(timings=True), args.out)
     else:
@@ -82,7 +118,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pairing_table(args) -> int:
-    config = load_config(args.config)
+    config = load_valid_config(args.config)
     lattice = BlowupLattice(config)
     buf = io.StringIO()
     lattice.write_pairing_table(buf)
@@ -91,9 +127,9 @@ def cmd_pairing_table(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    config = load_config(args.config)
+    config = load_valid_config(args.config)
     lattice = BlowupLattice(config)
-    cone = EffectiveCone(lattice, cap=args.cap)
+    cone = EffectiveCone(lattice)
     if args.json:
         _write(cone.genset.to_json() + "\n", args.out)
         return 0
@@ -110,7 +146,7 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    config = load_config(args.config)
+    config = load_valid_config(args.config)
     graph = build_graph(config)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -120,15 +156,17 @@ def cmd_graph(args) -> int:
 
 
 def cmd_rigidity(args) -> int:
-    config = load_config(args.config)
-    records = verify_rigidity(config)
+    config = load_valid_config(args.config)
+    delta = build_delta(config)
+    records = verify_rigidity(config, delta)
     payload = {
         "config": config.to_dict(),
         "checks": [rec.to_dict() for rec in records],
     }
     try:
-        group = geometric_automorphisms(config)
-        payload["group"] = [g.matrices() for g in group]
+        group = geometric_automorphisms(config, delta)
+        # per axis, the canonical matrix entries [a, b, c, d] of z -> mu*z
+        payload["group"] = [[[1, 0, 0, mu] for mu in g] for g in group]
     except BlowupError:
         payload["group"] = None
     _write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", args.out)
@@ -136,7 +174,7 @@ def cmd_rigidity(args) -> int:
 
 
 def cmd_vector_fields(args) -> int:
-    config = load_config(args.config)
+    config = load_valid_config(args.config)
     records = verify_vanishing(config)
     kernel = derivation_kernel(config)
     payload = {
@@ -221,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="second field size for the vector-field check")
     p.add_argument("--format", choices=("json", "md"), default="json")
     p.add_argument("--draws", type=int, default=1000)
-    p.add_argument("--cap", type=int, default=None)
     p.add_argument("--timings", action="store_true",
                    help="include stage timings (non-canonical output)")
     p.add_argument("--out", default="-")
@@ -234,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extremal", help="generator table with extremality")
     p.add_argument("--config", required=True)
-    p.add_argument("--cap", type=int, default=None)
     p.add_argument("--json", action="store_true", help="emit the generator set as JSON")
     p.add_argument("--out", default="-")
     p.set_defaults(fn=cmd_extremal)
@@ -277,8 +313,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InvalidConfig as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
+    except BlowupError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

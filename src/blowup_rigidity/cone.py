@@ -19,7 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .errors import CapExceeded, NotEffective
+from .errors import NotEffective
 from .fieldgeom import DeltaPoint
 from .lattice import BlowupLattice, CurveClass
 
@@ -53,8 +53,6 @@ class GeneratorSet:
             gens.append(Generator(f"e[{p.key}]", "exc", c, self.phi(c)))
         self.generators = tuple(gens)
         self.by_label = {g.label: g for g in gens}
-        assert len(self.by_label) == len(gens)
-        assert len({(g.cls.l, g.cls.e) for g in gens}) == len(gens)
 
     def phi(self, c: CurveClass) -> int:
         """Degree against N * sum pi*(H_i) - sum E_p with N = 1 + |Delta|."""
@@ -117,10 +115,9 @@ def generators(lattice: BlowupLattice) -> GeneratorSet:
 class EffectiveCone:
     """Membership, decomposition, and extremality over the generator semigroup."""
 
-    def __init__(self, lattice: BlowupLattice, cap: int | None = None):
+    def __init__(self, lattice: BlowupLattice):
         self.lattice = lattice
         self.genset = GeneratorSet(lattice)
-        self.cap = cap if cap is not None else 10 * self.genset.N
         r = lattice.config.r
         gens = self.genset.generators
         self._lines = [g for g in gens if g.kind == "line"]
@@ -135,8 +132,6 @@ class EffectiveCone:
 
     def _search(self, target: CurveClass, first_only: bool) -> list[Decomposition]:
         phi_t = self.phi(target)
-        if phi_t > self.cap:
-            raise CapExceeded(f"phi(target) = {phi_t} exceeds cap {self.cap}")
         solutions: list[Decomposition] = []
         if phi_t < 0:
             return solutions
@@ -149,7 +144,8 @@ class EffectiveCone:
                     full.append((gen.label, needed))
             dec = Decomposition(tuple(full))
             check = dec.resum(self.genset)
-            assert (check.l, check.e) == (target.l, target.e), "unsound decomposition"
+            if (check.l, check.e) != (target.l, target.e):
+                raise RuntimeError(f"unsound decomposition {dec!r} of {target!r}")
             solutions.append(dec)
             return first_only
 

@@ -53,10 +53,6 @@ class NotEffective(BlowupError):
     """A curve class is not a nonnegative combination of the generators."""
 
 
-class CapExceeded(BlowupError):
-    """A decomposition target exceeds the search cap."""
-
-
 class AmbiguousProfile(BlowupError):
     """Incidence profiles do not pin the components apart."""
 

@@ -1,10 +1,16 @@
-"""Prime-field arithmetic, the marked point configuration, and its symmetries.
+"""Residues mod q, the marked point configuration, and its symmetries.
 
-The geometric setup lives over a prime field F_q with q = 1 (mod n).  Each of
-the r coordinate axes carries a set of marked coordinates: s_i disjoint orbits
-of the order-n scaling z -> zeta*z, all avoiding 0.  A marked point of the
-ambient product of projective lines has coordinate [1:z] at its own axis and
-[0:1] everywhere else.
+The geometric setup lives over a prime field F_q with q = 1 (mod n).  Field
+elements are plain ints reduced mod q; q itself is checked to be prime once,
+by structural_problems or primitive_nth_root.  Each of the r coordinate axes
+carries a set of marked coordinates: s_i disjoint orbits of the order-n
+scaling z -> zeta*z, all avoiding 0.  A marked point of the ambient product
+of projective lines has coordinate [1:z] at its own axis and [0:1]
+everywhere else, so it is stored as its own-axis affine coordinate z.
+
+Every map of the line used here fixes [0:1]; on the chart [1:z] it is
+z -> kappa + mu*z and is stored as the pair (kappa, mu).  Sorting pairs
+sorts the maps by their canonical matrices [[1,0],[kappa,mu]].
 """
 
 from __future__ import annotations
@@ -42,78 +48,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, order=True)
-class FieldElement:
-    """A canonical residue in F_q, q prime."""
-
-    value: int
-    q: int
-
-    def __post_init__(self):
-        if not is_prime(self.q):
-            raise NotPrime(f"modulus {self.q} is not prime")
-        object.__setattr__(self, "value", self.value % self.q)
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.q != self.q:
-                raise ValueError(f"mixed moduli {self.q} and {other.q}")
-            return other
-        return FieldElement(other, self.q)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.value + other.value, self.q)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.value - other.value, self.q)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return FieldElement(self.value * other.value, self.q)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.q)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
-
-    def __pow__(self, k: int):
-        return FieldElement(pow(self.value, k, self.q), self.q)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return FieldElement(pow(self.value, -1, self.q), self.q)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.q})"
-
-
-def multiplicative_order(z: FieldElement) -> int:
-    if z.value == 0:
+def multiplicative_order(z: int, q: int) -> int:
+    z %= q
+    if z == 0:
         raise ValueError("zero has no multiplicative order")
     k, acc = 1, z
-    one = FieldElement(1, z.q)
-    while acc != one:
-        acc = acc * z
+    while acc != 1:
+        acc = acc * z % q
         k += 1
     return k
 
 
-def primitive_nth_root(q: int, n: int) -> FieldElement:
-    """Smallest-valued element of exact multiplicative order n in F_q^*."""
+def primitive_nth_root(q: int, n: int) -> int:
+    """Smallest element of exact multiplicative order n in F_q^*."""
     if n < 2:
         raise ValueError(f"order n must be >= 2, got {n}")
     if not is_prime(q):
@@ -121,172 +68,37 @@ def primitive_nth_root(q: int, n: int) -> FieldElement:
     if (q - 1) % n != 0:
         raise NDoesNotDivide(f"{n} does not divide {q - 1}")
     for value in range(2, q):
-        z = FieldElement(value, q)
-        if multiplicative_order(z) == n:
-            return z
+        if multiplicative_order(value, q) == n:
+            return value
     raise NDoesNotDivide(f"no element of order {n} in F_{q}^*")  # unreachable
 
 
-@dataclass(frozen=True)
-class ProjPoint:
-    """A point of the projective line over F_q, stored in canonical form.
-
-    The first nonzero coordinate of (u, v) is normalized to 1, so projective
-    equality is plain field equality of the pair.
-    """
-
-    u: FieldElement
-    v: FieldElement
-
-    def __post_init__(self):
-        if self.u.q != self.v.q:
-            raise ValueError("coordinates over different fields")
-        if not self.u and not self.v:
-            raise ValueError("(0, 0) is not a projective point")
-        scale = (self.u if self.u else self.v).inverse()
-        object.__setattr__(self, "u", self.u * scale)
-        object.__setattr__(self, "v", self.v * scale)
-
-    @classmethod
-    def of(cls, u: int, v: int, q: int) -> "ProjPoint":
-        return cls(FieldElement(u, q), FieldElement(v, q))
-
-    @classmethod
-    def affine(cls, z: FieldElement) -> "ProjPoint":
-        """The point [1:z]."""
-        return cls(FieldElement(1, z.q), z)
-
-    @classmethod
-    def zero_one(cls, q: int) -> "ProjPoint":
-        """The scaling-fixed point [0:1]."""
-        return cls.of(0, 1, q)
-
-    @classmethod
-    def one_zero(cls, q: int) -> "ProjPoint":
-        """The scaling-fixed point [1:0]."""
-        return cls.of(1, 0, q)
-
-    @property
-    def q(self) -> int:
-        return self.u.q
-
-    def __repr__(self):
-        return f"[{self.u.value}:{self.v.value}]"
-
-
-@dataclass(frozen=True)
-class MoebiusMap:
-    """An automorphism of the projective line, as a 2x2 matrix mod scalars.
-
-    Canonical form: the first nonzero entry of (a, b, c, d) is normalized
-    to 1.  Acts by [u:v] -> [a*u + b*v : c*u + d*v].
-    """
-
-    a: FieldElement
-    b: FieldElement
-    c: FieldElement
-    d: FieldElement
-
-    def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
-        if not det:
-            raise ValueError("singular matrix is not a projective map")
-        lead = next(x for x in (self.a, self.b, self.c, self.d) if x)
-        scale = lead.inverse()
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, getattr(self, name) * scale)
-
-    @classmethod
-    def of(cls, a: int, b: int, c: int, d: int, q: int) -> "MoebiusMap":
-        return cls(*(FieldElement(x, q) for x in (a, b, c, d)))
-
-    @classmethod
-    def identity(cls, q: int) -> "MoebiusMap":
-        return cls.of(1, 0, 0, 1, q)
-
-    @classmethod
-    def scaling(cls, mu: FieldElement) -> "MoebiusMap":
-        """[u:v] -> [u : mu*v]; fixes both [0:1] and [1:0]."""
-        return cls.of(1, 0, 0, mu.value, mu.q)
-
-    @classmethod
-    def affine_on_v(cls, kappa: FieldElement, mu: FieldElement) -> "MoebiusMap":
-        """[u:v] -> [u : kappa*u + mu*v], i.e. z -> kappa + mu*z on [1:z].
-
-        These are exactly the maps fixing [0:1].
-        """
-        if kappa.q != mu.q:
-            raise ValueError("mixed moduli")
-        return cls.of(1, 0, kappa.value, mu.value, mu.q)
-
-    @property
-    def q(self) -> int:
-        return self.a.q
-
-    def apply(self, p: ProjPoint) -> ProjPoint:
-        return ProjPoint(self.a * p.u + self.b * p.v, self.c * p.u + self.d * p.v)
-
-    def compose(self, other: "MoebiusMap") -> "MoebiusMap":
-        """self after other (matrix product self * other)."""
-        return MoebiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "MoebiusMap":
-        return MoebiusMap(self.d, -self.b, -self.c, self.a)
-
-    def power(self, k: int) -> "MoebiusMap":
-        acc = MoebiusMap.identity(self.q)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc.compose(base)
-            base = base.compose(base)
-            k >>= 1
-        return acc
-
-    def fixes_zero_one(self) -> bool:
-        return not self.b
-
-    def is_identity(self) -> bool:
-        return self == MoebiusMap.identity(self.q)
-
-    def sort_key(self):
-        return (self.a.value, self.b.value, self.c.value, self.d.value)
-
-    def __repr__(self):
-        return f"[[{self.a.value},{self.b.value}],[{self.c.value},{self.d.value}]]"
+def format_map(h: tuple[int, int]) -> str:
+    """The map z -> kappa + mu*z as its canonical matrix [[1,0],[kappa,mu]],
+    which acts by [u:v] -> [u : kappa*u + mu*v]."""
+    kappa, mu = h
+    return f"[[1,0],[{kappa},{mu}]]"
 
 
 @dataclass(frozen=True)
 class DeltaPoint:
     """A marked point: axis and orbit are 1-based, torsion runs 0..n-1.
 
-    coord is the point's own-axis coordinate [1 : zeta^torsion * base]; at
-    every other axis the point sits at [0:1].
+    coord is the point's own-axis affine coordinate z = zeta^torsion * base
+    mod q, standing for [1:z]; at every other axis the point sits at [0:1].
     """
 
     axis: int
     orbit: int
     torsion: int
-    coord: ProjPoint
+    coord: int
 
     @property
     def key(self) -> str:
         return f"{self.axis}.{self.orbit}.{self.torsion}"
 
-    def full_coords(self, r: int) -> tuple[ProjPoint, ...]:
-        q = self.coord.q
-        return tuple(
-            self.coord if i == self.axis else ProjPoint.zero_one(q)
-            for i in range(1, r + 1)
-        )
-
     def __repr__(self):
-        return f"p[{self.key}]={self.coord!r}"
+        return f"p[{self.key}]=[1:{self.coord}]"
 
 
 def parameter_problems(n, r, s, q) -> list[str]:
@@ -317,7 +129,7 @@ def structural_problems(n, r, s, q, zeta, base) -> list[str]:
     """All violated structural constraints, as human-readable reasons."""
     problems = parameter_problems(n, r, s, q)
     if n >= 2 and is_prime(q) and (q - 1) % n == 0:
-        if zeta % q == 0 or multiplicative_order(FieldElement(zeta, q)) != n:
+        if zeta % q == 0 or multiplicative_order(zeta, q) != n:
             problems.append(f"zeta = {zeta} does not have exact order {n} mod {q}")
     if len(base) != len(s):
         problems.append(f"base has {len(base)} axes, expected {len(s)}")
@@ -357,13 +169,6 @@ class Config:
             if problems:
                 raise InvalidConfig("; ".join(problems))
 
-    def fe(self, value: int) -> FieldElement:
-        return FieldElement(value, self.q)
-
-    @property
-    def zeta_el(self) -> FieldElement:
-        return self.fe(self.zeta)
-
     @property
     def delta_size(self) -> int:
         return self.n * sum(self.s)
@@ -388,7 +193,7 @@ class Config:
     def from_dict(cls, d: dict, skip_checks: bool = False) -> "Config":
         zeta = d.get("zeta")
         if zeta is None:
-            zeta = primitive_nth_root(d["q"], d["n"]).value
+            zeta = primitive_nth_root(d["q"], d["n"])
         return cls(
             n=d["n"],
             r=d["r"],
@@ -401,22 +206,21 @@ class Config:
         )
 
 
-def mu_orbit(z: FieldElement, zeta: FieldElement, n: int) -> frozenset[int]:
-    """The scaling orbit {z, zeta*z, ..., zeta^(n-1)*z} as residue values."""
-    return frozenset((z * zeta**t).value for t in range(n))
+def mu_orbit(z: int, zeta: int, n: int, q: int) -> frozenset[int]:
+    """The scaling orbit {z, zeta*z, ..., zeta^(n-1)*z} as residues mod q."""
+    return frozenset(z * pow(zeta, t, q) % q for t in range(n))
 
 
 def build_delta(config: Config) -> tuple[DeltaPoint, ...]:
     """All marked points in (axis, orbit, torsion) lexicographic order."""
-    zeta = config.zeta_el
+    q, zeta = config.q, config.zeta
     points = []
     for axis in range(1, config.r + 1):
         seen_orbits: list[frozenset[int]] = []
         for orbit, b in enumerate(config.base[axis - 1], start=1):
-            bel = config.fe(b)
-            if not bel:
+            if b % q == 0:
                 raise ZeroBase(f"axis {axis} orbit {orbit}: base coordinate is 0")
-            orb = mu_orbit(bel, zeta, config.n)
+            orb = mu_orbit(b, zeta, config.n, q)
             for prev in seen_orbits:
                 if orb & prev:
                     raise OrbitCollision(
@@ -424,7 +228,7 @@ def build_delta(config: Config) -> tuple[DeltaPoint, ...]:
                     )
             seen_orbits.append(orb)
             for torsion in range(config.n):
-                coord = ProjPoint.affine(bel * zeta**torsion)
+                coord = b * pow(zeta, torsion, q) % q
                 points.append(DeltaPoint(axis, orbit, torsion, coord))
     return tuple(points)
 
@@ -435,8 +239,8 @@ def g_action(config: Config, g: tuple[int, ...], p: DeltaPoint) -> DeltaPoint:
         raise ValueError(f"g has {len(g)} entries, expected {config.r}")
     shift = g[p.axis - 1] % config.n
     torsion = (p.torsion + shift) % config.n
-    b = config.fe(config.base[p.axis - 1][p.orbit - 1])
-    coord = ProjPoint.affine(b * config.zeta_el**torsion)
+    b = config.base[p.axis - 1][p.orbit - 1]
+    coord = b * pow(config.zeta, torsion, config.q) % config.q
     return DeltaPoint(p.axis, p.orbit, torsion, coord)
 
 
@@ -446,8 +250,9 @@ def delta_permutation(
     return {p: g_action(config, g, p) for p in delta}
 
 
-def affine_stabilizer_of(coords: list[FieldElement], q: int) -> list[MoebiusMap]:
-    """All maps fixing [0:1] that permute the given affine coordinate set.
+def affine_stabilizer_of(coords, q: int) -> list[tuple[int, int]]:
+    """All maps fixing [0:1] that permute the given affine coordinate set,
+    as pairs (kappa, mu) sorted ascending.
 
     Such a map is z -> kappa + mu*z on the [1:z] chart and is determined by
     the images of two distinct coordinates, so the candidates are the
@@ -456,7 +261,7 @@ def affine_stabilizer_of(coords: list[FieldElement], q: int) -> list[MoebiusMap]
     [0:1] are rational and a projective-line map is fixed by three rational
     point images.
     """
-    values = sorted({z.value for z in coords})
+    values = sorted({z % q for z in coords})
     if len(values) < 2:
         raise TooFewPoints(f"need at least 2 coordinates, got {len(values)}")
     vset = frozenset(values)
@@ -472,27 +277,42 @@ def affine_stabilizer_of(coords: list[FieldElement], q: int) -> list[MoebiusMap]
             if all((kappa + mu * z) % q in vset for z in vset):
                 found.append((kappa, mu))
     found.sort()
-    return [
-        MoebiusMap.affine_on_v(FieldElement(k, q), FieldElement(m, q))
-        for k, m in found
-    ]
+    return found
 
 
 def stabilizer_of_axis(
     config: Config, axis: int, delta: tuple[DeltaPoint, ...] | None = None
-) -> list[MoebiusMap]:
+) -> list[tuple[int, int]]:
     """Maps fixing [0:1] and stabilizing the axis's marked coordinate set."""
     if delta is None:
         delta = build_delta(config)
-    coords = [p.coord.v for p in delta if p.axis == axis]
+    coords = [p.coord for p in delta if p.axis == axis]
     if len(coords) < 2:
         raise TooFewPoints(f"axis {axis} has {len(coords)} marked coordinates")
     return affine_stabilizer_of(coords, config.q)
 
 
-def scaling_group(config: Config) -> list[MoebiusMap]:
-    """The order-n group of scalings [u:v] -> [u : zeta^k v], k ascending."""
-    return [MoebiusMap.scaling(config.zeta_el**k) for k in range(config.n)]
+def scaling_group(config: Config) -> list[tuple[int, int]]:
+    """The order-n group of scalings z -> zeta^k z, as (0, zeta^k) with k
+    ascending; each fixes both [0:1] and [1:0]."""
+    return [(0, pow(config.zeta, k, config.q)) for k in range(config.n)]
+
+
+def marked_set(
+    config: Config,
+) -> tuple[tuple[DeltaPoint, ...] | None, list[list[tuple[int, int]]] | None]:
+    """The marked set and its per-axis stabilizers, built once for a run and
+    passed to every stage; (None, None) when the structure or the base table
+    is invalid, which validate_config then reports."""
+    if structural_problems(config.n, config.r, config.s, config.q, config.zeta, config.base):
+        return None, None
+    try:
+        delta = build_delta(config)
+    except (ZeroBase, OrbitCollision):
+        return None, None
+    return delta, [
+        stabilizer_of_axis(config, axis, delta) for axis in range(1, config.r + 1)
+    ]
 
 
 class Lcg:
@@ -521,6 +341,32 @@ class Lcg:
         return (self.next_u64() >> 33) % k
 
 
+def sample_base(
+    n: int, s: tuple[int, ...], q: int, zeta: int, rng: Lcg
+) -> tuple[tuple[int, ...], ...] | None:
+    """Draw s_i nonzero base coordinates per axis from rng, each in a scaling
+    orbit disjoint from the axis's earlier ones; None when an axis needs more
+    than 50 draws per scaling orbit of F_q^*."""
+    limit = 50 * ((q - 1) // n)
+    base = []
+    for si in s:
+        taken: list[frozenset[int]] = []
+        axis_base = []
+        draws = 0
+        while len(axis_base) < si:
+            if draws == limit:
+                return None
+            draws += 1
+            z = 1 + rng.below(q - 1)
+            orb = mu_orbit(z, zeta, n, q)
+            if any(orb & prev for prev in taken):
+                continue
+            taken.append(orb)
+            axis_base.append(z)
+        base.append(tuple(axis_base))
+    return tuple(base)
+
+
 def generate_config(
     n: int,
     r: int,
@@ -544,29 +390,10 @@ def generate_config(
     zeta = primitive_nth_root(q, n)
     rng = Lcg(seed)
     for _ in range(max_retries):
-        base = []
-        ok = True
-        for si in s:
-            taken: list[frozenset[int]] = []
-            axis_base = []
-            guard = 0
-            while len(axis_base) < si:
-                guard += 1
-                if guard > 50 * orbit_count:
-                    ok = False
-                    break
-                z = FieldElement(1 + rng.below(q - 1), q)
-                orb = mu_orbit(z, zeta, n)
-                if any(orb & prev for prev in taken):
-                    continue
-                taken.append(orb)
-                axis_base.append(z.value)
-            if not ok:
-                break
-            base.append(tuple(axis_base))
-        if not ok:
+        base = sample_base(n, s, q, zeta, rng)
+        if base is None:
             continue
-        cfg = Config(n=n, r=r, s=s, q=q, zeta=zeta.value, base=tuple(base), seed=seed)
+        cfg = Config(n=n, r=r, s=s, q=q, zeta=zeta, base=base, seed=seed)
         if config_is_generic(cfg):
             return cfg
     raise ExhaustedRetries(
@@ -579,19 +406,24 @@ def config_is_generic(config: Config) -> bool:
     """True when every axis stabilizer is exactly the scaling group."""
     delta = build_delta(config)
     expected = set(scaling_group(config))
-    for axis in range(1, config.r + 1):
-        if set(stabilizer_of_axis(config, axis, delta)) != expected:
-            return False
-    return True
+    return all(
+        set(stabilizer_of_axis(config, axis, delta)) == expected
+        for axis in range(1, config.r + 1)
+    )
 
 
-def validate_config(config: Config) -> list["CheckRecord"]:
+def validate_config(
+    config: Config,
+    delta: tuple[DeltaPoint, ...] | None = None,
+    stabilizers: list[list[tuple[int, int]]] | None = None,
+) -> list["CheckRecord"]:
     """Structural checks, marked-set checks, action checks, and genericity.
 
     Failures are reported, not raised, so configurations built through the
     unchecked path still produce a meaningful record list.  When the
     structural check fails the remaining checks are skipped (their records
-    are absent).
+    are absent).  delta and stabilizers are the run's marked set and
+    per-axis stabilizers from marked_set; they are built here when absent.
     """
     from .checks import FAIL, PASS, make_record
 
@@ -610,32 +442,22 @@ def validate_config(config: Config) -> list["CheckRecord"]:
     if problems:
         return records
 
-    try:
-        delta = build_delta(config)
-        delta_issue = ""
-    except (ZeroBase, OrbitCollision) as exc:
-        delta = None
-        delta_issue = f"{type(exc).__name__}: {exc}"
     if delta is None:
-        records.append(
-            make_record("config.delta", FAIL, delta_issue, "buildable marked set")
-        )
-        return records
+        try:
+            delta = build_delta(config)
+        except (ZeroBase, OrbitCollision) as exc:
+            records.append(
+                make_record("config.delta", FAIL, f"{type(exc).__name__}: {exc}",
+                            "buildable marked set")
+            )
+            return records
 
     sizes = [sum(1 for p in delta if p.axis == i) for i in range(1, config.r + 1)]
-    zeta = config.zeta_el
-    closed = all(
-        any(
-            other.axis == p.axis and other.coord == ProjPoint.affine(p.coord.v * zeta)
-            for other in delta
-        )
-        for p in delta
-    )
-    off_fixed = all(
-        p.coord not in (ProjPoint.zero_one(config.q), ProjPoint.one_zero(config.q))
-        for p in delta
-    )
-    distinct = len({(p.axis, p.coord) for p in delta}) == len(delta)
+    coords = {(p.axis, p.coord) for p in delta}
+    closed = all((p.axis, p.coord * config.zeta % config.q) in coords for p in delta)
+    # [1:z] is never [0:1], and it is [1:0] exactly when z = 0
+    off_fixed = all(p.coord != 0 for p in delta)
+    distinct = len(coords) == len(delta)
     delta_ok = (
         len(delta) == config.delta_size
         and sizes == [config.n * si for si in config.s]
@@ -684,18 +506,19 @@ def validate_config(config: Config) -> list["CheckRecord"]:
         )
     )
 
-    expected_group = sorted(scaling_group(config), key=MoebiusMap.sort_key)
+    if stabilizers is None:
+        stabilizers = [
+            stabilizer_of_axis(config, axis, delta) for axis in range(1, config.r + 1)
+        ]
+    expected_group = sorted(scaling_group(config))
     orders = {}
     generic = True
     extra: list[str] = []
-    for axis in range(1, config.r + 1):
-        stab = stabilizer_of_axis(config, axis, delta)
+    for axis, stab in enumerate(stabilizers, start=1):
         orders[f"axis_{axis}"] = len(stab)
-        if sorted(stab, key=MoebiusMap.sort_key) != expected_group:
+        if sorted(stab) != expected_group:
             generic = False
-            extra.extend(
-                repr(h) for h in stab if h not in expected_group
-            )
+            extra.extend(format_map(h) for h in stab if h not in expected_group)
     records.append(
         make_record(
             "config.genericity",

@@ -18,10 +18,9 @@ from .errors import AmbiguousProfile, NonGeneric
 from .fieldgeom import (
     Config,
     DeltaPoint,
-    MoebiusMap,
-    ProjPoint,
     build_delta,
     delta_permutation,
+    format_map,
     scaling_group,
     stabilizer_of_axis,
 )
@@ -260,92 +259,73 @@ def pin_components(graph: IncidenceGraph, rows: list[CensusRow] | None = None) -
     return PinningCertificate(exc_criterion, degrees)
 
 
-@dataclass(frozen=True)
-class GeometricAut:
-    """A product automorphism: one map fixing [0:1] per axis, with the axis
-    permutation certified to be the identity by the pinning step."""
-
-    maps: tuple[MoebiusMap, ...]
-
-    @property
-    def axis_permutation(self) -> tuple[int, ...]:
-        return tuple(range(1, len(self.maps) + 1))
-
-    def act_coord(self, axis: int, coord: ProjPoint) -> ProjPoint:
-        return self.maps[axis - 1].apply(coord)
-
-    def compose(self, other: "GeometricAut") -> "GeometricAut":
-        return GeometricAut(
-            tuple(a.compose(b) for a, b in zip(self.maps, other.maps))
-        )
-
-    def power(self, k: int) -> "GeometricAut":
-        return GeometricAut(tuple(m.power(k) for m in self.maps))
-
-    def is_identity(self) -> bool:
-        return all(m.is_identity() for m in self.maps)
-
-    def delta_permutation(
-        self, delta: tuple[DeltaPoint, ...]
-    ) -> dict[DeltaPoint, DeltaPoint]:
-        by_coord = {(p.axis, p.coord): p for p in delta}
-        out = {}
-        for p in delta:
-            image = by_coord.get((p.axis, self.act_coord(p.axis, p.coord)))
-            if image is None:
-                raise NonGeneric(f"{self.maps} does not stabilize the marked set")
-            out[p] = image
-        return out
-
-    def sort_key(self):
-        return tuple(m.sort_key() for m in self.maps)
-
-    def matrices(self) -> list[list[int]]:
-        """Per-axis canonical matrix entries [a, b, c, d]."""
-        return [[m.a.value, m.b.value, m.c.value, m.d.value] for m in self.maps]
-
-
 def geometric_automorphisms(
-    config: Config, delta: tuple[DeltaPoint, ...] | None = None
-) -> list[GeometricAut]:
+    config: Config,
+    delta: tuple[DeltaPoint, ...] | None = None,
+    stabilizers: list[list[tuple[int, int]]] | None = None,
+) -> list[tuple[int, ...]]:
     """All product automorphisms: per-axis stabilizers of the marked
     coordinates, each required to be exactly the order-n scaling group.
-    Every element's action on the marked set is checked against the
-    corresponding torsion shift before it is returned.
+    The axis permutation is the identity (certified by the pinning step), so
+    an element is the tuple (mu_1, ..., mu_r) of its per-axis scalings
+    z -> mu_i*z, listed in torsion-shift order.  stabilizers, when given,
+    are the per-axis lists of stabilizer_of_axis.
 
     Raises NonGeneric when some axis stabilizer is larger, exhibiting the
     extra maps.
     """
-    if delta is None:
-        delta = build_delta(config)
-    expected = sorted(scaling_group(config), key=MoebiusMap.sort_key)
-    for axis in range(1, config.r + 1):
-        stab = stabilizer_of_axis(config, axis, delta)
-        if sorted(stab, key=MoebiusMap.sort_key) != expected:
-            extra = [h for h in stab if h not in expected]
+    if stabilizers is None:
+        if delta is None:
+            delta = build_delta(config)
+        stabilizers = [
+            stabilizer_of_axis(config, axis, delta) for axis in range(1, config.r + 1)
+        ]
+    expected = sorted(scaling_group(config))
+    for axis, stab in enumerate(stabilizers, start=1):
+        if sorted(stab) != expected:
+            extra = ", ".join(format_map(h) for h in stab if h not in expected)
             raise NonGeneric(
                 f"axis {axis} stabilizer has order {len(stab)} > {config.n}; "
-                f"extra elements: {extra}"
+                f"extra elements: [{extra}]"
             )
-    zeta = config.zeta_el
-    elements = []
-    for shifts in itertools.product(range(config.n), repeat=config.r):
-        aut = GeometricAut(tuple(MoebiusMap.scaling(zeta**k) for k in shifts))
-        assert aut.delta_permutation(delta) == delta_permutation(
-            config, shifts, delta
-        )
-        elements.append(aut)
-    return elements
+    powers = [pow(config.zeta, k, config.q) for k in range(config.n)]
+    return [
+        tuple(powers[k] for k in shifts)
+        for shifts in itertools.product(range(config.n), repeat=config.r)
+    ]
 
 
-def verify_rigidity(config: Config) -> list:
+def geometric_permutation(
+    config: Config, g: tuple[int, ...], delta: tuple[DeltaPoint, ...]
+) -> dict[DeltaPoint, DeltaPoint]:
+    """Where the scalings g send each marked point, found by looking up the
+    image coordinate; independent of the torsion bookkeeping in
+    fieldgeom.delta_permutation, which it is compared against."""
+    by_coord = {(p.axis, p.coord): p for p in delta}
+    out = {}
+    for p in delta:
+        image = by_coord.get((p.axis, g[p.axis - 1] * p.coord % config.q))
+        if image is None:
+            raise NonGeneric(f"scalings {list(g)} do not stabilize the marked set")
+        out[p] = image
+    return out
+
+
+def verify_rigidity(
+    config: Config,
+    delta: tuple[DeltaPoint, ...] | None = None,
+    stabilizers: list[list[tuple[int, int]]] | None = None,
+) -> list:
     """Graph, census, pinning, and group enumeration, as check records.
 
     PASS requires the group to have order exactly n^r and exponent n, and its
-    action on the marked set to coincide with the torsion action.
+    action on the marked set to coincide with the torsion action.  delta and
+    stabilizers are the run's marked set and per-axis stabilizers; they are
+    built here when absent.
     """
     records = []
-    delta = build_delta(config)
+    if delta is None:
+        delta = build_delta(config)
     graph = build_graph(config, delta)
     cfg = config
 
@@ -440,7 +420,10 @@ def verify_rigidity(config: Config) -> list:
         return records
 
     try:
-        group = geometric_automorphisms(config, delta)
+        group = geometric_automorphisms(config, delta, stabilizers)
+        geometric = [
+            tuple(geometric_permutation(config, g, delta).values()) for g in group
+        ]
     except NonGeneric as exc:
         records.append(
             make_record(
@@ -453,25 +436,16 @@ def verify_rigidity(config: Config) -> list:
         return records
 
     order_ok = len(group) == cfg.n ** cfg.r
-    exponent_ok = all(g.power(cfg.n).is_identity() for g in group)
-    identity_present = any(g.is_identity() for g in group)
+    exponent_ok = all(pow(mu, cfg.n, cfg.q) == 1 for g in group for mu in g)
+    identity_present = any(all(mu == 1 for mu in g) for g in group)
 
-    perms = {}
-    for g in group:
-        perm = tuple(
-            sorted((p.key, img.key) for p, img in g.delta_permutation(delta).items())
-        )
-        perms[perm] = perms.get(perm, 0) + 1
-    action_perms = set()
-    for shifts in itertools.product(range(cfg.n), repeat=cfg.r):
-        perm = tuple(
-            sorted(
-                (p.key, img.key)
-                for p, img in delta_permutation(config, shifts, delta).items()
-            )
-        )
-        action_perms.add(perm)
-    action_match = set(perms) == action_perms and all(v == 1 for v in perms.values())
+    # both sides list the images in delta order; the group side must be
+    # faithful (no two elements act alike) and hit every torsion permutation
+    action_perms = {
+        tuple(delta_permutation(config, shifts, delta).values())
+        for shifts in itertools.product(range(cfg.n), repeat=cfg.r)
+    }
+    action_match = len(set(geometric)) == len(geometric) and set(geometric) == action_perms
 
     aut_ok = order_ok and exponent_ok and identity_present and action_match
     records.append(
@@ -486,24 +460,3 @@ def verify_rigidity(config: Config) -> list:
         )
     )
     return records
-
-
-def abstract_automorphism_count(graph: IncidenceGraph, cap: int = 100_000) -> int:
-    """Automorphism count of the unlabeled incidence graph (diagnostic).
-
-    The abstract graph has far more automorphisms than the geometric group
-    (the gamma blocks are complete bipartite), which is why the certification
-    works with coordinate stabilizers instead.  Enumeration stops at `cap`.
-    """
-    import networkx as nx
-
-    g = nx.Graph()
-    g.add_nodes_from(v.label for v in graph.vertices)
-    g.add_edges_from((v.label, w.label) for v, w in graph.edges)
-    matcher = nx.algorithms.isomorphism.GraphMatcher(g, g)
-    count = 0
-    for _ in matcher.isomorphisms_iter():
-        count += 1
-        if count >= cap:
-            break
-    return count

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .checks import FAIL, PASS, make_record
-from .fieldgeom import Config, DeltaPoint, ProjPoint, build_delta
+from .fieldgeom import Config, DeltaPoint, build_delta
 
 
 @dataclass(frozen=True)
@@ -25,15 +25,16 @@ class ConstraintRow:
     tag: str
 
 
-def eigen_constraint_row(v: ProjPoint, block: int, r: int, tag: str = "") -> ConstraintRow:
-    """The linear condition that v = (x, y) is an eigenvector of block
-    `block` (1-based): a*xy + b*y^2 - c*x^2 - d*xy = 0."""
-    q = v.q
-    x, y = v.u.value, v.v.value
+def eigen_constraint_row(
+    v: tuple[int, int], block: int, r: int, q: int, tag: str = ""
+) -> ConstraintRow:
+    """The linear condition over F_q that v = (x, y) is an eigenvector of
+    block `block` (1-based): a*xy + b*y^2 - c*x^2 - d*xy = 0."""
+    x, y = v
     entries = (x * y % q, y * y % q, -x * x % q, -x * y % q)
     coeffs = [0] * (4 * r)
     coeffs[4 * (block - 1): 4 * block] = entries
-    return ConstraintRow(tuple(coeffs), tag or f"block{block}@{v!r}")
+    return ConstraintRow(tuple(coeffs), tag or f"block{block}@[{x}:{y}]")
 
 
 def assemble_system(
@@ -42,14 +43,13 @@ def assemble_system(
     """One row per (marked point, axis): |Delta| * r rows, duplicates allowed."""
     if delta is None:
         delta = build_delta(config)
-    zero_one = ProjPoint.zero_one(config.q)
     rows = []
     for p in delta:
         for axis in range(1, config.r + 1):
-            v = p.coord if axis == p.axis else zero_one
-            rows.append(
-                eigen_constraint_row(v, axis, config.r, tag=f"p[{p.key}]@axis{axis}")
-            )
+            v = (1, p.coord) if axis == p.axis else (0, 1)
+            rows.append(eigen_constraint_row(
+                v, axis, config.r, config.q, tag=f"p[{p.key}]@axis{axis}"
+            ))
     return rows
 
 

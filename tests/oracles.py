@@ -3,7 +3,10 @@
 Everything here recomputes the quantity under test by a different route than
 the package (exhaustion over whole groups, point-set geometry, unstructured
 search) so the main implementation is checked against code that shares none
-of its shortcuts.
+of its shortcuts.  The projective line and PGL2 arithmetic is its own: a
+point is a normalized pair (u, v) and a map a normalized matrix (a, b, c, d)
+acting by [u:v] -> [a*u + b*v : c*u + d*v], both scaled so that the first
+nonzero entry is 1.
 """
 
 from __future__ import annotations
@@ -11,13 +14,8 @@ from __future__ import annotations
 import functools
 import itertools
 
-from blowup_rigidity.fieldgeom import (
-    Config,
-    DeltaPoint,
-    MoebiusMap,
-    ProjPoint,
-)
-from blowup_rigidity.rigidity import Component, EXC, GAMMA, LINE
+from blowup_rigidity.fieldgeom import Config, DeltaPoint
+from blowup_rigidity.rigidity import Component, EXC, GAMMA, LINE, IncidenceGraph
 
 
 def exhaustive_order(value: int, q: int) -> int:
@@ -36,55 +34,71 @@ def smallest_of_order(q: int, n: int) -> int:
     raise AssertionError(f"no element of order {n} mod {q}")
 
 
+def normalized(entries: tuple[int, ...], q: int) -> tuple[int, ...]:
+    """Scale a nonzero vector over F_q so that its first nonzero entry is 1."""
+    lead = next(x for x in entries if x % q)
+    inv = pow(lead, q - 2, q)
+    return tuple(x * inv % q for x in entries)
+
+
+def apply_map(m: tuple[int, ...], point: tuple[int, int], q: int) -> tuple[int, int]:
+    a, b, c, d = m
+    u, v = point
+    return normalized((a * u + b * v, c * u + d * v), q)
+
+
 @functools.lru_cache(maxsize=None)
-def pgl2_elements(q: int) -> tuple[MoebiusMap, ...]:
+def pgl2_elements(q: int) -> tuple[tuple[int, ...], ...]:
     """All of PGL2(F_q) via canonical matrix representatives: q^3 - q maps."""
     out = []
     for b, c, d in itertools.product(range(q), repeat=3):
         if (d - b * c) % q:
-            out.append(MoebiusMap.of(1, b, c, d, q))
+            out.append((1, b, c, d))
     for c, d in itertools.product(range(1, q), range(q)):
-        out.append(MoebiusMap.of(0, 1, c, d, q))
+        out.append((0, 1, c, d))
     assert len(out) == q**3 - q
     return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
-def pgl2_fixing_zero_one(q: int) -> tuple[MoebiusMap, ...]:
+def pgl2_fixing_zero_one(q: int) -> tuple[tuple[int, ...], ...]:
     """The maps in PGL2(F_q) that fix [0:1], found by applying each element."""
-    zero_one = ProjPoint.zero_one(q)
-    return tuple(m for m in pgl2_elements(q) if m.apply(zero_one) == zero_one)
+    return tuple(m for m in pgl2_elements(q) if apply_map(m, (0, 1), q) == (0, 1))
 
 
-def stabilizer_oracle(coords: set[int], q: int) -> list[MoebiusMap]:
+def stabilizer_oracle(coords: set[int], q: int) -> list[tuple[int, ...]]:
     """Filter the whole of PGL2(F_q): maps fixing [0:1] and permuting the
-    point set {[1:z] : z in coords}."""
-    points = frozenset(ProjPoint.of(1, z, q) for z in coords)
+    point set {[1:z] : z in coords}, as sorted canonical matrices."""
+    points = frozenset((1, z % q) for z in coords)
     keep = [
         m for m in pgl2_fixing_zero_one(q)
-        if frozenset(m.apply(p) for p in points) == points
+        if frozenset(apply_map(m, p, q) for p in points) == points
     ]
-    return sorted(keep, key=MoebiusMap.sort_key)
+    return sorted(keep)
 
 
-def projective_line(q: int) -> list[ProjPoint]:
-    return [ProjPoint.of(1, z, q) for z in range(q)] + [ProjPoint.zero_one(q)]
+def projective_line(q: int) -> list[tuple[int, int]]:
+    return [(1, z) for z in range(q)] + [(0, 1)]
+
+
+def full_coords(p: DeltaPoint, r: int) -> tuple[tuple[int, int], ...]:
+    """The marked point in the ambient product: [1:z] at its own axis and
+    [0:1] at every other."""
+    return tuple((1, p.coord) if i == p.axis else (0, 1) for i in range(1, r + 1))
 
 
 def curve_point_set(comp: Component, config: Config) -> frozenset[tuple]:
     """All F_q-rational points of a 1-dimensional component, as coordinate
     tuples of the ambient product."""
     assert comp.kind in (LINE, GAMMA)
-    q = config.q
-    zero_one = ProjPoint.zero_one(q)
     free = comp.axis
-    fixed: dict[int, ProjPoint] = {}
+    fixed: dict[int, tuple[int, int]] = {}
     if comp.kind == GAMMA:
-        fixed[comp.point.axis] = comp.point.coord
+        fixed[comp.point.axis] = (1, comp.point.coord)
     points = set()
-    for t in projective_line(q):
+    for t in projective_line(config.q):
         coords = tuple(
-            t if i == free else fixed.get(i, zero_one)
+            t if i == free else fixed.get(i, (0, 1))
             for i in range(1, config.r + 1)
         )
         points.add(coords)
@@ -106,12 +120,12 @@ def incident_oracle(
       blown up, or is blown up but both curves leave it along the same axis
       (the strict transforms then meet on that exceptional divisor).
     """
-    delta_coords = {p.full_coords(config.r): p for p in delta}
+    delta_coords = {full_coords(p, config.r): p for p in delta}
     if comp1.kind == EXC and comp2.kind == EXC:
         return False
     if EXC in (comp1.kind, comp2.kind):
         div, cur = (comp1, comp2) if comp1.kind == EXC else (comp2, comp1)
-        return div.point.full_coords(config.r) in curve_point_set(cur, config)
+        return full_coords(div.point, config.r) in curve_point_set(cur, config)
     shared = curve_point_set(comp1, config) & curve_point_set(comp2, config)
     for x in shared:
         if x not in delta_coords:
@@ -148,3 +162,24 @@ def naive_decompositions(genset, target, bound: int) -> set[frozenset]:
 
     dfs(0, tuple(target.l), tuple(target.e), bound, [])
     return found
+
+
+def abstract_automorphism_count(graph: IncidenceGraph, cap: int = 100_000) -> int:
+    """Automorphism count of the unlabeled incidence graph (diagnostic).
+
+    The abstract graph has far more automorphisms than the geometric group
+    (the gamma blocks are complete bipartite), which is why the certification
+    works with coordinate stabilizers instead.  Enumeration stops at `cap`.
+    """
+    import networkx as nx
+
+    g = nx.Graph()
+    g.add_nodes_from(v.label for v in graph.vertices)
+    g.add_edges_from((v.label, w.label) for v, w in graph.edges)
+    matcher = nx.algorithms.isomorphism.GraphMatcher(g, g)
+    count = 0
+    for _ in matcher.isomorphisms_iter():
+        count += 1
+        if count >= cap:
+            break
+    return count

@@ -14,7 +14,6 @@ from blowup_rigidity.cli import main
 from blowup_rigidity.cone import EffectiveCone
 from blowup_rigidity.fieldgeom import (
     Lcg,
-    MoebiusMap,
     build_delta,
     delta_permutation,
     stabilizer_of_axis,
@@ -26,6 +25,7 @@ from blowup_rigidity.rigidity import (
     census,
     components,
     geometric_automorphisms,
+    geometric_permutation,
     incident,
 )
 from blowup_rigidity.vectorfields import derivation_kernel
@@ -85,8 +85,12 @@ def test_criterion_expansion_identities(sweep_configs):
             for _ in range(1000):
                 a = tuple(rng.below(15) - 5 for _ in range(cfg.r))
                 eps = tuple(rng.below(15) - 5 for _ in range(lat.size))
-                c = lat.expand_in_basis(a, eps)  # recovery asserted inside
+                c = lat.expand_in_basis(a, eps)
                 assert lat.pushforward(c) == a
+                assert all(
+                    lat.intersect(c, lat.exc_divisor(p)) == ep
+                    for p, ep in zip(lat.points, eps)
+                )
             for _ in range(1000):
                 q0 = lat.points[rng.below(lat.size)]
                 a = tuple(
@@ -136,11 +140,11 @@ def test_criterion_rigidity(c0, c1):
             group = geometric_automorphisms(cfg, delta)
             assert len(group) == order == cfg.n ** cfg.r
             for g in group:
-                assert g.power(cfg.n).is_identity()
+                assert all(pow(mu, cfg.n, cfg.q) == 1 for mu in g)
             group_perms = {
                 tuple(sorted(
                     (p.key, img.key)
-                    for p, img in g.delta_permutation(delta).items()
+                    for p, img in geometric_permutation(cfg, g, delta).items()
                 ))
                 for g in group
             }
@@ -178,11 +182,9 @@ def test_criterion_oracle_equivalences(sweep_configs, c0, c1):
         for cfg in (c0, c1, *small):
             delta = build_delta(cfg)
             for axis in range(1, cfg.r + 1):
-                coords = {p.coord.v.value for p in delta if p.axis == axis}
-                got = sorted(
-                    stabilizer_of_axis(cfg, axis, delta), key=MoebiusMap.sort_key
-                )
-                assert got == stabilizer_oracle(coords, cfg.q)
+                coords = {p.coord for p in delta if p.axis == axis}
+                got = stabilizer_of_axis(cfg, axis, delta)
+                assert [(1, 0, k, m) for k, m in got] == stabilizer_oracle(coords, cfg.q)
         for cfg in (c0, c1):
             delta = build_delta(cfg)
             comps = components(cfg, delta)

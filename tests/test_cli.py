@@ -80,6 +80,41 @@ def test_missing_key_exits_2(tmp_path, capsys):
     assert "missing key" in capsys.readouterr().err
 
 
+BAD_CONFIGS = {
+    "zero_base": {**C0_RAW, "base": [[1, 0], [3, 4, 5]]},
+    "composite_q": {**C0_RAW, "q": 15, "zeta": 14, "base": [[1, 2], [3, 4, 7]]},
+    "s_entry_str": {"n": 2, "r": 2, "s": [2, "3"], "q": 13},
+    "n_str": {**C0_RAW, "n": "2"},
+    "base_flat": {**C0_RAW, "base": [1, 2, 3]},
+    "seed_float": {**C0_RAW, "seed": 1.5},
+    "not_object": [2, 2, 13],
+}
+SUBCOMMANDS = ["verify", "pairing-table", "extremal", "graph", "rigidity",
+               "vector-fields"]
+# verify reports well-typed invalid values as FAIL records instead (below)
+BAD_INPUTS = [(bad, command) for bad in sorted(BAD_CONFIGS) for command in SUBCOMMANDS
+              if command != "verify" or bad not in ("zero_base", "composite_q")]
+
+
+@pytest.mark.parametrize("bad,command", BAD_INPUTS)
+def test_bad_config_exits_2_with_one_line(bad, command, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(BAD_CONFIGS[bad]))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("bad,check_id", [("zero_base", "config.delta"),
+                                          ("composite_q", "config.structure")])
+def test_verify_reports_invalid_values_as_failed_checks(bad, check_id, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(BAD_CONFIGS[bad]))
+    assert main(["verify", "--config", str(path)]) == 1
+    last = json.loads(capsys.readouterr().out)["checks"][-1]
+    assert (last["check_id"], last["status"]) == (check_id, "FAIL")
+
+
 def test_pairing_table(c0_file, capsys):
     assert main(["pairing-table", "--config", c0_file]) == 0
     out = capsys.readouterr().out

@@ -1,7 +1,7 @@
 import pytest
 
 from blowup_rigidity.cone import EffectiveCone, GeneratorSet
-from blowup_rigidity.errors import CapExceeded, NotEffective
+from blowup_rigidity.errors import NotEffective
 from blowup_rigidity.fieldgeom import Lcg
 
 from oracles import naive_decompositions
@@ -163,12 +163,23 @@ def test_case3_identity_random(lat1):
         assert cone1.case3_identity(q0, a, rng.below(4))
 
 
-def test_cap_exceeded(lat0):
-    cone = EffectiveCone(lat0, cap=5)
-    with pytest.raises(CapExceeded):
-        cone.member(lat0.line(1))  # phi = 7 > 5
-    # default cap is 10 * N
-    assert EffectiveCone(lat0).cap == 110
+def test_member_has_no_degree_cap(cone0, lat0):
+    # phi 121 is above the 10 * N = 110 that once capped the search; the
+    # search ends anyway because phi >= 1 on every generator
+    target = lat0.expand_in_basis((6, 5), (0,) * lat0.size)
+    assert cone0.phi(target) == 121
+    dec = cone0.member(target)
+    assert dec is not None
+    back = dec.resum(cone0.genset)
+    assert (back.l, back.e) == (target.l, target.e)
+
+
+def test_unsound_decomposition_raises(cone0, lat0, monkeypatch):
+    from blowup_rigidity.cone import Decomposition
+
+    monkeypatch.setattr(Decomposition, "resum", lambda self, genset: lat0.zero_curve())
+    with pytest.raises(RuntimeError, match="unsound decomposition"):
+        cone0.member(lat0.line(1))
 
 
 def test_decomposition_repr_and_resum(cone0, lat0):

@@ -113,8 +113,12 @@ def test_expand_in_basis_random_recovery(lat1):
     for _ in range(300):
         a = tuple(rng.below(15) - 5 for _ in range(lat1.config.r))
         eps = tuple(rng.below(15) - 5 for _ in range(lat1.size))
-        c = lat1.expand_in_basis(a, eps)  # postconditions asserted inside
+        c = lat1.expand_in_basis(a, eps)
         assert lat1.pushforward(c) == a
+        assert all(
+            lat1.intersect(c, lat1.exc_divisor(p)) == ep
+            for p, ep in zip(lat1.points, eps)
+        )
 
 
 def test_canonical_pullback(lat0, lat1):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +131,45 @@ def test_sweep_continues_past_errors(c0):
     agg = result.aggregate
     assert agg["cases"] == 2 and agg["errors"] == 1
     assert agg["per_check"]["rigidity.automorphisms"]["PASS"] == 1
+
+
+def test_sweep_records_any_case_exception(monkeypatch):
+    import blowup_rigidity.report as report
+
+    def broken_run_all(*args, **kwargs):
+        raise RuntimeError("stage crashed")
+
+    monkeypatch.setattr(report, "run_all", broken_run_all)
+    result = sweep([SweepCase(n=2, r=2, s=(2, 3), q=13, seed=1)], jobs=1, draws=10)
+    assert result.rows == [("n=2 r=2 s=(2,3) q=13 seed=1",
+                            {"error": "RuntimeError: stage crashed"})]
+    assert result.exit_code == 1
+
+
+# The expansion returns a wrong e-part; the verdict must read FAIL even when
+# `python -O` strips assert statements.
+SABOTAGED_EXPANSION = """
+from blowup_rigidity.fieldgeom import Config
+from blowup_rigidity.lattice import BlowupLattice, CurveClass
+from blowup_rigidity.report import lattice_checks
+
+def wrong_e_part(self, a, eps):
+    e = tuple(a[axis - 1] - ep + 1 for ep, axis in zip(eps, self.axis_of))
+    return CurveClass(tuple(a), e, self)
+
+BlowupLattice.expand_in_basis = wrong_e_part
+cfg = Config(n=2, r=2, s=(2, 3), q=13, zeta=12, base=((1, 2), (3, 4, 5)))
+records = lattice_checks(BlowupLattice(cfg), draws=20)
+print(next(r.status for r in records if r.check_id == "lattice.multidegree_expansion"))
+"""
+
+
+def test_sabotaged_expansion_fails_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", SABOTAGED_EXPANSION],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "FAIL"
 
 
 def test_sweep_parallel_matches_serial():

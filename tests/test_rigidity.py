@@ -9,17 +9,17 @@ from blowup_rigidity.rigidity import (
     GAMMA,
     LINE,
     Component,
-    abstract_automorphism_count,
     build_graph,
     census,
     components,
     geometric_automorphisms,
+    geometric_permutation,
     incident,
     pin_components,
     verify_rigidity,
 )
 
-from oracles import incident_oracle
+from oracles import abstract_automorphism_count, incident_oracle
 
 
 def test_component_counts(c0, c1):
@@ -151,26 +151,23 @@ def test_geometric_automorphisms_orders(c0, c1):
     assert len(auts0) == 4
     auts1 = geometric_automorphisms(c1)
     assert len(auts1) == 27
-    assert sum(1 for g in auts0 if g.is_identity()) == 1
-    for g in auts0:
-        assert g.power(2).is_identity()
-    for g in auts1:
-        assert g.power(3).is_identity()
+    assert auts0 == [(1, 1), (1, 12), (12, 1), (12, 12)]  # torsion-shift order
+    for cfg, auts in ((c0, auts0), (c1, auts1)):
+        assert all(pow(mu, cfg.n, cfg.q) == 1 for g in auts for mu in g)
 
 
 def test_geometric_automorphisms_closed(c0):
-    auts = geometric_automorphisms(c0)
-    keys = {g.sort_key() for g in auts}
+    auts = set(geometric_automorphisms(c0))
     for g, h in itertools.product(auts, repeat=2):
-        assert g.compose(h).sort_key() in keys
+        assert tuple(a * b % c0.q for a, b in zip(g, h)) in auts
 
 
 def test_group_action_embedding_is_bijective(c1):
     delta = build_delta(c1)
     auts = geometric_automorphisms(c1, delta)
     perm_of = {
-        g.sort_key(): tuple(sorted(
-            (p.key, img.key) for p, img in g.delta_permutation(delta).items()
+        g: tuple(sorted(
+            (p.key, img.key) for p, img in geometric_permutation(c1, g, delta).items()
         ))
         for g in auts
     }
@@ -199,6 +196,17 @@ def test_verify_rigidity_pass(c0, c1):
         assert by_id["rigidity.census_lines"].status == "WARN"
         statuses = {r.status for r in records}
         assert "FAIL" not in statuses
+
+
+def test_verify_rigidity_fails_when_actions_differ(c0, monkeypatch):
+    # a geometric side that fixes every point matches only the identity shift
+    import blowup_rigidity.rigidity as rigidity
+
+    monkeypatch.setattr(rigidity, "geometric_permutation",
+                        lambda config, g, delta: {p: p for p in delta})
+    by_id = {r.check_id: r for r in verify_rigidity(c0)}
+    assert by_id["rigidity.automorphisms"].status == "FAIL"
+    assert by_id["rigidity.automorphisms"].computed["matches_torsion_action"] is False
 
 
 def test_verify_rigidity_fail_non_generic():

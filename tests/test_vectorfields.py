@@ -1,6 +1,6 @@
 import itertools
 
-from blowup_rigidity.fieldgeom import Lcg, ProjPoint
+from blowup_rigidity.fieldgeom import Lcg
 from blowup_rigidity.vectorfields import (
     assemble_system,
     derivation_kernel,
@@ -15,12 +15,12 @@ from blowup_rigidity.vectorfields import (
 
 def test_constraint_row_examples():
     q = 13
-    row = eigen_constraint_row(ProjPoint.zero_one(q), 1, r=2)
+    row = eigen_constraint_row((0, 1), 1, r=2, q=q)
     assert row.coeffs == (0, 1, 0, 0, 0, 0, 0, 0)  # b = 0
-    row = eigen_constraint_row(ProjPoint.of(1, 1, q), 1, r=2)
+    row = eigen_constraint_row((1, 1), 1, r=2, q=q)
     assert row.coeffs[:4] == (1, 1, q - 1, q - 1)  # a + b - c - d = 0
     z = 5
-    row = eigen_constraint_row(ProjPoint.of(1, z, q), 2, r=2)
+    row = eigen_constraint_row((1, z), 2, r=2, q=q)
     assert row.coeffs[:4] == (0, 0, 0, 0)
     assert row.coeffs[4:] == (z, z * z % q, q - 1, (q - z) % q)
 
@@ -53,8 +53,8 @@ def test_kernel_degenerate_single_direction():
     # only the [0:1] row on each of two blocks: b_i = 0 leaves dimension 6
     q = 13
     rows = [
-        eigen_constraint_row(ProjPoint.zero_one(q), 1, r=2),
-        eigen_constraint_row(ProjPoint.zero_one(q), 2, r=2),
+        eigen_constraint_row((0, 1), 1, r=2, q=q),
+        eigen_constraint_row((0, 1), 2, r=2, q=q),
     ]
     res = kernel_of_rows(rows, r=2, q=q)
     assert res.dimension == 6
@@ -72,9 +72,9 @@ def test_three_directions_force_scalars():
     # a 2x2 matrix with three pairwise non-proportional eigendirections is
     # scalar; checked by elimination for every triple over small fields
     for q in (5, 7):
-        points = [ProjPoint.of(1, z, q) for z in range(q)] + [ProjPoint.zero_one(q)]
+        points = [(1, z) for z in range(q)] + [(0, 1)]
         for triple in itertools.combinations(points, 3):
-            rows = [eigen_constraint_row(v, 1, r=1).coeffs for v in triple]
+            rows = [eigen_constraint_row(v, 1, r=1, q=q).coeffs for v in triple]
             dim, basis, _ = kernel_mod_q(list(rows), 4, q)
             assert dim == 1
             assert basis == [(1, 0, 0, 1)]
