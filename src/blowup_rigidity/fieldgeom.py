@@ -292,6 +292,13 @@ def stabilizer_of_axis(
     return affine_stabilizer_of(coords, config.q)
 
 
+def axis_stabilizers(
+    config: Config, delta: tuple[DeltaPoint, ...]
+) -> list[list[tuple[int, int]]]:
+    """stabilizer_of_axis for every axis, in axis order."""
+    return [stabilizer_of_axis(config, axis, delta) for axis in range(1, config.r + 1)]
+
+
 def scaling_group(config: Config) -> list[tuple[int, int]]:
     """The order-n group of scalings z -> zeta^k z, as (0, zeta^k) with k
     ascending; each fixes both [0:1] and [1:0]."""
@@ -310,9 +317,7 @@ def marked_set(
         delta = build_delta(config)
     except (ZeroBase, OrbitCollision):
         return None, None
-    return delta, [
-        stabilizer_of_axis(config, axis, delta) for axis in range(1, config.r + 1)
-    ]
+    return delta, axis_stabilizers(config, delta)
 
 
 class Lcg:
@@ -507,9 +512,7 @@ def validate_config(
     )
 
     if stabilizers is None:
-        stabilizers = [
-            stabilizer_of_axis(config, axis, delta) for axis in range(1, config.r + 1)
-        ]
+        stabilizers = axis_stabilizers(config, delta)
     expected_group = sorted(scaling_group(config))
     orders = {}
     generic = True

@@ -18,11 +18,11 @@ from .errors import AmbiguousProfile, NonGeneric
 from .fieldgeom import (
     Config,
     DeltaPoint,
+    axis_stabilizers,
     build_delta,
     delta_permutation,
     format_map,
     scaling_group,
-    stabilizer_of_axis,
 )
 
 EXC = "exc"
@@ -277,9 +277,7 @@ def geometric_automorphisms(
     if stabilizers is None:
         if delta is None:
             delta = build_delta(config)
-        stabilizers = [
-            stabilizer_of_axis(config, axis, delta) for axis in range(1, config.r + 1)
-        ]
+        stabilizers = axis_stabilizers(config, delta)
     expected = sorted(scaling_group(config))
     for axis, stab in enumerate(stabilizers, start=1):
         if sorted(stab) != expected:
