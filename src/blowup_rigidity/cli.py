@@ -21,7 +21,7 @@ from .fieldgeom import (
     structural_problems,
 )
 from .lattice import BlowupLattice
-from .report import SweepCase, product_cases, run_all, sweep
+from .report import SweepCase, check_extra_q, product_cases, run_all, sweep
 from .rigidity import build_graph, geometric_automorphisms, verify_rigidity
 from .vectorfields import assemble_system, derivation_kernel, verify_vanishing
 
@@ -100,15 +100,26 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _int_tuple(text: str) -> tuple[int, ...]:
+    """argparse type for a comma-separated list of integers."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
 def cmd_gen_config(args) -> int:
-    s = tuple(int(x) for x in args.s.split(","))
-    config = generate_config(args.n, args.r, s, args.q, seed=args.seed)
+    config = generate_config(args.n, args.r, args.s, args.q, seed=args.seed)
     _write(config.canonical_json() + "\n", args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
     config = load_config(args.config)
+    if args.q_extra is not None:
+        check_extra_q(config.n, config.s, args.q_extra)
     report = run_all(config, draws=args.draws, extra_q=args.q_extra)
     if args.format == "md":
         _write(report.to_markdown(timings=True), args.out)
@@ -200,24 +211,49 @@ def cmd_vector_fields(args) -> int:
     return 1 if any(rec.status == "FAIL" for rec in records) else 0
 
 
-def _cases_from_spec(raw: dict) -> list[SweepCase]:
+_REQUIRED = object()
+
+
+def _spec_value(where: str, item: dict, key: str, check, default=_REQUIRED):
+    """item[key] when it passes check, or default when the key is absent;
+    a UsageError naming the key otherwise."""
+    if key not in item:
+        if default is _REQUIRED:
+            raise UsageError(f"sweep spec: {where} is missing key {key!r}")
+        return default
+    if not check(item[key]):
+        raise UsageError(f"sweep spec: {where} has a mistyped {key!r}")
+    return item[key]
+
+
+def _cases_from_spec(raw) -> list[SweepCase]:
+    if not isinstance(raw, dict):
+        raise UsageError("sweep spec is not a JSON object")
+    seed = _spec_value("the spec", raw, "seed", _is_int, 0)
     if "cases" in raw:
+        if not isinstance(raw["cases"], list):
+            raise UsageError("sweep spec: 'cases' must be a list")
         out = []
-        for case in raw["cases"]:
+        for idx, case in enumerate(raw["cases"]):
+            where = f"case {idx}"
+            if not isinstance(case, dict):
+                raise UsageError(f"sweep spec: {where} is not a JSON object")
             out.append(
                 SweepCase(
-                    n=case["n"],
-                    r=case["r"],
-                    s=tuple(case["s"]),
-                    q=case.get("q"),
-                    seed=case.get("seed", raw.get("seed", 0)),
+                    n=_spec_value(where, case, "n", _is_int),
+                    r=_spec_value(where, case, "r", _is_int),
+                    s=tuple(_spec_value(where, case, "s", _is_int_list)),
+                    q=_spec_value(where, case, "q",
+                                  lambda x: x is None or _is_int(x), None),
+                    seed=_spec_value(where, case, "seed", _is_int, seed),
                 )
             )
         return out
     if "n" in raw and "r" in raw:
         return product_cases(
-            list(raw["n"]), list(raw["r"]),
-            seed=raw.get("seed", 0), variants=raw.get("variants", 1),
+            _spec_value("the spec", raw, "n", _is_int_list),
+            _spec_value("the spec", raw, "r", _is_int_list),
+            seed=seed, variants=_spec_value("the spec", raw, "variants", _is_int, 1),
         )
     raise UsageError("sweep spec needs either 'cases' or 'n' and 'r' lists")
 
@@ -247,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-config", help="generate a generic configuration")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=str, required=True, help="comma-separated, e.g. 2,3")
+    p.add_argument("--s", type=_int_tuple, required=True,
+                   help="comma-separated, e.g. 2,3")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")

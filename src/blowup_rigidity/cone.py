@@ -11,6 +11,16 @@ grouped by free axis and then by point, then exceptional lines by point.
 The search branches in this order, taking larger multiplicities first, so
 `member` returns the first decomposition in that order; every emitted
 decomposition is re-summed against its target before it is returned.
+
+The search uses the shape of the generators.  The gammas with free axis i
+form block i: each is lt_i + (the e_q of every q on axis i) - e_p for one p
+off axis i.  Once the strict lines are chosen, block i's total multiplicity
+Y_i is forced to what is left of l_i, and the block lowers the remaining e_q
+of every q on axis i by exactly Y_i whatever gammas it uses.  Each block is
+therefore enumerated as a composition of Y_i, and the exceptional lines are
+forced at the end.  A point q on axis j must be covered Y_j - e_q times by
+gammas through q, which prunes the blocks.  The recursion depth is at most
+2r plus the number of nonzero parts, however many generators there are.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ class Generator:
 
 
 class GeneratorSet:
-    """The generators in canonical order, with label lookup."""
+    """The generators in canonical order, with their classes by label."""
 
     def __init__(self, lattice: BlowupLattice):
         self.lattice = lattice
@@ -52,7 +62,12 @@ class GeneratorSet:
             c = lattice.exc_curve(p)
             gens.append(Generator(f"e[{p.key}]", "exc", c, self.phi(c)))
         self.generators = tuple(gens)
-        self.by_label = {g.label: g for g in gens}
+        # by label, the nonzero (coordinate, coefficient) pairs of each class
+        # over (lt, e)
+        self.support = {
+            g.label: tuple((k, x) for k, x in enumerate(g.cls.to_array()) if x)
+            for g in gens
+        }
 
     def phi(self, c: CurveClass) -> int:
         """Degree against N * sum pi*(H_i) - sum E_p with N = 1 + |Delta|."""
@@ -97,10 +112,12 @@ class Decomposition:
         return sum(m for _, m in self.parts)
 
     def resum(self, genset: GeneratorSet) -> CurveClass:
-        total = genset.lattice.zero_curve()
+        lat = genset.lattice
+        total = [0] * (lat.config.r + lat.size)
         for label, mult in self.parts:
-            total = total + genset.by_label[label].cls.scale(mult)
-        return total
+            for k, x in genset.support[label]:
+                total[k] += mult * x
+        return lat.curve_from_array(total)
 
     def __repr__(self):
         return " + ".join(
@@ -121,21 +138,38 @@ class EffectiveCone:
         r = lattice.config.r
         gens = self.genset.generators
         self._lines = [g for g in gens if g.kind == "line"]
-        self._gamma_blocks = [
-            [g for g in gens if g.kind == "gamma" and g.cls.l[i] == 1]
-            for i in range(r)
-        ]
+        # block i: one (label, point index) row per gamma with strict-line
+        # part lt_{i+1}, in canonical order; gt[p;i] has e = -1 only at p
+        self._gamma_blocks: list[list[tuple[str, int]]] = [[] for _ in range(r)]
+        for g in gens:
+            if g.kind == "gamma":
+                self._gamma_blocks[g.cls.l.index(1)].append(
+                    (g.label, g.cls.e.index(-1))
+                )
         self._exc = [g for g in gens if g.kind == "exc"]
 
     def phi(self, c: CurveClass) -> int:
         return self.genset.phi(c)
 
     def _search(self, target: CurveClass, first_only: bool) -> list[Decomposition]:
+        """Every decomposition of target, in canonical order.
+
+        The strict lines branch by axis, larger multiplicity first, bounded
+        by phi; x_i copies of lt_i leave gamma block i the forced total
+        Y_i = l_i - x_i.  A point q on axis j then needs cover_q >= Y_j - e_q,
+        cover_q being the multiplicity of the chosen gammas through q, and
+        its exceptional line takes the rest, z_q = e_q - Y_j + cover_q.
+        Block i is enumerated as a composition of Y_i in reverse-lex order,
+        jumping straight to the next nonzero part.  Each gamma unit covers
+        exactly one point, so a branch is cut when its positive shortfalls
+        add up to more than the block totals still to place.
+        """
         phi_t = self.phi(target)
         solutions: list[Decomposition] = []
         if phi_t < 0:
             return solutions
         r = self.lattice.config.r
+        axis_of = self.lattice.axis_of
 
         def emit(parts: list[tuple[str, int]], rem_e: list[int]) -> bool:
             full = list(parts)
@@ -149,34 +183,41 @@ class EffectiveCone:
             solutions.append(dec)
             return first_only
 
-        def gamma_step(bi, gi, rem_l, rem_e, rem_phi, parts) -> bool:
-            if bi == r:
-                if any(x < 0 for x in rem_e):
+        def blocks_step(totals: list[int], parts: list[tuple[str, int]]) -> bool:
+            # short[q] = Y_j - e_q - cover_q, later[i] = Y_{i+1} + ... + Y_r;
+            # short and parts are updated in place and restored on backtrack
+            short = [totals[axis - 1] - e for e, axis in zip(target.e, axis_of)]
+            later = [sum(totals[i + 1:]) for i in range(r)]
+
+            def gamma_step(bi, gi, rem, pos) -> bool:
+                # pos: the sum of the positive shortfalls
+                if pos > rem + later[bi]:
                     return False
-                return emit(parts, rem_e)
-            block = self._gamma_blocks[bi]
-            if gi == len(block):
-                if rem_l[bi] != 0:
-                    return False
-                return gamma_step(bi + 1, 0, rem_l, rem_e, rem_phi, parts)
-            gen = block[gi]
-            maxm = min(rem_l[bi], rem_phi // gen.phi)
-            for m in range(maxm, -1, -1):
-                if m:
-                    new_l = rem_l.copy()
-                    new_l[bi] -= m
-                    new_e = [x - m * ge for x, ge in zip(rem_e, gen.cls.e)]
-                    if gamma_step(bi, gi + 1, new_l, new_e,
-                                  rem_phi - m * gen.phi, parts + [(gen.label, m)]):
-                        return True
-                else:
-                    if gamma_step(bi, gi + 1, rem_l, rem_e, rem_phi, parts):
-                        return True
-            return False
+                while rem == 0:
+                    bi += 1
+                    if bi == r:
+                        return emit(parts, [-x for x in short])
+                    gi, rem = 0, totals[bi]
+                block = self._gamma_blocks[bi]
+                for g in range(gi, len(block)):
+                    label, k = block[g]
+                    s = short[k]
+                    for m in range(rem, 0, -1):
+                        short[k] = s - m
+                        parts.append((label, m))
+                        found = gamma_step(bi, g + 1, rem - m,
+                                           pos - min(m, s) if s > 0 else pos)
+                        parts.pop()
+                        if found:
+                            return True
+                    short[k] = s
+                return False
+
+            return gamma_step(0, 0, totals[0], sum(x for x in short if x > 0))
 
         def line_step(i, rem_l, rem_phi, parts) -> bool:
             if i == r:
-                return gamma_step(0, 0, rem_l, list(target.e), rem_phi, parts)
+                return blocks_step(rem_l, parts)
             gen = self._lines[i]
             maxm = min(rem_l[i], rem_phi // gen.phi)
             for m in range(maxm, -1, -1):
@@ -248,10 +289,9 @@ class EffectiveCone:
             raise ValueError(f"a_{j} must be 0 for a point on axis {j}")
         if any(x < 0 for x in a):
             raise ValueError("multidegree must be nonnegative")
-        eps = tuple(
-            eps_q if p == q0 else 0 for p in lat.points
-        )
-        lhs = lat.expand_in_basis(tuple(a), eps)
+        eps = [0] * lat.size
+        eps[lat.point_index[q0]] = eps_q
+        lhs = lat.expand_in_basis(tuple(a), tuple(eps))
         coeff = -eps_q + sum(a[i - 1] for i in range(1, cfg.r + 1) if i != j)
         rhs = lat.exc_curve(q0).scale(coeff)
         for i in range(1, cfg.r + 1):

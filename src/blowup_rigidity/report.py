@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from .checks import FAIL, PASS, WARN, CheckRecord, make_record
 from .cone import EffectiveCone
+from .errors import NDoesNotDivide, NotPrime, TooSmallField
 from .fieldgeom import (
     Config,
     Lcg,
@@ -316,14 +317,22 @@ def next_valid_q(n: int, s: tuple[int, ...], after: int) -> int:
         q += 1
 
 
+def check_extra_q(n: int, s: tuple[int, ...], q2: int) -> None:
+    """Refuse a second field that is not prime, not 1 (mod n), or short of
+    scaling orbits for the counts s."""
+    if not is_prime(q2):
+        raise NotPrime(f"q2 = {q2} is not prime")
+    if n < 1 or (q2 - 1) % n:
+        raise NDoesNotDivide(f"q2 = {q2} is not 1 (mod {n})")
+    if (q2 - 1) // n < max(s, default=0):
+        raise TooSmallField(f"q2 = {q2} has too few scaling orbits")
+
+
 def extra_q_vanishing(config: Config, q2: int) -> CheckRecord:
     """Re-run the kernel computation over a second field with the same
     (n, r, s).  Genericity is not needed for this check, so the base table
     is resampled with orbit-disjointness only."""
-    if not is_prime(q2) or (q2 - 1) % config.n != 0:
-        raise ValueError(f"q2 = {q2} is not prime with q2 = 1 (mod {config.n})")
-    if (q2 - 1) // config.n < max(config.s):
-        raise ValueError(f"q2 = {q2} has too few scaling orbits")
+    check_extra_q(config.n, config.s, q2)
     zeta2 = primitive_nth_root(q2, config.n)
     rng = Lcg(config_seed(config, f"extra_q={q2}"))
     base = None

@@ -137,30 +137,38 @@ def incident_oracle(
 
 def naive_decompositions(genset, target, bound: int) -> set[frozenset]:
     """Unstructured bounded search for all generator multisets summing to the
-    target: plain depth-first over the generator list with only the additive
-    degree bound (no coordinate pruning).  Returns each decomposition as a
+    target: plain depth-first over the generator list with the additive
+    degree bound, cutting a branch only when a coordinate that no later
+    generator touches is left nonzero.  Returns each decomposition as a
     frozenset of (label, multiplicity) pairs."""
     gens = list(genset.generators)
+    vecs = [tuple(g.cls.l) + tuple(g.cls.e) for g in gens]
+    last_touch = {c: idx for idx, v in enumerate(vecs) for c, x in enumerate(v) if x}
+    dies_at = [[] for _ in gens]
+    for c, idx in last_touch.items():
+        dies_at[idx].append(c)
     found: set[frozenset] = set()
 
-    def dfs(idx, rem_l, rem_e, budget, parts):
+    def dfs(idx, rem, budget, parts):
         if idx == len(gens):
-            if not any(rem_l) and not any(rem_e):
+            if not any(rem):
                 found.add(frozenset(parts))
             return
         gen = gens[idx]
         for mult in range(budget // gen.phi, -1, -1):
-            new_l = tuple(x - mult * y for x, y in zip(rem_l, gen.cls.l))
-            new_e = tuple(x - mult * y for x, y in zip(rem_e, gen.cls.e))
+            new = tuple(x - mult * y for x, y in zip(rem, vecs[idx]))
+            if any(new[c] for c in dies_at[idx]):
+                continue
             dfs(
                 idx + 1,
-                new_l,
-                new_e,
+                new,
                 budget - mult * gen.phi,
                 parts + [(gen.label, mult)] if mult else parts,
             )
 
-    dfs(0, tuple(target.l), tuple(target.e), bound, [])
+    start = tuple(target.l) + tuple(target.e)
+    if not any(x for c, x in enumerate(start) if c not in last_touch):
+        dfs(0, start, bound, [])
     return found
 
 

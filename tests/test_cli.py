@@ -26,6 +26,15 @@ def test_gen_config_round_trip(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_gen_config_bad_s_exits_2(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["gen-config", "--n", "2", "--r", "2", "--s", "2,x", "--q", "13"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected comma-separated integers, got '2,x'" in captured.err
+
+
 def test_verify_json_deterministic(c0_file, tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify", "--config", c0_file, "--draws", "100",
@@ -50,6 +59,19 @@ def test_verify_q_extra(c0_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     ids = [c["check_id"] for c in payload["checks"]]
     assert "vectorfields.kernel_extra" in ids
+
+
+@pytest.mark.parametrize("q_extra, error", [
+    ("15", "NotPrime"),
+    ("2", "NDoesNotDivide"),
+    ("5", "TooSmallField"),
+])
+def test_verify_bad_q_extra_exits_2(q_extra, error, c0_file, capsys):
+    assert main(["verify", "--config", c0_file, "--q-extra", q_extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {error}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_verify_invalid_config_exits_1(tmp_path, capsys):
@@ -196,3 +218,26 @@ def test_sweep_bad_spec_exits_2(tmp_path, capsys):
     spec.write_text(json.dumps({"something": 1}))
     assert main(["sweep", "--spec", str(spec)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"cases": [{"n": 2}]}, "case 0 is missing key 'r'"),
+    ({"cases": [{"n": 2, "r": 2, "s": [2, 3]}, {"r": 2, "s": [1, 2]}]},
+     "case 1 is missing key 'n'"),
+    ({"cases": [{"n": 2, "r": 2, "s": "2,3"}]}, "case 0 has a mistyped 's'"),
+    ({"cases": [{"n": 2, "r": 2, "s": [2, 3], "q": "13"}]},
+     "case 0 has a mistyped 'q'"),
+    ({"cases": [2]}, "case 0 is not a JSON object"),
+    ({"cases": {"n": 2}}, "'cases' must be a list"),
+    ({"n": 2, "r": [2]}, "the spec has a mistyped 'n'"),
+    ({"n": [2], "r": [2], "seed": "1"}, "the spec has a mistyped 'seed'"),
+    ([1, 2], "sweep spec is not a JSON object"),
+])
+def test_sweep_malformed_spec_exits_2(spec, message, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["sweep", "--spec", str(path), "--jobs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert captured.err.count("\n") == 1

@@ -3,6 +3,8 @@ import pytest
 from blowup_rigidity.cone import EffectiveCone, GeneratorSet
 from blowup_rigidity.errors import NotEffective
 from blowup_rigidity.fieldgeom import Lcg
+from blowup_rigidity.lattice import BlowupLattice
+from blowup_rigidity.report import SweepCase, default_s, resolve_case
 
 from oracles import naive_decompositions
 
@@ -199,3 +201,69 @@ def test_generator_set_json(cone0):
     assert len(data) == 22
     assert {d["kind"] for d in data} == {"line", "gamma", "exc"}
     assert all(len(d["class"]) == 12 for d in data)
+
+
+def _mult_vector(cone, dec):
+    mults = dict(dec.parts)
+    return [mults.get(g.label, 0) for g in cone.genset]
+
+
+def _rich_targets(lat):
+    """Sums with many decompositions: lt_i plus every e_q on axis i equals
+    gt[p;i] + e_p for each p off axis i, so these mix lines, repeated and
+    distinct gammas of one block, and exceptional lines."""
+    p, p2 = [pt for pt in lat.points if pt.axis != 1][:2]
+    q = next(pt for pt in lat.points if pt.axis == 1)
+
+    def closed(i):
+        c = lat.line(i)
+        for pt in lat.points:
+            if pt.axis == i:
+                c = c + lat.exc_curve(pt)
+        return c
+
+    every = lat.zero_curve()
+    for i in range(1, lat.config.r + 1):
+        every = every + closed(i)
+    return [
+        lat.gamma(p, 1).scale(2) + lat.gamma(p2, 1) + lat.exc_curve(p) + lat.exc_curve(q),
+        closed(1).scale(2) + lat.exc_curve(p) + lat.exc_curve(p2),
+        every,
+        every + lat.exc_curve(q) + lat.exc_curve(p2).scale(2),
+    ]
+
+
+def test_decompositions_in_canonical_order(cone0, lat1):
+    # every list is strictly decreasing in the lexicographic order of the
+    # multiplicity vector over the canonical generator order, and member
+    # returns its head
+    for cone in (cone0, EffectiveCone(lat1)):
+        for target in _rich_targets(cone.lattice):
+            decs = cone.all_decompositions(target)
+            assert len(decs) >= 2
+            vectors = [_mult_vector(cone, dec) for dec in decs]
+            assert all(a > b for a, b in zip(vectors, vectors[1:]))
+            assert cone.member(target) == decs[0]
+
+
+def test_decompositions_match_naive_oracle_c1(lat1):
+    cone1 = EffectiveCone(lat1)
+    p, p2 = [pt for pt in lat1.points if pt.axis != 1][:2]
+    single = lat1.gamma(p, 1).scale(2) + lat1.gamma(p2, 1)
+    for target in [single] + _rich_targets(lat1):
+        decs = cone1.all_decompositions(target)
+        fast = {frozenset(dec.parts) for dec in decs}
+        assert len(fast) == len(decs)
+        assert fast == naive_decompositions(cone1.genset, target, cone1.phi(target))
+
+
+def test_cone_search_depth_n7_r7():
+    # 1379 generators, 1176 of them gammas: a search that recursed once per
+    # gamma hit Python's recursion limit here
+    cfg = resolve_case(SweepCase(7, 7, default_s(7, 7), q=71, seed=1))
+    cone = EffectiveCone(BlowupLattice(cfg))
+    assert len(cone.genset) == 1379
+    first_gamma = next(g for g in cone.genset if g.kind == "gamma")
+    assert cone.is_extremal(first_gamma.cls)
+    assert cone.genset.generators[-1].kind == "exc"
+    assert cone.is_extremal(cone.genset.generators[-1].cls)
