@@ -35,7 +35,24 @@ GOLDEN = [
      "88608716a5d21a1d8820ab9a19de70f853490f51f6cc9bdb7702af566ca91006"),
     ("non_generic", ["vector-fields"],
      "649f071a0e2334ec45229bd58a991faaa19141009586afc0ffde767cf04cf248"),
+    ("C0", ["graph"], "ec14e428a93e2dabc2c85d7b50a5917dafdff5fb43fdad08c138970ad5d0874d"),
+    ("C0", ["pairing-table"],
+     "c16c1134b22c1e2b6da6f94cf35857ab3c68f24abb1f03528f2ecb141b264499"),
+    ("C1", ["graph"], "3b719a80764f30e679f1a59fc59e78f4c7276a45fa57c019adbb76086d07ecb9"),
+    ("C1", ["pairing-table"],
+     "31a586f6b0d6c5f1f764e1f8cc43caae5b5c3c1c4bfc5aba2576c073e2310a4d"),
+    ("non_generic", ["graph"],
+     "52af8235846f55f5d6b6b2b3fb8a29175429ac59e87f7055f8439db8defc65ee"),
+    ("non_generic", ["pairing-table"],
+     "933c2087ce7e2ed7f869487af2f0266d9f697444490f090b20b120ecb867a675"),
 ]
+
+# sha256 of the file written by `graph --dot`
+GOLDEN_DOT = {
+    "C0": "702170057960eef5743381f8d01f88ff477a49a468f6e56d94ec72e8bb03f095",
+    "C1": "acf82984470ee02d0e8ed23479712a6da6dd4b1760004edb545f4ecc48713237",
+    "non_generic": "d5aea6d9931b825c9552760005d752e9ba21414e139ed2a75fed39b05be30b5d",
+}
 
 
 @pytest.mark.parametrize(
@@ -48,3 +65,13 @@ def test_cli_stdout_sha256(name, argv, digest, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.endswith("\n")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DOT))
+def test_graph_dot_sha256(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(CONFIGS[name]))
+    dot = tmp_path / f"{name}.dot"
+    main(["graph", "--config", str(path), "--dot", str(dot)])
+    capsys.readouterr()
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == GOLDEN_DOT[name]
