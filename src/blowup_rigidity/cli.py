@@ -110,6 +110,17 @@ def _int_tuple(text: str) -> tuple[int, ...]:
         ) from None
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def cmd_gen_config(args) -> int:
     config = generate_config(args.n, args.r, args.s, args.q, seed=args.seed)
     _write(config.canonical_json() + "\n", args.out)
@@ -295,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-extra", type=int, default=None,
                    help="second field size for the vector-field check")
     p.add_argument("--format", choices=("json", "md"), default="json")
-    p.add_argument("--draws", type=int, default=1000)
+    p.add_argument("--draws", type=_positive_int, default=1000)
     p.add_argument("--timings", action="store_true",
                    help="include stage timings (non-canonical output)")
     p.add_argument("--out", default="-")
@@ -332,9 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run many configurations")
     p.add_argument("--spec", required=True)
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_positive_int, default=None,
                    help="workers (default: BLOWUP_RIGIDITY_JOBS or 1)")
-    p.add_argument("--draws", type=int, default=200)
+    p.add_argument("--draws", type=_positive_int, default=200)
     p.add_argument("--extra-q", action="store_true")
     p.add_argument("--out", default="-")
     p.set_defaults(fn=cmd_sweep)

@@ -61,5 +61,9 @@ class NonGeneric(BlowupError):
     """A per-axis stabilizer is strictly larger than the scaling group."""
 
 
+class InvalidSetting(BlowupError, ValueError):
+    """A run setting (draw count, worker count) is out of range."""
+
+
 class UnknownCheckId(BlowupError):
     """A check record was created with an id missing from the registry."""

@@ -9,6 +9,12 @@ Pairing rules, extended bilinearly:
 
     lt_i . pi*(H_j) = delta_ij          lt_i . E_p = 1 iff p on axis i
     e_p  . pi*(H_j) = 0                 e_p  . E_q = -delta_pq
+
+so a curve c = (l, e) pairs with E_p as l_{axis(p)} - e_p.  The pairing row
+of c, its pairings with every E_p in point order, is one pass over the
+points (`BlowupLattice.exc_pairings`).  A divisor class records the indices
+of its nonzero E-coefficients when it is built, and `intersect` walks only
+those, so pairing with a basis divisor or a pullback costs O(r).
 """
 
 from __future__ import annotations
@@ -22,11 +28,16 @@ from .fieldgeom import Config, DeltaPoint, build_delta
 
 @dataclass(frozen=True)
 class DivisorClass:
-    """h: coefficients over pi*(H_i); m: coefficients over E_p."""
+    """h: coefficients over pi*(H_i); m: coefficients over E_p;
+    support: the indices k with m[k] != 0, derived from m."""
 
     h: tuple[int, ...]
     m: tuple[int, ...]
     lattice: "BlowupLattice" = field(compare=False, repr=False)
+    support: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "support", tuple(k for k, x in enumerate(self.m) if x))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self.lattice.check_same(other.lattice)
@@ -99,6 +110,7 @@ class BlowupLattice:
         self.points = delta if delta is not None else build_delta(config)
         self.point_index = {p: i for i, p in enumerate(self.points)}
         self.axis_of = tuple(p.axis for p in self.points)
+        self._axis_index = tuple(axis - 1 for axis in self.axis_of)
         self.size = len(self.points)
         self._exc_divisor_cache: dict[int, DivisorClass] = {}
         self._pullback_cache: dict[int, DivisorClass] = {}
@@ -189,15 +201,27 @@ class BlowupLattice:
 
     # pairing ----------------------------------------------------------
 
+    def _exc_pairings_at(self, c: CurveClass, indices) -> list[int]:
+        """c . E_p = l_{axis(p)} - e_p for the points with the given indices."""
+        l, e, axis_index = c.l, c.e, self._axis_index
+        return [l[axis_index[k]] - e[k] for k in indices]
+
+    def exc_pairings(self, c: CurveClass) -> tuple[int, ...]:
+        """The pairing row of c: c . E_p for every marked p, in point order."""
+        if c.lattice is not self:
+            self.check_same(c.lattice)
+        return tuple(self._exc_pairings_at(c, range(self.size)))
+
     def intersect(self, c: CurveClass, d: DivisorClass) -> int:
         if c.lattice is not self:
             self.check_same(c.lattice)
         if d.lattice is not self:
             self.check_same(d.lattice)
         total = sum(li * hi for li, hi in zip(c.l, d.h))
-        for mp, ep, axis in zip(d.m, c.e, self.axis_of):
-            if mp:
-                total += mp * (c.l[axis - 1] - ep)
+        if d.support:
+            m = d.m
+            row = self._exc_pairings_at(c, d.support)
+            total += sum(m[k] * x for k, x in zip(d.support, row))
         return total
 
     def pushforward(self, c: CurveClass) -> tuple[int, ...]:
@@ -262,4 +286,4 @@ class BlowupLattice:
         writer = csv.writer(fileobj)
         writer.writerow(["curve/divisor"] + self.divisor_labels())
         for label, c in zip(self.curve_labels(), self.curve_basis()):
-            writer.writerow([label] + [self.intersect(c, d) for d in self.divisor_basis()])
+            writer.writerow([label, *self.pushforward(c), *self.exc_pairings(c)])

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .checks import FAIL, PASS, WARN, CheckRecord, make_record
 from .cone import EffectiveCone
-from .errors import NDoesNotDivide, NotPrime, TooSmallField
+from .errors import InvalidSetting, NDoesNotDivide, NotPrime, TooSmallField
 from .fieldgeom import (
     Config,
     Lcg,
@@ -76,26 +76,31 @@ def lattice_checks(lattice: BlowupLattice, draws: int = 1000) -> list[CheckRecor
     r = cfg.r
     records = []
 
-    ok = True
+    # each basis curve's pushforward and pairing row; each E_p also goes
+    # through intersect, against its own exceptional line and every strict
+    # line, so a wrong exc_divisor class fails here as well
+    names = [f"piH{j}" for j in range(1, r + 1)] + [f"E[{p.key}]" for p in lattice.points]
+
+    def row_mismatches(label, c, want):
+        got = lattice.pushforward(c) + lattice.exc_pairings(c)
+        return [f"{label}.{name}" for name, x, y in zip(names, got, want) if x != y]
+
     bad = []
     for i in range(1, r + 1):
-        li = lattice.line(i)
-        for j in range(1, r + 1):
-            if lattice.intersect(li, lattice.pullback_h(j)) != (1 if i == j else 0):
-                ok, bad = False, bad + [f"lt{i}.piH{j}"]
-        for p in lattice.points:
-            want = 1 if p.axis == i else 0
-            if lattice.intersect(li, lattice.exc_divisor(p)) != want:
-                ok, bad = False, bad + [f"lt{i}.E[{p.key}]"]
+        want = [1 if j == i else 0 for j in range(1, r + 1)]
+        want += [1 if p.axis == i else 0 for p in lattice.points]
+        bad += row_mismatches(f"lt{i}", lattice.line(i), want)
+    for k, p in enumerate(lattice.points):
+        want = [0] * r + [-1 if k2 == k else 0 for k2 in range(lattice.size)]
+        bad += row_mismatches(f"e[{p.key}]", lattice.exc_curve(p), want)
     for p in lattice.points:
-        ep = lattice.exc_curve(p)
-        for j in range(1, r + 1):
-            if lattice.intersect(ep, lattice.pullback_h(j)) != 0:
-                ok, bad = False, bad + [f"e[{p.key}].piH{j}"]
-        for p2 in lattice.points:
-            want = -1 if p2 == p else 0
-            if lattice.intersect(ep, lattice.exc_divisor(p2)) != want:
-                ok, bad = False, bad + [f"e[{p.key}].E[{p2.key}]"]
+        ed = lattice.exc_divisor(p)
+        if lattice.intersect(lattice.exc_curve(p), ed) != -1:
+            bad.append(f"e[{p.key}].E[{p.key}]")
+        for i in range(1, r + 1):
+            if lattice.intersect(lattice.line(i), ed) != (1 if p.axis == i else 0):
+                bad.append(f"lt{i}.E[{p.key}]")
+    ok = not bad
     records.append(
         make_record(
             "lattice.pairing_blocks",
@@ -154,17 +159,13 @@ def lattice_checks(lattice: BlowupLattice, draws: int = 1000) -> list[CheckRecor
     pairs = 0
     for i in range(1, r + 1):
         unit = tuple(1 if j == i else 0 for j in range(1, r + 1))
-        for p in lattice.points:
+        for k, p in enumerate(lattice.points):
             if p.axis == i:
                 continue
             pairs += 1
             g = lattice.gamma(p, i)
-            if lattice.intersect(g, lattice.exc_divisor(p)) != 1:
-                gamma_ok = False
-            for p2 in lattice.points:
-                if p2 != p and lattice.intersect(g, lattice.exc_divisor(p2)) != 0:
-                    gamma_ok = False
-            if lattice.pushforward(g) != unit:
+            want = tuple(1 if k2 == k else 0 for k2 in range(lattice.size))
+            if lattice.exc_pairings(g) != want or lattice.pushforward(g) != unit:
                 gamma_ok = False
     records.append(
         make_record(
@@ -181,10 +182,7 @@ def lattice_checks(lattice: BlowupLattice, draws: int = 1000) -> list[CheckRecor
         a = tuple(rng.below(15) - 5 for _ in range(r))
         eps = tuple(rng.below(15) - 5 for _ in range(lattice.size))
         c = lattice.expand_in_basis(a, eps)
-        if lattice.pushforward(c) != a or any(
-            lattice.intersect(c, lattice.exc_divisor(p)) != ep
-            for p, ep in zip(lattice.points, eps)
-        ):
+        if lattice.pushforward(c) != a or lattice.exc_pairings(c) != eps:
             expansion_ok = False
             break
     records.append(
@@ -427,8 +425,11 @@ def run_all(
 
     The marked set and its per-axis stabilizers are built once and shared by
     every stage.  Validation failures stop the run; the remaining check ids
-    are listed as skipped and the report carries exit code 1.
+    are listed as skipped and the report carries exit code 1.  draws must be
+    at least 1, so that the sampled checks can fail.
     """
+    if draws < 1:
+        raise InvalidSetting(f"draws must be a positive integer, got {draws}")
     records: list[CheckRecord] = []
 
     def staged(fn):
@@ -544,13 +545,17 @@ class SweepResult:
 
 
 def default_jobs() -> int:
+    """The worker count from BLOWUP_RIGIDITY_JOBS, or 1 when it is unset."""
     env = os.environ.get(ENV_JOBS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        jobs = int(env)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise InvalidSetting(f"{ENV_JOBS} must be a positive integer, got {env!r}")
+    return jobs
 
 
 def sweep(

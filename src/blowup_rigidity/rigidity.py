@@ -3,8 +3,10 @@ geometric automorphism group.
 
 Components: the exceptional divisors E_p (dimension r-1), the strict line
 transforms (dimension 1), and the strict through-point lines (dimension 1).
-Incidence is decided by closed-form coordinate rules; the point-level oracle
-that re-derives each rule lives in the test suite.
+Incidence follows closed-form coordinate rules (stated at `build_graph`),
+which name each component's neighbours directly, so the adjacency is built
+by index instead of by testing every pair; the point-level oracle that
+re-derives each rule from all pairs lives in the test suite.
 """
 
 from __future__ import annotations
@@ -71,41 +73,6 @@ def components(config: Config, delta: tuple[DeltaPoint, ...]) -> tuple[Component
     return tuple(out)
 
 
-def incident(c1: Component, c2: Component) -> bool:
-    """Closed-form incidence rules, each provable by coordinate computation:
-
-    - two exceptional divisors never meet;
-    - a strict line meets E_p exactly when p lies on its axis;
-    - two strict lines always meet (at the all-[0:1] point, which is not
-      blown up);
-    - a through-point curve meets exactly the divisor over its own point;
-    - a through-point curve never meets a strict line (they share at most
-      the marked point, where their directions differ);
-    - gamma(p,i) meets gamma(q,m) exactly when axis(p) = m and axis(q) = i
-      (they then meet at a point with two non-[0:1] coordinates, which is
-      not blown up); all other gamma pairs are disjoint or separated.
-    """
-    if c1 == c2:
-        raise ValueError("incidence is irreflexive")
-    a, b = sorted((c1, c2), key=lambda c: {EXC: 0, LINE: 1, GAMMA: 2}[c.kind])
-    if a.kind == EXC and b.kind == EXC:
-        return False
-    if a.kind == EXC and b.kind == LINE:
-        return a.point.axis == b.axis
-    if a.kind == EXC and b.kind == GAMMA:
-        return a.point == b.point
-    if a.kind == LINE and b.kind == LINE:
-        return True
-    if a.kind == LINE and b.kind == GAMMA:
-        return False
-    # gamma vs gamma
-    return (
-        a.point.axis == b.axis
-        and b.point.axis == a.axis
-        and a.axis != a.point.axis
-    )
-
-
 @dataclass
 class IncidenceGraph:
     config: Config
@@ -148,12 +115,42 @@ class IncidenceGraph:
 
 
 def build_graph(config: Config, delta: tuple[DeltaPoint, ...] | None = None) -> IncidenceGraph:
+    """The incidence graph, built by index from closed-form rules, each
+    provable by coordinate computation:
+
+    - two exceptional divisors never meet;
+    - a strict line meets E_p exactly when p lies on its axis;
+    - two strict lines always meet (at the all-[0:1] point, which is not
+      blown up);
+    - a through-point curve meets exactly the divisor over its own point;
+    - a through-point curve never meets a strict line (they share at most
+      the marked point, where their directions differ);
+    - gamma(p,i) meets gamma(q,m) exactly when axis(p) = m and axis(q) = i
+      (they then meet at a point with two non-[0:1] coordinates, which is
+      not blown up); all other gamma pairs are disjoint or separated.
+
+    So E_p meets lt_{axis(p)} and gt[p;i] for i != axis(p); lt_i meets E_p
+    for p on axis i and the other lines; gt[p;i] meets E_p and gt[q;axis(p)]
+    for q on axis i.  Each neighbour tuple is in vertex order.
+    """
     if delta is None:
         delta = build_delta(config)
     verts = components(config, delta)
-    adjacency = {
-        v: tuple(w for w in verts if w != v and incident(v, w)) for v in verts
-    }
+    at = {(v.kind, v.axis, v.point): idx for idx, v in enumerate(verts)}
+    axes = range(1, config.r + 1)
+    on_axis = {i: [p for p in delta if p.axis == i] for i in axes}
+
+    def neighbours(v: Component) -> list[int]:
+        if v.kind == EXC:
+            p = v.point
+            return [at[LINE, p.axis, None]] + [at[GAMMA, i, p] for i in axes if i != p.axis]
+        if v.kind == LINE:
+            return [at[EXC, None, p] for p in on_axis[v.axis]] + [
+                at[LINE, j, None] for j in axes if j != v.axis
+            ]
+        return [at[EXC, None, v.point]] + [at[GAMMA, v.point.axis, q] for q in on_axis[v.axis]]
+
+    adjacency = {v: tuple(verts[j] for j in sorted(neighbours(v))) for v in verts}
     return IncidenceGraph(config, delta, verts, adjacency)
 
 

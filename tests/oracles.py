@@ -135,6 +135,41 @@ def incident_oracle(
     return False
 
 
+def oracle_adjacency(
+    config: Config, delta: tuple[DeltaPoint, ...], vertices: tuple[Component, ...]
+) -> dict[Component, tuple[Component, ...]]:
+    """The incidence graph by testing every ordered pair of components with
+    incident_oracle; each neighbour tuple is in vertex order."""
+    return {
+        v: tuple(
+            w for w in vertices if w != v and incident_oracle(v, w, config, delta)
+        )
+        for v in vertices
+    }
+
+
+def dense_pairing(lattice, curve, divisor) -> int:
+    """curve . divisor from the bilinear basis rules alone: build the whole
+    Gram matrix of the curve basis (lt_i, e_p) against the divisor basis
+    (pi*H_j, E_q) and contract it with both full coefficient arrays.
+
+        lt_i . pi*(H_j) = delta_ij          lt_i . E_q = 1 iff q on axis i
+        e_p  . pi*(H_j) = 0                 e_p  . E_q = -delta_pq
+    """
+    r, points = lattice.config.r, lattice.points
+    size = r + len(points)
+    gram = [[0] * size for _ in range(size)]
+    for i in range(r):
+        gram[i][i] = 1
+        for k, q in enumerate(points):
+            if q.axis == i + 1:
+                gram[i][r + k] = 1
+    for k in range(len(points)):
+        gram[r + k][r + k] = -1
+    c, d = curve.to_array(), divisor.to_array()
+    return sum(c[a] * gram[a][b] * d[b] for a in range(size) for b in range(size))
+
+
 def naive_decompositions(genset, target, bound: int) -> set[frozenset]:
     """Unstructured bounded search for all generator multisets summing to the
     target: plain depth-first over the generator list with the additive

@@ -241,3 +241,37 @@ def test_sweep_malformed_spec_exits_2(spec, message, tmp_path, capsys):
     assert captured.out == ""
     assert message in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--draws", "0"],
+    ["verify", "--draws", "-5"],
+    ["verify", "--draws", "x"],
+    ["sweep", "--draws", "-1"],
+    ["sweep", "--draws", "0"],
+    ["sweep", "--jobs", "0"],
+    ["sweep", "--jobs", "-1"],
+    ["sweep", "--jobs", "two"],
+])
+def test_nonpositive_counts_exit_2(argv, c0_file, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": [2], "r": [2], "seed": 1}))
+    where = ["--config", c0_file] if argv[0] == "verify" else ["--spec", str(spec)]
+    with pytest.raises(SystemExit) as info:
+        main([argv[0], *where, *argv[1:]])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"expected a positive integer, got '{argv[-1]}'" in captured.err
+
+
+@pytest.mark.parametrize("value", ["junk", "0", "-3"])
+def test_bad_jobs_env_exits_2_with_one_line(value, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("BLOWUP_RIGIDITY_JOBS", value)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": [2], "r": [2], "seed": 1}))
+    assert main(["sweep", "--spec", str(spec), "--draws", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "BLOWUP_RIGIDITY_JOBS must be a positive integer" in captured.err
+    assert captured.err.count("\n") == 1

@@ -1,10 +1,16 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blowup_rigidity.checks import FAIL
 from blowup_rigidity.errors import AxisOutOfRange, ConfigMismatch, SameAxis
 from blowup_rigidity.fieldgeom import Config, Lcg
-from blowup_rigidity.lattice import BlowupLattice
+from blowup_rigidity.lattice import BlowupLattice, DivisorClass
+from blowup_rigidity.report import lattice_checks
+
+from oracles import dense_pairing
 
 
 def test_basis_pairing_examples(lat0):
@@ -186,3 +192,73 @@ def test_config_mismatch(lat0, lat1):
         lat0.intersect(lat1.line(1), lat0.pullback_h(1))
     with pytest.raises(ConfigMismatch):
         lat0.line(1) + lat1.line(1)
+
+
+def test_exc_pairings_row(lat0, lat1):
+    p = lat0.points[3]
+    assert lat0.exc_pairings(lat0.exc_curve(p)) == tuple(
+        -1 if q == p else 0 for q in lat0.points
+    )
+    assert lat0.exc_pairings(lat0.line(2)) == tuple(
+        1 if q.axis == 2 else 0 for q in lat0.points
+    )
+    assert lat0.exc_pairings(lat0.zero_curve()) == (0,) * lat0.size
+    with pytest.raises(ConfigMismatch):
+        lat0.exc_pairings(lat1.line(1))
+
+
+def test_divisor_support(lat0):
+    assert lat0.pullback_h(1).support == ()
+    assert lat0.exc_divisor(lat0.points[4]).support == (4,)
+    h1 = lat0.strict_h(1)
+    assert h1.support == tuple(k for k, p in enumerate(lat0.points) if p.axis != 1)
+    assert (h1 - h1).support == ()
+
+
+coefficients = st.integers(min_value=-50, max_value=50)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_intersect_matches_dense_reference(lat0, lat1, data):
+    for lat in (lat0, lat1):
+        width = lat.config.r + lat.size
+        c = lat.curve_from_array(data.draw(st.lists(coefficients, min_size=width, max_size=width)))
+        d = lat.divisor_from_array(data.draw(st.lists(coefficients, min_size=width, max_size=width)))
+        assert lat.intersect(c, d) == dense_pairing(lat, c, d)
+        row = lat.exc_pairings(c)
+        for k, p in enumerate(lat.points):
+            assert row[k] == lat.intersect(c, lat.exc_divisor(p))
+            assert row[k] == dense_pairing(lat, c, lat.exc_divisor(p))
+
+
+def statuses(lat, draws=20):
+    return {rec.check_id: rec.status for rec in lattice_checks(lat, draws=draws)}
+
+
+def test_off_by_one_pairing_row_fails_checks(c0, monkeypatch):
+    honest = BlowupLattice.exc_pairings
+
+    def off_by_one(self, c):
+        row = list(honest(self, c))
+        row[-1] += 1
+        return tuple(row)
+
+    monkeypatch.setattr(BlowupLattice, "exc_pairings", off_by_one)
+    got = statuses(BlowupLattice(c0))
+    for check_id in ("lattice.pairing_blocks", "lattice.gamma_pairings",
+                     "lattice.multidegree_expansion"):
+        assert got[check_id] == FAIL, check_id
+
+
+@pytest.mark.parametrize("which", ["exc_divisor", "pullback_h"])
+def test_wrong_basis_divisor_fails_pairing_blocks(c0, which, monkeypatch):
+    honest = getattr(BlowupLattice, which)
+
+    def wrong(self, arg):
+        d = honest(self, arg)
+        bump = tuple(1 if k == 0 else 0 for k in range(self.size))
+        return DivisorClass(d.h, tuple(a + b for a, b in zip(d.m, bump)), self)
+
+    monkeypatch.setattr(BlowupLattice, which, wrong)
+    assert statuses(BlowupLattice(c0))["lattice.pairing_blocks"] == FAIL

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from blowup_rigidity.checks import CLAIMS, CheckRecord, make_record
-from blowup_rigidity.errors import UnknownCheckId
+from blowup_rigidity.errors import InvalidSetting, UnknownCheckId
 from blowup_rigidity.fieldgeom import Config
 from blowup_rigidity.report import (
     CHECK_ORDER,
@@ -189,8 +189,16 @@ def test_default_jobs_env(monkeypatch):
     assert default_jobs() == 1
     monkeypatch.setenv(ENV_JOBS, "4")
     assert default_jobs() == 4
-    monkeypatch.setenv(ENV_JOBS, "junk")
-    assert default_jobs() == 1
+    for bad in ("junk", "0", "-1", "2.5"):
+        monkeypatch.setenv(ENV_JOBS, bad)
+        with pytest.raises(InvalidSetting, match=ENV_JOBS):
+            default_jobs()
+
+
+@pytest.mark.parametrize("draws", [0, -5])
+def test_run_all_rejects_nonpositive_draws(c0, draws):
+    with pytest.raises(ValueError, match="draws must be a positive integer"):
+        run_all(c0, draws=draws)
 
 
 def test_check_record_to_dict():

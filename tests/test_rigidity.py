@@ -14,12 +14,13 @@ from blowup_rigidity.rigidity import (
     components,
     geometric_automorphisms,
     geometric_permutation,
-    incident,
     pin_components,
     verify_rigidity,
 )
 
-from oracles import abstract_automorphism_count, incident_oracle
+from blowup_rigidity.report import SweepCase, default_s, resolve_case
+
+from oracles import abstract_automorphism_count, incident_oracle, oracle_adjacency
 
 
 def test_component_counts(c0, c1):
@@ -40,6 +41,7 @@ def test_component_dims_and_labels(c0, delta0):
 
 
 def test_incident_spot_rules(c0, delta0):
+    adj = build_graph(c0, delta0).adjacency
     comps = components(c0, delta0)
     line1 = next(c for c in comps if c.kind == LINE and c.axis == 1)
     line2 = next(c for c in comps if c.kind == LINE and c.axis == 2)
@@ -49,38 +51,58 @@ def test_incident_spot_rules(c0, delta0):
         c for c in comps if c.kind == GAMMA and c.axis == 1
         and c.point == p_on_2.point
     )
-    assert incident(line1, p_on_1)
-    assert not incident(line1, p_on_2)
-    assert incident(gamma_p1, p_on_2)       # its own point
-    assert not incident(gamma_p1, p_on_1)
-    assert incident(line1, line2)           # both contain the all-[0:1] point
-    assert not incident(gamma_p1, line1)
-    assert not incident(gamma_p1, line2)
-    with pytest.raises(ValueError):
-        incident(line1, line1)
+    assert p_on_1 in adj[line1]
+    assert p_on_2 not in adj[line1]
+    assert p_on_2 in adj[gamma_p1]          # its own point
+    assert p_on_1 not in adj[gamma_p1]
+    assert line2 in adj[line1]              # both contain the all-[0:1] point
+    assert line1 not in adj[gamma_p1]
+    assert line2 not in adj[gamma_p1]
+    assert all(v not in adj[v] for v in comps)  # irreflexive
 
 
 def test_incident_gamma_gamma_same_point_r3(c1):
     delta = build_delta(c1)
     comps = components(c1, delta)
+    adj = build_graph(c1, delta).adjacency
     p = next(pt for pt in delta if pt.axis == 3)
     free_axes = [1, 2]
     g1 = next(c for c in comps if c.kind == GAMMA and c.point == p and c.axis == free_axes[0])
     g2 = next(c for c in comps if c.kind == GAMMA and c.point == p and c.axis == free_axes[1])
     # same marked point, different directions: separated on the blow-up
-    assert not incident(g1, g2)
+    assert g2 not in adj[g1]
+    # gamma(p, 1) meets gamma(q, 3) for every q on axis 1
+    for q in delta:
+        if q.axis == 1:
+            gq = next(c for c in comps if c.kind == GAMMA and c.point == q and c.axis == 3)
+            assert gq in adj[g1] and g1 in adj[gq]
 
 
 def test_incident_matches_point_oracle_c0(c0, delta0):
+    adj = build_graph(c0, delta0).adjacency
     comps = components(c0, delta0)
     for a, b in itertools.combinations(comps, 2):
-        assert incident(a, b) == incident_oracle(a, b, c0, delta0), (a, b)
+        assert (b in adj[a]) == incident_oracle(a, b, c0, delta0), (a, b)
 
 
-def test_incident_symmetric(c0, delta0):
-    comps = components(c0, delta0)
-    for a, b in itertools.combinations(comps, 2):
-        assert incident(a, b) == incident(b, a)
+def test_incident_symmetric(c0, c1):
+    for cfg in (c0, c1):
+        adj = build_graph(cfg).adjacency
+        for a, b in itertools.combinations(adj, 2):
+            assert (b in adj[a]) == (a in adj[b])
+
+
+@pytest.mark.parametrize("name", ["C0", "C1", "n3r4q19"])
+def test_graph_equals_all_pairs_oracle(name, c0, c1):
+    cfg = {"C0": c0, "C1": c1}.get(name) or resolve_case(
+        SweepCase(3, 4, default_s(3, 4), q=19, seed=1)
+    )
+    delta = build_delta(cfg)
+    graph = build_graph(cfg, delta)
+    want = oracle_adjacency(cfg, delta, graph.vertices)
+    # same neighbours in the same order, and the same key order
+    assert list(graph.adjacency) == list(want)
+    assert graph.adjacency == want
 
 
 def test_graph_counts(c0, c1):
