@@ -15,6 +15,7 @@ from .cone import EffectiveCone
 from .errors import BlowupError
 from .fieldgeom import (
     Config,
+    axis_stabilizers,
     build_delta,
     generate_config,
     primitive_nth_root,
@@ -179,14 +180,17 @@ def cmd_graph(args) -> int:
 
 def cmd_rigidity(args) -> int:
     config = load_valid_config(args.config)
+    # what marked_set builds, without its None for a bad base table: here
+    # ZeroBase or OrbitCollision must reach main and exit 2 with its reason
     delta = build_delta(config)
-    records = verify_rigidity(config, delta)
+    stabilizers = axis_stabilizers(config, delta)
+    records = verify_rigidity(config, delta, stabilizers)
     payload = {
         "config": config.to_dict(),
         "checks": [rec.to_dict() for rec in records],
     }
     try:
-        group = geometric_automorphisms(config, delta)
+        group = geometric_automorphisms(config, delta, stabilizers)
         # per axis, the canonical matrix entries [a, b, c, d] of z -> mu*z
         payload["group"] = [[[1, 0, 0, mu] for mu in g] for g in group]
     except BlowupError:

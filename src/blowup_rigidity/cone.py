@@ -292,9 +292,14 @@ class EffectiveCone:
         eps = [0] * lat.size
         eps[lat.point_index[q0]] = eps_q
         lhs = lat.expand_in_basis(tuple(a), tuple(eps))
+        # the right-hand side adds the generators' own sparse classes
         coeff = -eps_q + sum(a[i - 1] for i in range(1, cfg.r + 1) if i != j)
-        rhs = lat.exc_curve(q0).scale(coeff)
-        for i in range(1, cfg.r + 1):
-            if i != j and a[i - 1]:
-                rhs = rhs + lat.gamma(q0, i).scale(a[i - 1])
-        return (lhs.l, lhs.e) == (rhs.l, rhs.e)
+        terms = [(f"e[{q0.key}]", coeff)] + [
+            (f"gt[{q0.key};{i}]", a[i - 1])
+            for i in range(1, cfg.r + 1) if i != j and a[i - 1]
+        ]
+        rhs = [0] * (cfg.r + lat.size)
+        for label, mult in terms:
+            for k, x in self.genset.support[label]:
+                rhs[k] += mult * x
+        return list(lhs.l + lhs.e) == rhs

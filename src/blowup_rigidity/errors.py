@@ -13,7 +13,7 @@ class NDoesNotDivide(BlowupError):
     """The requested root-of-unity order does not divide q - 1."""
 
 
-class InvalidConfig(BlowupError):
+class InvalidConfig(BlowupError, ValueError):
     """A construction parameter set violates a structural constraint."""
 
 

@@ -62,7 +62,7 @@ def multiplicative_order(z: int, q: int) -> int:
 def primitive_nth_root(q: int, n: int) -> int:
     """Smallest element of exact multiplicative order n in F_q^*."""
     if n < 2:
-        raise ValueError(f"order n must be >= 2, got {n}")
+        raise InvalidConfig(f"order n must be >= 2, got {n}")
     if not is_prime(q):
         raise NotPrime(f"{q} is not prime")
     if (q - 1) % n != 0:

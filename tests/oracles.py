@@ -14,8 +14,16 @@ from __future__ import annotations
 import functools
 import itertools
 
-from blowup_rigidity.fieldgeom import Config, DeltaPoint
-from blowup_rigidity.rigidity import Component, EXC, GAMMA, LINE, IncidenceGraph
+from blowup_rigidity.fieldgeom import Config, DeltaPoint, delta_permutation
+from blowup_rigidity.rigidity import (
+    EXC,
+    GAMMA,
+    LINE,
+    Component,
+    IncidenceGraph,
+    geometric_automorphisms,
+    geometric_permutation,
+)
 
 
 def exhaustive_order(value: int, q: int) -> int:
@@ -145,6 +153,26 @@ def oracle_adjacency(
             w for w in vertices if w != v and incident_oracle(v, w, config, delta)
         )
         for v in vertices
+    }
+
+
+def full_group_fields(config: Config, delta: tuple[DeltaPoint, ...]) -> dict:
+    """The computed fields of rigidity.automorphisms from the whole group:
+    list all n^r product automorphisms, map each over the whole marked set
+    by coordinate lookup, and compare with every torsion shift tuple mapped
+    over the whole marked set.  Exponential in r; for n^r up to about 100."""
+    group = geometric_automorphisms(config, delta)
+    geometric = [tuple(geometric_permutation(config, g, delta).values()) for g in group]
+    torsion = {
+        tuple(delta_permutation(config, shifts, delta).values())
+        for shifts in itertools.product(range(config.n), repeat=config.r)
+    }
+    return {
+        "order": len(group),
+        "exponent_n": all(pow(mu, config.n, config.q) == 1 for g in group for mu in g),
+        "identity": any(all(mu == 1 for mu in g) for g in group),
+        "matches_torsion_action": len(set(geometric)) == len(geometric)
+        and set(geometric) == torsion,
     }
 
 

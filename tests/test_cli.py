@@ -1,8 +1,14 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blowup_rigidity.cli import main
+from blowup_rigidity.cli import UsageError, load_config, main
+from blowup_rigidity.errors import BlowupError
+from blowup_rigidity.fieldgeom import Config
 
 C0_RAW = {"n": 2, "r": 2, "s": [2, 3], "q": 13, "base": [[1, 2], [3, 4, 5]]}
 
@@ -275,3 +281,37 @@ def test_bad_jobs_env_exits_2_with_one_line(value, tmp_path, capsys, monkeypatch
     assert captured.out == ""
     assert "BLOWUP_RIGIDITY_JOBS must be a positive integer" in captured.err
     assert captured.err.count("\n") == 1
+
+
+# small ints around the edge cases (zero, negative, one), primes and
+# composites for q, and values of the wrong type
+_SMALL = st.integers(-2, 8)
+_Q = st.sampled_from([-7, 0, 1, 2, 4, 7, 9, 13, 15, 17, 19])
+_WRONG = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False, width=16),
+                   st.text(max_size=2), st.just([]), st.just({}))
+_INT_LIST = st.lists(_SMALL, max_size=4)
+_ANY = st.one_of(_SMALL, _WRONG, st.lists(st.one_of(_SMALL, _WRONG), max_size=3))
+# well typed, so that the values themselves are what is wrong
+_TYPED = st.fixed_dictionaries(
+    {"n": _SMALL, "r": st.integers(-1, 4), "s": _INT_LIST, "q": _Q},
+    optional={"seed": _SMALL, "zeta": _SMALL, "base": st.lists(_INT_LIST, max_size=4)},
+)
+# any key may hold any type
+_UNTYPED = st.fixed_dictionaries(
+    {}, optional={key: _ANY for key in ("n", "r", "s", "q", "seed", "zeta", "base")}
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=st.one_of(_TYPED, _UNTYPED, _ANY))
+def test_load_config_returns_config_or_raises_usage_error(raw):
+    # main turns these two into exit 2; anything else prints a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        try:
+            config = load_config(path)
+        except (UsageError, BlowupError):
+            return
+    assert isinstance(config, Config)

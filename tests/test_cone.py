@@ -165,6 +165,21 @@ def test_case3_identity_random(lat1):
         assert cone1.case3_identity(q0, a, rng.below(4))
 
 
+def test_case3_identity_fails_on_wrong_generator_support(lat0):
+    # the right-hand side is summed from the cone's own generator table, so
+    # one wrong entry in gt[q0;1] must break the identity wherever it is used
+    cone = EffectiveCone(lat0)
+    q0 = next(p for p in lat0.points if p.axis == 2)
+    label = f"gt[{q0.key};1]"
+    (k, x), *rest = cone.genset.support[label]
+    cone.genset.support[label] = ((k, x + 1), *rest)
+    assert not cone.case3_identity(q0, (1, 0), 0)
+    assert not cone.case3_identity(q0, (3, 0), 2)
+    assert cone.case3_identity(q0, (0, 0), 1)  # gt[q0;1] takes no part
+    with pytest.raises(RuntimeError):  # the search's re-sum guard agrees
+        cone.member(lat0.gamma(q0, 1))
+
+
 def test_member_has_no_degree_cap(cone0, lat0):
     # phi 121 is above the 10 * N = 110 that once capped the search; the
     # search ends anyway because phi >= 1 on every generator

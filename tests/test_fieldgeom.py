@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blowup_rigidity.errors import (
     ExhaustedRetries,
@@ -158,6 +160,16 @@ def test_stabilizer_matches_pgl2_oracle(c0, c1):
             coords = {p.coord for p in delta if p.axis == axis}
             stab = stabilizer_of_axis(cfg, axis, delta)
             assert [(1, 0, k, m) for k, m in stab] == stabilizer_oracle(coords, cfg.q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_affine_stabilizer_matches_pgl2_oracle_random(data):
+    # the per-axis automorphism check rests on these stabilizers
+    q = data.draw(st.sampled_from([5, 7, 11, 13]), label="q")
+    coords = data.draw(st.sets(st.integers(0, q - 1), min_size=2, max_size=q), label="coords")
+    stab = affine_stabilizer_of(coords, q)
+    assert [(1, 0, k, m) for k, m in stab] == stabilizer_oracle(coords, q)
 
 
 def test_stabilizer_of_full_multiplicative_group():

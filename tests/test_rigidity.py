@@ -18,9 +18,14 @@ from blowup_rigidity.rigidity import (
     verify_rigidity,
 )
 
-from blowup_rigidity.report import SweepCase, default_s, resolve_case
+from blowup_rigidity.report import SweepCase, default_s, resolve_case, run_all
 
-from oracles import abstract_automorphism_count, incident_oracle, oracle_adjacency
+from oracles import (
+    abstract_automorphism_count,
+    full_group_fields,
+    incident_oracle,
+    oracle_adjacency,
+)
 
 
 def test_component_counts(c0, c1):
@@ -229,6 +234,63 @@ def test_verify_rigidity_fails_when_actions_differ(c0, monkeypatch):
     by_id = {r.check_id: r for r in verify_rigidity(c0)}
     assert by_id["rigidity.automorphisms"].status == "FAIL"
     assert by_id["rigidity.automorphisms"].computed["matches_torsion_action"] is False
+
+
+@pytest.mark.parametrize("name", ["C0", "C1", "n3r4q19"])
+def test_verify_rigidity_matches_full_group_oracle(name, c0, c1):
+    # n^r <= 81: the oracle lists the whole group and maps it over Delta
+    cfg = {"C0": c0, "C1": c1}.get(name) or resolve_case(
+        SweepCase(3, 4, default_s(3, 4), q=19, seed=1)
+    )
+    delta = build_delta(cfg)
+    by_id = {r.check_id: r for r in verify_rigidity(cfg, delta)}
+    assert by_id["rigidity.automorphisms"].computed == full_group_fields(cfg, delta)
+
+
+def _fix_points(real, hit):
+    """real, with every point for which hit(config, p) holds left fixed."""
+    def sabotaged(config, g, delta):
+        return {p: p if hit(config, p) else img for p, img in real(config, g, delta).items()}
+    return sabotaged
+
+
+SABOTAGE = {
+    # faithful on the last axis, but moves only its first orbit
+    "geometric_last_axis": ("geometric_permutation",
+                            lambda cfg, p: p.axis == cfg.r and p.orbit > 1),
+    # every scaling acts trivially on axis 1
+    "geometric_not_faithful": ("geometric_permutation", lambda cfg, p: p.axis == 1),
+    # the shifts of the last axis leave all but its first orbit in place
+    "torsion_last_axis": ("delta_permutation",
+                          lambda cfg, p: p.axis == cfg.r and p.orbit > 1),
+}
+
+
+@pytest.mark.parametrize("sabotage", sorted(SABOTAGE))
+def test_verify_rigidity_fails_on_one_wrong_axis(sabotage, c0, c1, monkeypatch):
+    import blowup_rigidity.rigidity as rigidity
+
+    attr, hit = SABOTAGE[sabotage]
+    monkeypatch.setattr(rigidity, attr, _fix_points(getattr(rigidity, attr), hit))
+    for cfg in (c0, c1):
+        aut = {r.check_id: r for r in verify_rigidity(cfg)}["rigidity.automorphisms"]
+        assert aut.status == "FAIL"
+        assert aut.computed["matches_torsion_action"] is False
+        assert aut.computed["order"] == cfg.n ** cfg.r
+
+
+def test_verify_n7_r7_end_to_end():
+    # 7^7 = 823543 group elements: checked per axis, never listed
+    cfg = resolve_case(SweepCase(7, 7, default_s(7, 7), q=71, seed=1))
+    report = run_all(cfg)
+    by_id = {r.check_id: r for r in report.records}
+    assert by_id["rigidity.automorphisms"].status == "PASS"
+    assert by_id["rigidity.automorphisms"].computed["order"] == 823543
+    assert [r.check_id for r in report.records if r.status != "PASS"] == [
+        "rigidity.census_lines"
+    ]
+    assert by_id["rigidity.census_lines"].status == "WARN"
+    assert report.exit_code == 0
 
 
 def test_verify_rigidity_fail_non_generic():
