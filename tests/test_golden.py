@@ -45,6 +45,16 @@ GOLDEN = [
      "52af8235846f55f5d6b6b2b3fb8a29175429ac59e87f7055f8439db8defc65ee"),
     ("non_generic", ["pairing-table"],
      "933c2087ce7e2ed7f869487af2f0266d9f697444490f090b20b120ecb867a675"),
+    ("C0", ["extremal"], "1193514888b0bd316de23e591b2a337bf6ac64f101d27eababf469c737409dd7"),
+    ("C0", ["extremal", "--json"],
+     "4e503f241faf85a6c7908dd0679a757e33939ed1558265119ce5ef32fe6a95d8"),
+    ("C1", ["extremal"], "68005cbb0c5536629679a92cc73dc0ca65a0af4735338e9ed3c468eb07a1a95a"),
+    ("C1", ["extremal", "--json"],
+     "45b4bf74f532d0722543d5406daaa84b31e8ed0cdb85f77f9469b107a2a65dc2"),
+    ("non_generic", ["extremal"],
+     "e5ad754b991220df668bb9ac0cdb908df8025c3e4db23efc43f064562ae62b43"),
+    ("non_generic", ["extremal", "--json"],
+     "b596e69e3ba22077f7c840021c900712ea51f6166c56d381337abf4ed454467a"),
 ]
 
 # sha256 of the file written by `graph --dot`
@@ -52,6 +62,13 @@ GOLDEN_DOT = {
     "C0": "702170057960eef5743381f8d01f88ff477a49a468f6e56d94ec72e8bb03f095",
     "C1": "acf82984470ee02d0e8ed23479712a6da6dd4b1760004edb545f4ecc48713237",
     "non_generic": "d5aea6d9931b825c9552760005d752e9ba21414e139ed2a75fed39b05be30b5d",
+}
+
+# sha256 of the file written by `vector-fields --matrix`
+GOLDEN_MATRIX = {
+    "C0": "5b77be5fb2bf6341e609d6e454756f0e31dcdbc9b56bab4cda62e74aa98d543b",
+    "C1": "07f75d8ec69d39ac117d910c2242e7fca14aa0d6659ca74df3d4fbf8eec679f0",
+    "non_generic": "71a963efe69b083db977df706730c0d84297deed2068bc9ff428d75cb0a5ab89",
 }
 
 
@@ -75,3 +92,13 @@ def test_graph_dot_sha256(name, tmp_path, capsys):
     main(["graph", "--config", str(path), "--dot", str(dot)])
     capsys.readouterr()
     assert hashlib.sha256(dot.read_bytes()).hexdigest() == GOLDEN_DOT[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_MATRIX))
+def test_vector_fields_matrix_sha256(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(CONFIGS[name]))
+    matrix = tmp_path / f"{name}.matrix.json"
+    main(["vector-fields", "--config", str(path), "--matrix", str(matrix)])
+    capsys.readouterr()
+    assert hashlib.sha256(matrix.read_bytes()).hexdigest() == GOLDEN_MATRIX[name]
