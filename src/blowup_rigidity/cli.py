@@ -13,18 +13,11 @@ import sys
 
 from .cone import EffectiveCone
 from .errors import BlowupError
-from .fieldgeom import (
-    Config,
-    axis_stabilizers,
-    build_delta,
-    generate_config,
-    primitive_nth_root,
-    structural_problems,
-)
+from .fieldgeom import Config, generate_config, primitive_nth_root, structural_problems
 from .lattice import BlowupLattice
 from .report import SweepCase, check_extra_q, product_cases, run_all, sweep
 from .rigidity import build_graph, geometric_automorphisms, verify_rigidity
-from .vectorfields import assemble_system, derivation_kernel, verify_vanishing
+from .vectorfields import derivation_kernel, verify_vanishing
 
 
 class UsageError(Exception):
@@ -134,7 +127,7 @@ def cmd_verify(args) -> int:
         check_extra_q(config.n, config.s, args.q_extra)
     report = run_all(config, draws=args.draws, extra_q=args.q_extra)
     if args.format == "md":
-        _write(report.to_markdown(timings=True), args.out)
+        _write(report.to_markdown(timings=args.timings), args.out)
     else:
         _write(report.to_json(timings=args.timings) + "\n", args.out)
     return report.exit_code
@@ -180,17 +173,13 @@ def cmd_graph(args) -> int:
 
 def cmd_rigidity(args) -> int:
     config = load_valid_config(args.config)
-    # what marked_set builds, without its None for a bad base table: here
-    # ZeroBase or OrbitCollision must reach main and exit 2 with its reason
-    delta = build_delta(config)
-    stabilizers = axis_stabilizers(config, delta)
-    records = verify_rigidity(config, delta, stabilizers)
+    records = verify_rigidity(config)
     payload = {
         "config": config.to_dict(),
         "checks": [rec.to_dict() for rec in records],
     }
     try:
-        group = geometric_automorphisms(config, delta, stabilizers)
+        group = geometric_automorphisms(config)
         # per axis, the canonical matrix entries [a, b, c, d] of z -> mu*z
         payload["group"] = [[[1, 0, 0, mu] for mu in g] for g in group]
     except BlowupError:
@@ -214,12 +203,11 @@ def cmd_vector_fields(args) -> int:
         },
     }
     if args.matrix:
-        rows = assemble_system(config)
         with open(args.matrix, "w", encoding="utf-8") as fh:
             json.dump(
                 {"q": config.q, "columns": 4 * config.r,
                  "rows": [{"tag": row.tag, "coeffs": list(row.coeffs)}
-                          for row in rows]},
+                          for row in kernel.rows]},
                 fh, sort_keys=True, separators=(",", ":"),
             )
     _write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", args.out)

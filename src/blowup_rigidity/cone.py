@@ -125,10 +125,6 @@ class Decomposition:
         ) or "0"
 
 
-def generators(lattice: BlowupLattice) -> GeneratorSet:
-    return GeneratorSet(lattice)
-
-
 class EffectiveCone:
     """Membership, decomposition, and extremality over the generator semigroup."""
 

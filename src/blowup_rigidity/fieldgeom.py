@@ -147,7 +147,9 @@ class Config:
     orbit base coordinates.
 
     The default constructor enforces the structural constraints; degenerate
-    test configurations are built with skip_checks=True.
+    test configurations are built with skip_checks=True.  The marked set and
+    its per-axis stabilizers are built on first use and cached; they are not
+    fields, so they take no part in equality, hashing or pickling.
     """
 
     n: int
@@ -172,6 +174,22 @@ class Config:
     @property
     def delta_size(self) -> int:
         return self.n * sum(self.s)
+
+    @functools.cached_property
+    def delta(self) -> tuple[DeltaPoint, ...]:
+        """The marked points (build_delta); raises ZeroBase or OrbitCollision
+        for a bad base table."""
+        return build_delta(self)
+
+    @functools.cached_property
+    def stabilizers(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """stabilizer_of_axis for every axis, in axis order."""
+        return tuple(
+            tuple(stabilizer_of_axis(self, axis)) for axis in range(1, self.r + 1)
+        )
+
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if k not in ("delta", "stabilizers")}
 
     def to_dict(self) -> dict:
         d = {
@@ -280,23 +298,12 @@ def affine_stabilizer_of(coords, q: int) -> list[tuple[int, int]]:
     return found
 
 
-def stabilizer_of_axis(
-    config: Config, axis: int, delta: tuple[DeltaPoint, ...] | None = None
-) -> list[tuple[int, int]]:
+def stabilizer_of_axis(config: Config, axis: int) -> list[tuple[int, int]]:
     """Maps fixing [0:1] and stabilizing the axis's marked coordinate set."""
-    if delta is None:
-        delta = build_delta(config)
-    coords = [p.coord for p in delta if p.axis == axis]
+    coords = [p.coord for p in config.delta if p.axis == axis]
     if len(coords) < 2:
         raise TooFewPoints(f"axis {axis} has {len(coords)} marked coordinates")
     return affine_stabilizer_of(coords, config.q)
-
-
-def axis_stabilizers(
-    config: Config, delta: tuple[DeltaPoint, ...]
-) -> list[list[tuple[int, int]]]:
-    """stabilizer_of_axis for every axis, in axis order."""
-    return [stabilizer_of_axis(config, axis, delta) for axis in range(1, config.r + 1)]
 
 
 def scaling_group(config: Config) -> list[tuple[int, int]]:
@@ -305,19 +312,13 @@ def scaling_group(config: Config) -> list[tuple[int, int]]:
     return [(0, pow(config.zeta, k, config.q)) for k in range(config.n)]
 
 
-def marked_set(
-    config: Config,
-) -> tuple[tuple[DeltaPoint, ...] | None, list[list[tuple[int, int]]] | None]:
-    """The marked set and its per-axis stabilizers, built once for a run and
-    passed to every stage; (None, None) when the structure or the base table
-    is invalid, which validate_config then reports."""
-    if structural_problems(config.n, config.r, config.s, config.q, config.zeta, config.base):
-        return None, None
-    try:
-        delta = build_delta(config)
-    except (ZeroBase, OrbitCollision):
-        return None, None
-    return delta, axis_stabilizers(config, delta)
+def stabilizer_excess(config: Config, stab) -> list[tuple[int, int]] | None:
+    """None when the axis stabilizer stab is exactly the scaling group (the
+    axis is generic); otherwise its maps outside that group, in stab order."""
+    group = scaling_group(config)
+    if sorted(stab) == sorted(group):
+        return None
+    return [h for h in stab if h not in group]
 
 
 class Lcg:
@@ -408,27 +409,22 @@ def generate_config(
 
 
 def config_is_generic(config: Config) -> bool:
-    """True when every axis stabilizer is exactly the scaling group."""
-    delta = build_delta(config)
-    expected = set(scaling_group(config))
+    """True when every axis stabilizer is exactly the scaling group; stops
+    at the first axis where it is not."""
     return all(
-        set(stabilizer_of_axis(config, axis, delta)) == expected
+        stabilizer_excess(config, stabilizer_of_axis(config, axis)) is None
         for axis in range(1, config.r + 1)
     )
 
 
-def validate_config(
-    config: Config,
-    delta: tuple[DeltaPoint, ...] | None = None,
-    stabilizers: list[list[tuple[int, int]]] | None = None,
-) -> list["CheckRecord"]:
+def validate_config(config: Config) -> list["CheckRecord"]:
     """Structural checks, marked-set checks, action checks, and genericity.
 
     Failures are reported, not raised, so configurations built through the
     unchecked path still produce a meaningful record list.  When the
     structural check fails the remaining checks are skipped (their records
-    are absent).  delta and stabilizers are the run's marked set and
-    per-axis stabilizers from marked_set; they are built here when absent.
+    are absent), and a base table that config.delta refuses is the
+    config.delta FAIL record.
     """
     from .checks import FAIL, PASS, make_record
 
@@ -447,15 +443,14 @@ def validate_config(
     if problems:
         return records
 
-    if delta is None:
-        try:
-            delta = build_delta(config)
-        except (ZeroBase, OrbitCollision) as exc:
-            records.append(
-                make_record("config.delta", FAIL, f"{type(exc).__name__}: {exc}",
-                            "buildable marked set")
-            )
-            return records
+    try:
+        delta = config.delta
+    except (ZeroBase, OrbitCollision) as exc:
+        records.append(
+            make_record("config.delta", FAIL, f"{type(exc).__name__}: {exc}",
+                        "buildable marked set")
+        )
+        return records
 
     sizes = [sum(1 for p in delta if p.axis == i) for i in range(1, config.r + 1)]
     coords = {(p.axis, p.coord) for p in delta}
@@ -511,17 +506,15 @@ def validate_config(
         )
     )
 
-    if stabilizers is None:
-        stabilizers = axis_stabilizers(config, delta)
-    expected_group = sorted(scaling_group(config))
     orders = {}
     generic = True
     extra: list[str] = []
-    for axis, stab in enumerate(stabilizers, start=1):
+    for axis, stab in enumerate(config.stabilizers, start=1):
         orders[f"axis_{axis}"] = len(stab)
-        if sorted(stab) != expected_group:
+        excess = stabilizer_excess(config, stab)
+        if excess is not None:
             generic = False
-            extra.extend(format_map(h) for h in stab if h not in expected_group)
+            extra.extend(format_map(h) for h in excess)
     records.append(
         make_record(
             "config.genericity",

@@ -23,7 +23,7 @@ import csv
 from dataclasses import dataclass, field
 
 from .errors import AxisOutOfRange, ConfigMismatch, SameAxis
-from .fieldgeom import Config, DeltaPoint, build_delta
+from .fieldgeom import Config, DeltaPoint
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,9 @@ class CurveClass:
 class BlowupLattice:
     """Both lattices of one configuration, with the intersection pairing."""
 
-    def __init__(self, config: Config, delta: tuple[DeltaPoint, ...] | None = None):
+    def __init__(self, config: Config):
         self.config = config
-        self.points = delta if delta is not None else build_delta(config)
+        self.points = config.delta
         self.point_index = {p: i for i, p in enumerate(self.points)}
         self.axis_of = tuple(p.axis for p in self.points)
         self._axis_index = tuple(axis - 1 for axis in self.axis_of)
@@ -157,9 +157,6 @@ class BlowupLattice:
         self._check_axis(i)
         m = tuple(-1 if axis != i else 0 for axis in self.axis_of)
         return DivisorClass(self._unit(self.config.r, i - 1), m, self)
-
-    def zero_divisor(self) -> DivisorClass:
-        return DivisorClass(self._zeros(self.config.r), self._zeros(self.size), self)
 
     def ambient_canonical_pullback(self) -> DivisorClass:
         """pi*(-2 H_1 - ... - 2 H_r)."""

@@ -25,7 +25,6 @@ from .fieldgeom import (
     generate_config,
     generate_config_smallest_q,
     is_prime,
-    marked_set,
     primitive_nth_root,
     sample_base,
     validate_config,
@@ -386,7 +385,7 @@ class VerificationReport:
             ensure_ascii=True,
         )
 
-    def to_markdown(self, timings: bool = True) -> str:
+    def to_markdown(self, timings: bool = False) -> str:
         lines = ["# Verification report", "", "## Configuration", "",
                  "```json", json.dumps(self.config, sort_keys=True, indent=2), "```",
                  "", "## Checks", ""]
@@ -423,10 +422,10 @@ def run_all(
 ) -> VerificationReport:
     """The full check suite in deterministic order.
 
-    The marked set and its per-axis stabilizers are built once and shared by
-    every stage.  Validation failures stop the run; the remaining check ids
-    are listed as skipped and the report carries exit code 1.  draws must be
-    at least 1, so that the sampled checks can fail.
+    Every stage reads the marked set and its per-axis stabilizers from the
+    config, which builds each once.  Validation failures stop the run; the
+    remaining check ids are listed as skipped and the report carries exit
+    code 1.  draws must be at least 1, so that the sampled checks can fail.
     """
     if draws < 1:
         raise InvalidSetting(f"draws must be a positive integer, got {draws}")
@@ -442,19 +441,18 @@ def run_all(
         records.extend(recs)
         return recs
 
-    delta, stabilizers = marked_set(config)
-    validation = staged(lambda: validate_config(config, delta, stabilizers))
+    validation = staged(lambda: validate_config(config))
     if any(rec.status == FAIL for rec in validation):
         emitted = {rec.check_id for rec in records}
         skipped = [cid for cid in CHECK_ORDER if cid not in emitted]
         return VerificationReport(config.to_dict(), records, skipped)
 
-    lattice = BlowupLattice(config, delta)
+    lattice = BlowupLattice(config)
     staged(lambda: lattice_checks(lattice, draws=draws))
     cone = EffectiveCone(lattice)
     staged(lambda: cone_checks(cone, draws=draws))
-    staged(lambda: verify_rigidity(config, delta, stabilizers))
-    staged(lambda: verify_vanishing(config, delta))
+    staged(lambda: verify_rigidity(config))
+    staged(lambda: verify_vanishing(config))
     if extra_q is not None:
         staged(lambda: extra_q_vanishing(config, extra_q))
         skipped = []

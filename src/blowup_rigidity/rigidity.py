@@ -27,11 +27,10 @@ from .errors import AmbiguousProfile, NonGeneric
 from .fieldgeom import (
     Config,
     DeltaPoint,
-    axis_stabilizers,
-    build_delta,
     delta_permutation,
     format_map,
     scaling_group,
+    stabilizer_excess,
 )
 
 EXC = "exc"
@@ -83,7 +82,6 @@ def components(config: Config, delta: tuple[DeltaPoint, ...]) -> tuple[Component
 @dataclass
 class IncidenceGraph:
     config: Config
-    delta: tuple[DeltaPoint, ...]
     vertices: tuple[Component, ...]
     adjacency: dict[Component, tuple[Component, ...]]
 
@@ -121,7 +119,7 @@ class IncidenceGraph:
         return "\n".join(lines) + "\n"
 
 
-def build_graph(config: Config, delta: tuple[DeltaPoint, ...] | None = None) -> IncidenceGraph:
+def build_graph(config: Config) -> IncidenceGraph:
     """The incidence graph, built by index from closed-form rules, each
     provable by coordinate computation:
 
@@ -140,8 +138,7 @@ def build_graph(config: Config, delta: tuple[DeltaPoint, ...] | None = None) -> 
     for p on axis i and the other lines; gt[p;i] meets E_p and gt[q;axis(p)]
     for q on axis i.  Each neighbour tuple is in vertex order.
     """
-    if delta is None:
-        delta = build_delta(config)
+    delta = config.delta
     verts = components(config, delta)
     at = {(v.kind, v.axis, v.point): idx for idx, v in enumerate(verts)}
     axes = range(1, config.r + 1)
@@ -158,7 +155,7 @@ def build_graph(config: Config, delta: tuple[DeltaPoint, ...] | None = None) -> 
         return [at[EXC, None, v.point]] + [at[GAMMA, v.point.axis, q] for q in on_axis[v.axis]]
 
     adjacency = {v: tuple(verts[j] for j in sorted(neighbours(v))) for v in verts}
-    return IncidenceGraph(config, delta, verts, adjacency)
+    return IncidenceGraph(config, verts, adjacency)
 
 
 @dataclass
@@ -263,45 +260,32 @@ def pin_components(graph: IncidenceGraph, rows: list[CensusRow] | None = None) -
     return PinningCertificate(exc_criterion, degrees)
 
 
-def axis_scalings(
-    config: Config,
-    delta: tuple[DeltaPoint, ...] | None = None,
-    stabilizers: list[list[tuple[int, int]]] | None = None,
-) -> list[list[int]]:
+def axis_scalings(config: Config) -> list[list[int]]:
     """Per axis, the scalings mu of z -> mu*z that make up its stabilizer of
-    the marked coordinates, which must be exactly the order-n scaling group;
-    each list is in torsion-shift order mu = zeta^k, k ascending.
-    stabilizers, when given, are the per-axis lists of stabilizer_of_axis.
+    the marked coordinates (config.stabilizers), which must be exactly the
+    order-n scaling group; each list is in torsion-shift order mu = zeta^k,
+    k ascending.
 
     Raises NonGeneric when some axis stabilizer is larger, exhibiting the
     extra maps.
     """
-    if stabilizers is None:
-        if delta is None:
-            delta = build_delta(config)
-        stabilizers = axis_stabilizers(config, delta)
-    expected = scaling_group(config)
-    want = sorted(expected)
-    for axis, stab in enumerate(stabilizers, start=1):
-        if sorted(stab) != want:
-            extra = ", ".join(format_map(h) for h in stab if h not in expected)
+    for axis, stab in enumerate(config.stabilizers, start=1):
+        excess = stabilizer_excess(config, stab)
+        if excess is not None:
+            extra = ", ".join(format_map(h) for h in excess)
             raise NonGeneric(
                 f"axis {axis} stabilizer has order {len(stab)} > {config.n}; "
                 f"extra elements: [{extra}]"
             )
-    return [[mu for _, mu in expected] for _ in stabilizers]
+    return [[mu for _, mu in scaling_group(config)] for _ in config.stabilizers]
 
 
-def geometric_automorphisms(
-    config: Config,
-    delta: tuple[DeltaPoint, ...] | None = None,
-    stabilizers: list[list[tuple[int, int]]] | None = None,
-) -> list[tuple[int, ...]]:
+def geometric_automorphisms(config: Config) -> list[tuple[int, ...]]:
     """All n^r product automorphisms, listed in torsion-shift order.  The
     axis permutation is the identity (certified by the pinning step), so an
     element is the tuple (mu_1, ..., mu_r) of its per-axis scalings from
     axis_scalings, which raises NonGeneric for a larger axis stabilizer."""
-    return list(itertools.product(*axis_scalings(config, delta, stabilizers)))
+    return list(itertools.product(*axis_scalings(config)))
 
 
 def geometric_permutation(
@@ -325,17 +309,11 @@ def _at_axis(config: Config, axis: int, value: int, rest: int) -> tuple[int, ...
     return tuple(value if i == axis else rest for i in range(1, config.r + 1))
 
 
-def verify_rigidity(
-    config: Config,
-    delta: tuple[DeltaPoint, ...] | None = None,
-    stabilizers: list[list[tuple[int, int]]] | None = None,
-) -> list:
+def verify_rigidity(config: Config) -> list:
     """Graph, census, pinning, and the automorphism group, as check records.
 
     PASS requires the group to have order exactly n^r and exponent n, and its
-    action on the marked set to coincide with the torsion action.  delta and
-    stabilizers are the run's marked set and per-axis stabilizers; they are
-    built here when absent.
+    action on the marked set to coincide with the torsion action.
 
     The group is checked axis by axis, never listed.  The pinning
     certificate fixes the axis permutation as the identity, and each axis
@@ -349,9 +327,8 @@ def verify_rigidity(
     points.  That is 2*n*|Delta| point maps in place of 2*n^r*|Delta|.
     """
     records = []
-    if delta is None:
-        delta = build_delta(config)
-    graph = build_graph(config, delta)
+    delta = config.delta
+    graph = build_graph(config)
     cfg = config
 
     expected_count = len(delta) + cfg.r + sum(
@@ -445,7 +422,7 @@ def verify_rigidity(
         return records
 
     try:
-        factors = axis_scalings(config, delta, stabilizers)
+        factors = axis_scalings(config)
         action_match = True
         for axis, mus in enumerate(factors, start=1):
             points = tuple(p for p in delta if p.axis == axis)

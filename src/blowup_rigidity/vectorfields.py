@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .checks import FAIL, PASS, make_record
-from .fieldgeom import Config, DeltaPoint, build_delta
+from .fieldgeom import Config
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,10 @@ def eigen_constraint_row(
     return ConstraintRow(tuple(coeffs), tag or f"block{block}@[{x}:{y}]")
 
 
-def assemble_system(
-    config: Config, delta: tuple[DeltaPoint, ...] | None = None
-) -> list[ConstraintRow]:
+def assemble_system(config: Config) -> list[ConstraintRow]:
     """One row per (marked point, axis): |Delta| * r rows, duplicates allowed."""
-    if delta is None:
-        delta = build_delta(config)
     rows = []
-    for p in delta:
+    for p in config.delta:
         for axis in range(1, config.r + 1):
             v = (1, p.coord) if axis == p.axis else (0, 1)
             rows.append(eigen_constraint_row(
@@ -97,24 +93,26 @@ def kernel_mod_q(
 
 @dataclass
 class KernelResult:
+    """The kernel of the rows, which are kept for the checks that reuse them."""
+
     q: int
     r: int
-    n_rows: int
+    rows: list[ConstraintRow]
     rank: int
     dimension: int
     basis: list[tuple[int, ...]]
     pivots: list[int]
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.rows)
 
     def blocks(self, vec: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
         return [tuple(vec[4 * i: 4 * i + 4]) for i in range(self.r)]
 
     def basis_is_scalar(self) -> bool:
         """True when every basis vector has b = c = 0 and a = d per block."""
-        for vec in self.basis:
-            for a, b, c, d in self.blocks(vec):
-                if b or c or a != d:
-                    return False
-        return True
+        return self.nonscalar_witness() is None
 
     def nonscalar_witness(self) -> tuple[int, ...] | None:
         for vec in self.basis:
@@ -129,7 +127,7 @@ def kernel_of_rows(rows: list[ConstraintRow], r: int, q: int) -> KernelResult:
     return KernelResult(
         q=q,
         r=r,
-        n_rows=len(rows),
+        rows=rows,
         rank=len(pivots),
         dimension=dim,
         basis=basis,
@@ -137,10 +135,8 @@ def kernel_of_rows(rows: list[ConstraintRow], r: int, q: int) -> KernelResult:
     )
 
 
-def derivation_kernel(
-    config: Config, delta: tuple[DeltaPoint, ...] | None = None
-) -> KernelResult:
-    return kernel_of_rows(assemble_system(config, delta), config.r, config.q)
+def derivation_kernel(config: Config) -> KernelResult:
+    return kernel_of_rows(assemble_system(config), config.r, config.q)
 
 
 def scalar_tuples_satisfy(rows: list[ConstraintRow], r: int, q: int) -> bool:
@@ -155,24 +151,20 @@ def scalar_tuples_satisfy(rows: list[ConstraintRow], r: int, q: int) -> bool:
     return True
 
 
-def direction_counts(config: Config, delta: tuple[DeltaPoint, ...] | None = None) -> list[int]:
+def direction_counts(config: Config) -> list[int]:
     """Pairwise non-proportional eigenvector directions per block: the
     distinct own-axis coordinates plus the shared [0:1]."""
-    if delta is None:
-        delta = build_delta(config)
     counts = []
     for axis in range(1, config.r + 1):
-        coords = {p.coord for p in delta if p.axis == axis}
+        coords = {p.coord for p in config.delta if p.axis == axis}
         counts.append(len(coords) + 1)
     return counts
 
 
-def verify_vanishing(config: Config, delta: tuple[DeltaPoint, ...] | None = None) -> list:
+def verify_vanishing(config: Config) -> list:
     """Direction-count diagnostic plus the kernel check, as records."""
-    if delta is None:
-        delta = build_delta(config)
     records = []
-    counts = direction_counts(config, delta)
+    counts = direction_counts(config)
     records.append(
         make_record(
             "vectorfields.directions",
@@ -181,9 +173,8 @@ def verify_vanishing(config: Config, delta: tuple[DeltaPoint, ...] | None = None
             ">= 3 per block",
         )
     )
-    result = derivation_kernel(config, delta)
-    rows = assemble_system(config, delta)
-    containment = scalar_tuples_satisfy(rows, config.r, config.q)
+    result = derivation_kernel(config)
+    containment = scalar_tuples_satisfy(result.rows, config.r, config.q)
     ok = result.dimension == config.r and result.basis_is_scalar() and containment
     witness = result.nonscalar_witness()
     records.append(
@@ -198,7 +189,7 @@ def verify_vanishing(config: Config, delta: tuple[DeltaPoint, ...] | None = None
                 "scalar_basis": result.basis_is_scalar(),
                 "scalars_contained": containment,
             },
-            {"q": config.q, "rows": len(rows), "rank": 3 * config.r,
+            {"q": config.q, "rows": len(config.delta) * config.r, "rank": 3 * config.r,
              "dimension": config.r, "scalar_basis": True,
              "scalars_contained": True},
             detail=(

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from blowup_rigidity.cone import EffectiveCone
@@ -38,6 +40,34 @@ def cone0(lat0) -> EffectiveCone:
 @pytest.fixture(scope="session")
 def delta0(c0):
     return build_delta(c0)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(*names) wraps those fieldgeom functions for the test, in
+    every package module that binds them, and returns the dict of their
+    call counts so far."""
+    import blowup_rigidity.fieldgeom as fieldgeom
+
+    counts: dict[str, int] = {}
+
+    def install(*names):
+        modules = [mod for key, mod in sys.modules.items()
+                   if key.startswith("blowup_rigidity.")]
+        for name in names:
+            real = getattr(fieldgeom, name)
+            counts[name] = 0
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            for mod in modules:
+                if vars(mod).get(name) is real:
+                    monkeypatch.setattr(mod, name, counted)
+        return counts
+
+    return install
 
 
 @pytest.fixture(scope="session")

@@ -161,7 +161,7 @@ def full_group_fields(config: Config, delta: tuple[DeltaPoint, ...]) -> dict:
     list all n^r product automorphisms, map each over the whole marked set
     by coordinate lookup, and compare with every torsion shift tuple mapped
     over the whole marked set.  Exponential in r; for n^r up to about 100."""
-    group = geometric_automorphisms(config, delta)
+    group = geometric_automorphisms(config)
     geometric = [tuple(geometric_permutation(config, g, delta).values()) for g in group]
     torsion = {
         tuple(delta_permutation(config, shifts, delta).values())

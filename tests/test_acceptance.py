@@ -136,7 +136,7 @@ def test_criterion_rigidity(c0, c1):
         for cfg, order in ((c0, 4), (c1, 27)):
             t0 = time.perf_counter()
             delta = build_delta(cfg)
-            group = geometric_automorphisms(cfg, delta)
+            group = geometric_automorphisms(cfg)
             assert len(group) == order == cfg.n ** cfg.r
             for g in group:
                 assert all(pow(mu, cfg.n, cfg.q) == 1 for mu in g)
@@ -182,12 +182,12 @@ def test_criterion_oracle_equivalences(sweep_configs, c0, c1):
             delta = build_delta(cfg)
             for axis in range(1, cfg.r + 1):
                 coords = {p.coord for p in delta if p.axis == axis}
-                got = stabilizer_of_axis(cfg, axis, delta)
+                got = stabilizer_of_axis(cfg, axis)
                 assert [(1, 0, k, m) for k, m in got] == stabilizer_oracle(coords, cfg.q)
         for cfg in (c0, c1):
             delta = build_delta(cfg)
             comps = components(cfg, delta)
-            adj = build_graph(cfg, delta).adjacency
+            adj = build_graph(cfg).adjacency
             for a, b in itertools.combinations(comps, 2):
                 assert (b in adj[a]) == incident_oracle(a, b, cfg, delta)
 

@@ -143,6 +143,14 @@ def test_verify_reports_invalid_values_as_failed_checks(bad, check_id, tmp_path,
     assert (last["check_id"], last["status"]) == (check_id, "FAIL")
 
 
+def test_vector_fields_builds_marked_set_once(c0_file, tmp_path, capsys, count_calls):
+    calls = count_calls("build_delta")
+    matrix = tmp_path / "matrix.json"
+    assert main(["vector-fields", "--config", c0_file, "--matrix", str(matrix)]) == 0
+    capsys.readouterr()
+    assert calls == {"build_delta": 1}
+
+
 def test_pairing_table(c0_file, capsys):
     assert main(["pairing-table", "--config", c0_file]) == 0
     out = capsys.readouterr().out

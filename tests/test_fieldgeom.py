@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -158,7 +159,7 @@ def test_stabilizer_matches_pgl2_oracle(c0, c1):
         delta = build_delta(cfg)
         for axis in range(1, cfg.r + 1):
             coords = {p.coord for p in delta if p.axis == axis}
-            stab = stabilizer_of_axis(cfg, axis, delta)
+            stab = stabilizer_of_axis(cfg, axis)
             assert [(1, 0, k, m) for k, m in stab] == stabilizer_oracle(coords, cfg.q)
 
 
@@ -283,6 +284,16 @@ def test_config_json_round_trip(c0):
     # zeta is recomputed canonically when omitted
     d.pop("zeta")
     assert Config.from_dict(d) == c0
+
+
+def test_built_marked_set_leaves_config_identity(c1):
+    built, fresh = Config.from_dict(c1.to_dict()), Config.from_dict(c1.to_dict())
+    assert built.delta == build_delta(c1) and len(built.stabilizers) == c1.r
+    assert {"delta", "stabilizers"} <= set(vars(built))
+    assert built == fresh and hash(built) == hash(fresh)
+    assert pickle.dumps(built) == pickle.dumps(fresh)
+    assert built.canonical_json() == fresh.canonical_json()
+    assert pickle.loads(pickle.dumps(built)).delta == built.delta
 
 
 def test_lcg_reproducible_and_bounded():

@@ -55,6 +55,8 @@ GOLDEN = [
      "e5ad754b991220df668bb9ac0cdb908df8025c3e4db23efc43f064562ae62b43"),
     ("non_generic", ["extremal", "--json"],
      "b596e69e3ba22077f7c840021c900712ea51f6166c56d381337abf4ed454467a"),
+    ("C0", ["verify", "--format", "md"],
+     "8c80335dd34a76f7c5a75c4ec0748c10e4445a2c746755a76b8944538a170411"),
 ]
 
 # sha256 of the file written by `graph --dot`

@@ -89,6 +89,13 @@ def test_report_duplicate_ids_rejected(c0):
         VerificationReport(c0.to_dict(), [rec, rec])
 
 
+def test_run_all_builds_marked_set_and_stabilizers_once(c1, count_calls):
+    calls = count_calls("build_delta", "stabilizer_of_axis")
+    config = Config.from_dict(c1.to_dict())
+    assert run_all(config, draws=20).exit_code == 0
+    assert calls == {"build_delta": 1, "stabilizer_of_axis": config.r}
+
+
 def test_markdown_rendering(c0):
     report = run_all(c0, draws=50)
     md = report.to_markdown()

@@ -46,7 +46,7 @@ def test_component_dims_and_labels(c0, delta0):
 
 
 def test_incident_spot_rules(c0, delta0):
-    adj = build_graph(c0, delta0).adjacency
+    adj = build_graph(c0).adjacency
     comps = components(c0, delta0)
     line1 = next(c for c in comps if c.kind == LINE and c.axis == 1)
     line2 = next(c for c in comps if c.kind == LINE and c.axis == 2)
@@ -69,7 +69,7 @@ def test_incident_spot_rules(c0, delta0):
 def test_incident_gamma_gamma_same_point_r3(c1):
     delta = build_delta(c1)
     comps = components(c1, delta)
-    adj = build_graph(c1, delta).adjacency
+    adj = build_graph(c1).adjacency
     p = next(pt for pt in delta if pt.axis == 3)
     free_axes = [1, 2]
     g1 = next(c for c in comps if c.kind == GAMMA and c.point == p and c.axis == free_axes[0])
@@ -84,7 +84,7 @@ def test_incident_gamma_gamma_same_point_r3(c1):
 
 
 def test_incident_matches_point_oracle_c0(c0, delta0):
-    adj = build_graph(c0, delta0).adjacency
+    adj = build_graph(c0).adjacency
     comps = components(c0, delta0)
     for a, b in itertools.combinations(comps, 2):
         assert (b in adj[a]) == incident_oracle(a, b, c0, delta0), (a, b)
@@ -103,7 +103,7 @@ def test_graph_equals_all_pairs_oracle(name, c0, c1):
         SweepCase(3, 4, default_s(3, 4), q=19, seed=1)
     )
     delta = build_delta(cfg)
-    graph = build_graph(cfg, delta)
+    graph = build_graph(cfg)
     want = oracle_adjacency(cfg, delta, graph.vertices)
     # same neighbours in the same order, and the same key order
     assert list(graph.adjacency) == list(want)
@@ -191,7 +191,7 @@ def test_geometric_automorphisms_closed(c0):
 
 def test_group_action_embedding_is_bijective(c1):
     delta = build_delta(c1)
-    auts = geometric_automorphisms(c1, delta)
+    auts = geometric_automorphisms(c1)
     perm_of = {
         g: tuple(sorted(
             (p.key, img.key) for p, img in geometric_permutation(c1, g, delta).items()
@@ -243,7 +243,7 @@ def test_verify_rigidity_matches_full_group_oracle(name, c0, c1):
         SweepCase(3, 4, default_s(3, 4), q=19, seed=1)
     )
     delta = build_delta(cfg)
-    by_id = {r.check_id: r for r in verify_rigidity(cfg, delta)}
+    by_id = {r.check_id: r for r in verify_rigidity(cfg)}
     assert by_id["rigidity.automorphisms"].computed == full_group_fields(cfg, delta)
 
 
