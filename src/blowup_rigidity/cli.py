@@ -17,7 +17,7 @@ from .fieldgeom import Config, generate_config, primitive_nth_root, structural_p
 from .lattice import BlowupLattice
 from .report import SweepCase, check_extra_q, product_cases, run_all, sweep
 from .rigidity import build_graph, geometric_automorphisms, verify_rigidity
-from .vectorfields import derivation_kernel, verify_vanishing
+from .vectorfields import derivation_kernel, vanishing_records
 
 
 class UsageError(Exception):
@@ -190,8 +190,8 @@ def cmd_rigidity(args) -> int:
 
 def cmd_vector_fields(args) -> int:
     config = load_valid_config(args.config)
-    records = verify_vanishing(config)
     kernel = derivation_kernel(config)
+    records = vanishing_records(config, kernel)
     payload = {
         "config": config.to_dict(),
         "checks": [rec.to_dict() for rec in records],

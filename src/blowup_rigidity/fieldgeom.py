@@ -269,31 +269,41 @@ def delta_permutation(
 
 
 def affine_stabilizer_of(coords, q: int) -> list[tuple[int, int]]:
-    """All maps fixing [0:1] that permute the given affine coordinate set,
+    """All maps fixing [0:1] that permute the given affine coordinate set S,
     as pairs (kappa, mu) sorted ascending.
 
-    Such a map is z -> kappa + mu*z on the [1:z] chart and is determined by
-    the images of two distinct coordinates, so the candidates are the
-    O(|coords|^2) ordered image pairs; each candidate is then filtered
-    against the whole set.  Complete over F_q because the coordinates and
-    [0:1] are rational and a projective-line map is fixed by three rational
-    point images.
+    Such a map is z -> kappa + mu*z on the [1:z] chart, with mu != 0.
+    Complete over F_q because S and [0:1] are rational and a projective-line
+    map is fixed by three rational point images.
+
+    When S is all of F_q, every such map permutes it.  Otherwise |S| < q is
+    invertible mod q, and a map permuting S fixes its centroid
+    c = sum(S)/|S|: summing kappa + mu*z over S gives |S|*kappa + mu*sum(S)
+    = sum(S).  So kappa = c*(1 - mu), and the map is fixed by the image
+    w != c in S of one point z1 != c of S: mu = (w - c)/(z1 - c).  That
+    leaves |S| - 1 or |S| candidates, each filtered against the whole set.
+
+    A union of scaling orbits, such as every axis's marked set, has
+    centroid 0, because 1 + zeta + ... + zeta^(n-1) = 0 for zeta != 1; so
+    every map in its stabilizer is a pure scaling (kappa = 0).
     """
     values = sorted({z % q for z in coords})
     if len(values) < 2:
         raise TooFewPoints(f"need at least 2 coordinates, got {len(values)}")
+    if len(values) == q:
+        return [(kappa, mu) for kappa in range(q) for mu in range(1, q)]
     vset = frozenset(values)
-    z1, z2 = values[0], values[1]
-    dz_inv = pow(z1 - z2, -1, q)
+    c = sum(values) * pow(len(values), -1, q) % q
+    z1 = values[0] if values[0] != c else values[1]
+    dz_inv = pow(z1 - c, -1, q)
     found = []
-    for w1 in values:
-        for w2 in values:
-            if w1 == w2:
-                continue
-            mu = (w1 - w2) * dz_inv % q
-            kappa = (w1 - mu * z1) % q
-            if all((kappa + mu * z) % q in vset for z in vset):
-                found.append((kappa, mu))
+    for w in values:
+        if w == c:
+            continue
+        mu = (w - c) * dz_inv % q
+        kappa = c * (1 - mu) % q
+        if all((kappa + mu * z) % q in vset for z in values):
+            found.append((kappa, mu))
     found.sort()
     return found
 

@@ -163,6 +163,11 @@ def direction_counts(config: Config) -> list[int]:
 
 def verify_vanishing(config: Config) -> list:
     """Direction-count diagnostic plus the kernel check, as records."""
+    return vanishing_records(config, derivation_kernel(config))
+
+
+def vanishing_records(config: Config, result: KernelResult) -> list:
+    """verify_vanishing's records, read from the config's derivation kernel."""
     records = []
     counts = direction_counts(config)
     records.append(
@@ -173,7 +178,6 @@ def verify_vanishing(config: Config) -> list:
             ">= 3 per block",
         )
     )
-    result = derivation_kernel(config)
     containment = scalar_tuples_satisfy(result.rows, config.r, config.q)
     ok = result.dimension == config.r and result.basis_is_scalar() and containment
     witness = result.nonscalar_witness()

@@ -1,3 +1,4 @@
+import importlib
 import sys
 
 import pytest
@@ -44,18 +45,20 @@ def delta0(c0):
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """count_calls(*names) wraps those fieldgeom functions for the test, in
-    every package module that binds them, and returns the dict of their
-    call counts so far."""
-    import blowup_rigidity.fieldgeom as fieldgeom
-
+    """count_calls(*names) wraps those functions for the test, in every
+    package module that binds them, and returns the dict of their call
+    counts so far, keyed by the names as given.  A name is either
+    `module.function` (a blowup_rigidity module) or a bare fieldgeom
+    function name."""
     counts: dict[str, int] = {}
 
     def install(*names):
         modules = [mod for key, mod in sys.modules.items()
                    if key.startswith("blowup_rigidity.")]
         for name in names:
-            real = getattr(fieldgeom, name)
+            modname, _, attr = name.rpartition(".")
+            owner = importlib.import_module(f"blowup_rigidity.{modname or 'fieldgeom'}")
+            real = getattr(owner, attr)
             counts[name] = 0
 
             def counted(*args, _real=real, _name=name, **kwargs):
@@ -63,8 +66,8 @@ def count_calls(monkeypatch):
                 return _real(*args, **kwargs)
 
             for mod in modules:
-                if vars(mod).get(name) is real:
-                    monkeypatch.setattr(mod, name, counted)
+                if vars(mod).get(attr) is real:
+                    monkeypatch.setattr(mod, attr, counted)
         return counts
 
     return install

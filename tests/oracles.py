@@ -85,6 +85,27 @@ def stabilizer_oracle(coords: set[int], q: int) -> list[tuple[int, ...]]:
     return sorted(keep)
 
 
+def pair_scan_stabilizer(coords, q: int) -> list[tuple[int, int]]:
+    """Affine maps z -> kappa + mu*z permuting the coordinate set, as sorted
+    pairs (kappa, mu), by scanning every ordered pair of images (w1, w2) of
+    the two smallest coordinates and filtering each map against the whole
+    set: O(|coords|^3), but fast enough for primes where PGL2 is not."""
+    values = sorted({z % q for z in coords})
+    vset = frozenset(values)
+    z1, z2 = values[0], values[1]
+    dz_inv = pow(z1 - z2, -1, q)
+    found = []
+    for w1 in values:
+        for w2 in values:
+            if w1 == w2:
+                continue
+            mu = (w1 - w2) * dz_inv % q
+            kappa = (w1 - mu * z1) % q
+            if all((kappa + mu * z) % q in vset for z in vset):
+                found.append((kappa, mu))
+    return sorted(found)
+
+
 def projective_line(q: int) -> list[tuple[int, int]]:
     return [(1, z) for z in range(q)] + [(0, 1)]
 

@@ -151,6 +151,14 @@ def test_vector_fields_builds_marked_set_once(c0_file, tmp_path, capsys, count_c
     assert calls == {"build_delta": 1}
 
 
+def test_vector_fields_assembles_system_once(c0_file, capsys, count_calls):
+    # the records and the `system` block come from one kernel
+    calls = count_calls("vectorfields.assemble_system", "vectorfields.kernel_of_rows")
+    assert main(["vector-fields", "--config", c0_file]) == 0
+    capsys.readouterr()
+    assert calls == {"vectorfields.assemble_system": 1, "vectorfields.kernel_of_rows": 1}
+
+
 def test_pairing_table(c0_file, capsys):
     assert main(["pairing-table", "--config", c0_file]) == 0
     out = capsys.readouterr().out

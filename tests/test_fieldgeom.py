@@ -33,7 +33,7 @@ from blowup_rigidity.fieldgeom import (
     validate_config,
 )
 
-from oracles import smallest_of_order, stabilizer_oracle
+from oracles import pair_scan_stabilizer, smallest_of_order, stabilizer_oracle
 
 
 # --- residues mod q ----------------------------------------------------
@@ -171,6 +171,64 @@ def test_affine_stabilizer_matches_pgl2_oracle_random(data):
     coords = data.draw(st.sets(st.integers(0, q - 1), min_size=2, max_size=q), label="coords")
     stab = affine_stabilizer_of(coords, q)
     assert [(1, 0, k, m) for k, m in stab] == stabilizer_oracle(coords, q)
+
+
+PRIMES_TO_61 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_affine_stabilizer_matches_pair_scan_random(data):
+    # primes where the PGL2 oracle is too slow; sets up to all of F_q
+    q = data.draw(st.sampled_from(PRIMES_TO_61), label="q")
+    coords = data.draw(st.sets(st.integers(0, q - 1), min_size=2, max_size=q), label="coords")
+    assert affine_stabilizer_of(coords, q) == pair_scan_stabilizer(coords, q)
+
+
+def test_stabilizer_matches_pair_scan_on_sweep_configs(sweep_configs):
+    for cfg in sweep_configs:
+        for axis in range(1, cfg.r + 1):
+            coords = [p.coord for p in cfg.delta if p.axis == axis]
+            stab = stabilizer_of_axis(cfg, axis)
+            assert stab == pair_scan_stabilizer(coords, cfg.q)
+            # a marked axis has centroid 0, so every element is a scaling
+            assert all(kappa == 0 for kappa, _ in stab)
+
+
+def test_stabilizer_of_whole_field():
+    # |S| = q is not invertible mod q; every map z -> kappa + mu*z permutes F_q
+    q = 7
+    stab = affine_stabilizer_of(range(q), q)
+    assert stab == [(kappa, mu) for kappa in range(q) for mu in range(1, q)]
+    assert stab == pair_scan_stabilizer(range(q), q)
+
+
+def test_stabilizer_with_zero_in_set():
+    q = 11
+    for coords in ({0, 3, 5}, {0, 1, 10}, {0, 2, 4, 7, 9}):
+        stab = affine_stabilizer_of(coords, q)
+        assert stab == pair_scan_stabilizer(coords, q)
+        assert [(1, 0, k, m) for k, m in stab] == stabilizer_oracle(coords, q)
+    # {0, 1, 10} is symmetric about 0: z -> -z swaps 1 and 10
+    assert affine_stabilizer_of({0, 1, 10}, q) == [(0, 1), (0, 10)]
+
+
+def test_stabilizer_with_reflection():
+    # the centroid of {1, 2, 3} in F_7 is 2, and z -> 4 - z reflects about it
+    stab = affine_stabilizer_of({1, 2, 3}, 7)
+    assert stab == [(0, 1), (4, 6)]
+    assert stab == pair_scan_stabilizer({1, 2, 3}, 7)
+
+
+def test_stabilizer_when_smallest_element_is_centroid():
+    # the first point, z1, must then be the next element: {2, 5, 12} in
+    # F_13 sums to 19 = 3 * 2, and {0, 1, 2, 5, 6} in F_7 sums to 0
+    for coords, q in (({2, 5, 12}, 13), ({0, 1, 2, 5, 6}, 7)):
+        values = sorted(coords)
+        assert sum(values) * pow(len(values), -1, q) % q == values[0]
+        stab = affine_stabilizer_of(coords, q)
+        assert stab == pair_scan_stabilizer(coords, q)
+        assert [(1, 0, k, m) for k, m in stab] == stabilizer_oracle(coords, q)
 
 
 def test_stabilizer_of_full_multiplicative_group():

@@ -3,6 +3,7 @@
 Each case runs one subcommand in-process and hashes its whole standard
 output, trailing newline included, so any change to the canonical bytes of
 a report (key order, number formatting, map strings in messages) fails here.
+The generated configurations of the benchmark grids are pinned the same way.
 """
 
 import hashlib
@@ -11,6 +12,7 @@ import json
 import pytest
 
 from blowup_rigidity.cli import main
+from blowup_rigidity.report import SweepCase, default_s, product_cases, resolve_case
 
 CONFIGS = {
     "C0": {"n": 2, "r": 2, "s": [2, 3], "q": 13, "base": [[1, 2], [3, 4, 5]]},
@@ -104,3 +106,42 @@ def test_vector_fields_matrix_sha256(name, tmp_path, capsys):
     main(["vector-fields", "--config", str(path), "--matrix", str(matrix)])
     capsys.readouterr()
     assert hashlib.sha256(matrix.read_bytes()).hexdigest() == GOLDEN_MATRIX[name]
+
+
+# Generated configurations, pinned so that config generation keeps drawing
+# the same Lcg sequence and accepting the same bases.  The grids follow the
+# benchmark workloads in perfbench/cases.py: `sweep` is its product grid,
+# `ladder` the C0/C1 shapes at q = 13 plus the generated (n, r, q) rungs,
+# `wide` the smallest-q (n, r) cases, each generated at the given seed.
+GENERATION_CASES = {
+    "sweep": lambda seed: product_cases([2, 3, 4, 5, 6, 7], [2, 3], seed=seed, variants=2),
+    "ladder": lambda seed: [
+        SweepCase(n, r, s, q=q, seed=seed)
+        for n, r, s, q in [(2, 2, (2, 3), 13), (3, 3, (1, 2, 3), 13)]
+        + [(n, r, default_s(n, r), q) for n, r, q in [(3, 4, 19), (5, 4, 31), (4, 5, 29)]]
+    ],
+    "wide": lambda seed: [
+        SweepCase(n, r, default_s(n, r), seed=seed) for n, r in [(2, 5), (3, 5), (2, 6)]
+    ],
+}
+
+# sha256 of the newline-joined canonical_json() of each generated config
+GOLDEN_GENERATION = {
+    ("sweep", 1): "10fcef81d110ec89d8a2708bef242fc9f2b8802b9c7f50f1a74780c9465bfd45",
+    ("sweep", 7): "1e8cb47225f0e2d6854b33affd7a6402dda3f1d4dacc73d3123a2d59088a8c49",
+    ("ladder", 1): "2da79a01a293a03d10ff2dabe1797c80cc5a18668d82647919f9cba847817697",
+    ("ladder", 7): "c5aa6d3fef23b74774e2c07cd896236a2b0006fa3472a6712d15f0d0aa8a714d",
+    ("wide", 1): "edfca4b8ca53b286a4a69c4289854a1d4f751c75f91e415722dc6de6a8695f17",
+    ("wide", 7): "23bb1008cd664581f3c3978a0e333920d50d590e9ac9a5e462774e03f3ab75f5",
+}
+
+
+@pytest.mark.parametrize(
+    "workload,seed", sorted(GOLDEN_GENERATION),
+    ids=[f"{w}-seed{s}" for w, s in sorted(GOLDEN_GENERATION)],
+)
+def test_generated_configs_sha256(workload, seed):
+    text = "\n".join(
+        resolve_case(case).canonical_json() for case in GENERATION_CASES[workload](seed)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_GENERATION[(workload, seed)]
