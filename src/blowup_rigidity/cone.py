@@ -69,6 +69,55 @@ class GeneratorSet:
             for g in gens
         }
 
+    def orbits(self) -> list[list[int]]:
+        """The generator indices, in canonical order, grouped into orbits
+        under the swaps of two adjacent marked points on one axis that map
+        the generator set onto itself.
+
+        A swap exchanges the e-coordinates of the two points.  It fixes
+        every generator whose coefficients there are equal, and each other
+        generator must map onto a generator, looked up by its sparse support
+        as `support` holds it now.  A swap that passes joins each moved
+        generator to its image; a swap that fails is not used.  The orbits
+        come ordered by their first member.
+        """
+        r = self.lattice.config.r
+        supports = [self.support[g.label] for g in self.generators]
+        index = {supp: g for g, supp in enumerate(supports)}
+        # by point index, the coefficient there of every generator that has one
+        at: list[dict[int, int]] = [{} for _ in range(self.lattice.size)]
+        for g, supp in enumerate(supports):
+            for k, x in supp:
+                if k >= r:
+                    at[k - r][g] = x
+        parent = list(range(len(supports)))
+
+        def root(g: int) -> int:
+            while parent[g] != g:
+                parent[g] = parent[parent[g]]
+                g = parent[g]
+            return g
+
+        axis_of = self.lattice.axis_of
+        for a in range(self.lattice.size - 1):
+            if axis_of[a] != axis_of[a + 1]:
+                continue
+            swap = {r + a: r + a + 1, r + a + 1: r + a}
+            moved = {g for g, _ in at[a].items() ^ at[a + 1].items()}
+            images = []
+            for g in moved:
+                image = tuple(sorted((swap.get(k, k), x) for k, x in supports[g]))
+                if image not in index:
+                    break
+                images.append((g, index[image]))
+            else:
+                for g, h in images:
+                    parent[root(g)] = root(h)
+        orbits: dict[int, list[int]] = {}
+        for g in range(len(supports)):
+            orbits.setdefault(root(g), []).append(g)
+        return list(orbits.values())
+
     def phi(self, c: CurveClass) -> int:
         """Degree against N * sum pi*(H_i) - sum E_p with N = 1 + |Delta|."""
         lat = self.lattice
@@ -126,7 +175,17 @@ class Decomposition:
 
 
 class EffectiveCone:
-    """Membership, decomposition, and extremality over the generator semigroup."""
+    """Membership, decomposition, and extremality over the generator semigroup.
+
+    Extremality is constant on the orbits of `GeneratorSet.orbits`.  A swap
+    of two marked points acts on curve classes as a linear bijection; when it
+    maps the generator set onto itself, it maps the generated semigroup onto
+    itself, so a generator splits into two nonzero effective classes exactly
+    when its image does.  The generator classes and phi see a marked point
+    only through its axis, so on a correct generator set every swap passes,
+    and the r(r + 1) orbits are the single lt_i, the e_p of each axis, and
+    the gt[p;i] of each free axis i and point axis j != i.
+    """
 
     def __init__(self, lattice: BlowupLattice):
         self.lattice = lattice
@@ -143,6 +202,11 @@ class EffectiveCone:
                     (g.label, g.cls.e.index(-1))
                 )
         self._exc = [g for g in gens if g.kind == "exc"]
+        # by point index, its gamma labels by free axis (None on its own axis)
+        self._gamma_labels: list[list[str | None]] = [[None] * r for _ in lattice.points]
+        for bi, block in enumerate(self._gamma_blocks):
+            for label, k in block:
+                self._gamma_labels[k][bi] = label
 
     def phi(self, c: CurveClass) -> int:
         return self.genset.phi(c)
@@ -285,14 +349,13 @@ class EffectiveCone:
             raise ValueError(f"a_{j} must be 0 for a point on axis {j}")
         if any(x < 0 for x in a):
             raise ValueError("multidegree must be nonnegative")
+        k0 = lat.point_index[q0]
         eps = [0] * lat.size
-        eps[lat.point_index[q0]] = eps_q
+        eps[k0] = eps_q
         lhs = lat.expand_in_basis(tuple(a), tuple(eps))
-        # the right-hand side adds the generators' own sparse classes
-        coeff = -eps_q + sum(a[i - 1] for i in range(1, cfg.r + 1) if i != j)
-        terms = [(f"e[{q0.key}]", coeff)] + [
-            (f"gt[{q0.key};{i}]", a[i - 1])
-            for i in range(1, cfg.r + 1) if i != j and a[i - 1]
+        # the right-hand side adds the generators' own sparse classes; a_j = 0
+        terms = [(self._exc[k0].label, sum(a) - eps_q)] + [
+            (label, x) for label, x in zip(self._gamma_labels[k0], a) if x
         ]
         rhs = [0] * (cfg.r + lat.size)
         for label, mult in terms:

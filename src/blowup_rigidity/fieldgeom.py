@@ -356,6 +356,22 @@ class Lcg:
             raise ValueError("bound must be positive")
         return (self.next_u64() >> 33) % k
 
+    def take(self, bounds) -> list[int]:
+        """[self.below(k) for k in bounds], with the state updates in one
+        local loop; a bound k <= 0 raises as below does, after the draws
+        before it."""
+        mult, inc, mask = self.MULT, self.INC, self.MASK
+        state = self.state
+        out = []
+        for k in bounds:
+            if k <= 0:
+                self.state = state
+                raise ValueError("bound must be positive")
+            state = (mult * state + inc) & mask
+            out.append((state >> 33) % k)
+        self.state = state
+        return out
+
 
 def sample_base(
     n: int, s: tuple[int, ...], q: int, zeta: int, rng: Lcg
@@ -540,18 +556,33 @@ def validate_config(config: Config) -> list["CheckRecord"]:
     return records
 
 
+# Workable primes in a row without a generic base after which the smallest-q
+# scan gives up.  Over n 2..7, r 2..5, two s-variants and seeds 1-10, and on
+# the large ROADMAP configurations, no case met more than one before the
+# prime that took.
+BARREN_PRIMES_LIMIT = 16
+
+
 def generate_config_smallest_q(
     n: int, r: int, s: tuple[int, ...], seed: int = 0, attempts_per_q: int = 50
 ) -> Config:
-    """Scan primes q = 1 (mod n) upward until a generic configuration exists."""
+    """Scan primes q = 1 (mod n) upward until a generic configuration exists;
+    raise ExhaustedRetries after BARREN_PRIMES_LIMIT workable primes without
+    one."""
     s = tuple(s)
     q = n + 1
+    barren = 0
     while True:
         if is_prime(q) and (q - 1) % n == 0 and (q - 1) // n >= max(s):
             try:
                 return generate_config(n, r, s, q, seed=seed, max_retries=attempts_per_q)
             except (ExhaustedRetries, TooSmallField):
-                pass
+                barren += 1
+            if barren == BARREN_PRIMES_LIMIT:
+                raise ExhaustedRetries(
+                    f"no generic configuration found for n={n}, s={s} at any of "
+                    f"the {barren} workable primes q in {n + 1}..{q}"
+                )
         q += 1
         if q > 10_000:
             raise ExhaustedRetries(f"no workable field found for n={n}, s={s}")

@@ -112,8 +112,8 @@ class BlowupLattice:
         self.axis_of = tuple(p.axis for p in self.points)
         self._axis_index = tuple(axis - 1 for axis in self.axis_of)
         self.size = len(self.points)
-        self._exc_divisor_cache: dict[int, DivisorClass] = {}
-        self._pullback_cache: dict[int, DivisorClass] = {}
+        # the basis classes and strict transforms, each built on first use
+        self._basis: dict[tuple[str, int], DivisorClass | CurveClass] = {}
 
     def check_same(self, other: "BlowupLattice") -> None:
         if other is self:
@@ -135,53 +135,57 @@ class BlowupLattice:
 
     def pullback_h(self, i: int) -> DivisorClass:
         """pi*(H_i)."""
-        self._check_axis(i)
-        if i not in self._pullback_cache:
-            self._pullback_cache[i] = DivisorClass(
+        key = ("piH", i)
+        if key not in self._basis:
+            self._check_axis(i)
+            self._basis[key] = DivisorClass(
                 self._unit(self.config.r, i - 1), self._zeros(self.size), self
             )
-        return self._pullback_cache[i]
+        return self._basis[key]
 
     def exc_divisor(self, p: DeltaPoint) -> DivisorClass:
         """E_p."""
-        idx = self.point_index[p]
-        if idx not in self._exc_divisor_cache:
-            self._exc_divisor_cache[idx] = DivisorClass(
-                self._zeros(self.config.r), self._unit(self.size, idx), self
+        key = ("E", self.point_index[p])
+        if key not in self._basis:
+            self._basis[key] = DivisorClass(
+                self._zeros(self.config.r), self._unit(self.size, key[1]), self
             )
-        return self._exc_divisor_cache[idx]
+        return self._basis[key]
 
     def strict_h(self, i: int) -> DivisorClass:
         """Strict transform of the axis-i hyperplane:
         pi*(H_i) - sum of E_p over every p marked off axis i."""
-        self._check_axis(i)
-        m = tuple(-1 if axis != i else 0 for axis in self.axis_of)
-        return DivisorClass(self._unit(self.config.r, i - 1), m, self)
+        key = ("H", i)
+        if key not in self._basis:
+            self._check_axis(i)
+            m = tuple(-1 if axis != i else 0 for axis in self.axis_of)
+            self._basis[key] = DivisorClass(self._unit(self.config.r, i - 1), m, self)
+        return self._basis[key]
 
     def ambient_canonical_pullback(self) -> DivisorClass:
         """pi*(-2 H_1 - ... - 2 H_r)."""
         return DivisorClass((-2,) * self.config.r, self._zeros(self.size), self)
 
-    def blowup_canonical(self) -> DivisorClass:
-        """Canonical class of the blow-up, by the standard blow-up formula
-        (derived convenience value, not part of the verified identity set):
-        pullback of the ambient canonical class plus (r-1) * sum E_p."""
-        return DivisorClass(
-            (-2,) * self.config.r, (self.config.r - 1,) * self.size, self
-        )
-
     # curve side -------------------------------------------------------
 
     def line(self, i: int) -> CurveClass:
         """Strict transform of the axis-i coordinate line."""
-        self._check_axis(i)
-        return CurveClass(self._unit(self.config.r, i - 1), self._zeros(self.size), self)
+        key = ("lt", i)
+        if key not in self._basis:
+            self._check_axis(i)
+            self._basis[key] = CurveClass(
+                self._unit(self.config.r, i - 1), self._zeros(self.size), self
+            )
+        return self._basis[key]
 
     def exc_curve(self, p: DeltaPoint) -> CurveClass:
         """A line e_p inside the exceptional divisor over p."""
-        return CurveClass(
-            self._zeros(self.config.r), self._unit(self.size, self.point_index[p]), self
-        )
+        key = ("e", self.point_index[p])
+        if key not in self._basis:
+            self._basis[key] = CurveClass(
+                self._zeros(self.config.r), self._unit(self.size, key[1]), self
+            )
+        return self._basis[key]
 
     def gamma(self, p: DeltaPoint, i: int) -> CurveClass:
         """Strict transform of the line through p in direction i:
@@ -235,7 +239,7 @@ class BlowupLattice:
         """
         if len(a) != self.config.r or len(eps) != self.size:
             raise ValueError("vector lengths do not match the bases")
-        e = tuple(a[axis - 1] - ep for ep, axis in zip(eps, self.axis_of))
+        e = tuple([a[k] - ep for ep, k in zip(eps, self._axis_index)])
         return CurveClass(tuple(a), e, self)
 
     def canonical_pullback_check(self, i: int) -> int:
@@ -261,17 +265,6 @@ class BlowupLattice:
         if len(arr) != r + self.size:
             raise ValueError(f"expected length {r + self.size}, got {len(arr)}")
         return CurveClass(tuple(arr[:r]), tuple(arr[r:]), self)
-
-    def divisor_from_array(self, arr: list[int]) -> DivisorClass:
-        r = self.config.r
-        if len(arr) != r + self.size:
-            raise ValueError(f"expected length {r + self.size}, got {len(arr)}")
-        return DivisorClass(tuple(arr[:r]), tuple(arr[r:]), self)
-
-    def divisor_basis(self) -> list[DivisorClass]:
-        return [self.pullback_h(i) for i in range(1, self.config.r + 1)] + [
-            self.exc_divisor(p) for p in self.points
-        ]
 
     def curve_basis(self) -> list[CurveClass]:
         return [self.line(i) for i in range(1, self.config.r + 1)] + [

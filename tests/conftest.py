@@ -47,17 +47,22 @@ def delta0(c0):
 def count_calls(monkeypatch):
     """count_calls(*names) wraps those functions for the test, in every
     package module that binds them, and returns the dict of their call
-    counts so far, keyed by the names as given.  A name is either
-    `module.function` (a blowup_rigidity module) or a bare fieldgeom
-    function name."""
+    counts so far, keyed by the names as given.  A name is
+    `module.function` (a blowup_rigidity module), `module.Class.method`
+    (wrapped on the class) or a bare fieldgeom function name."""
     counts: dict[str, int] = {}
 
     def install(*names):
         modules = [mod for key, mod in sys.modules.items()
                    if key.startswith("blowup_rigidity.")]
         for name in names:
-            modname, _, attr = name.rpartition(".")
-            owner = importlib.import_module(f"blowup_rigidity.{modname or 'fieldgeom'}")
+            path = name.split(".")
+            if len(path) == 1:
+                path.insert(0, "fieldgeom")
+            modname, *owners, attr = path
+            owner = importlib.import_module(f"blowup_rigidity.{modname}")
+            for cls_name in owners:
+                owner = getattr(owner, cls_name)
             real = getattr(owner, attr)
             counts[name] = 0
 
@@ -65,6 +70,8 @@ def count_calls(monkeypatch):
                 counts[_name] += 1
                 return _real(*args, **kwargs)
 
+            if owners:
+                monkeypatch.setattr(owner, attr, counted)
             for mod in modules:
                 if vars(mod).get(attr) is real:
                     monkeypatch.setattr(mod, attr, counted)

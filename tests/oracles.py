@@ -256,6 +256,12 @@ def naive_decompositions(genset, target, bound: int) -> set[frozenset]:
     return found
 
 
+def full_extremal_scan(cone) -> list[str]:
+    """The labels of the generators that split, from one is_extremal test
+    per generator in canonical order, with no use of symmetry."""
+    return [g.label for g in cone.genset if not cone.is_extremal(g.cls)]
+
+
 def abstract_automorphism_count(graph: IncidenceGraph, cap: int = 100_000) -> int:
     """Automorphism count of the unlabeled incidence graph (diagnostic).
 

@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -331,3 +334,14 @@ def test_load_config_returns_config_or_raises_usage_error(raw):
         except (UsageError, BlowupError):
             return
     assert isinstance(config, Config)
+
+
+def test_cli_import_skips_process_pool():
+    # only `sweep` with more than one job uses the pool
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, blowup_rigidity.cli; print([m for m in "
+            "('concurrent.futures.process', 'multiprocessing') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"

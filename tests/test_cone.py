@@ -4,9 +4,15 @@ from blowup_rigidity.cone import EffectiveCone, GeneratorSet
 from blowup_rigidity.errors import NotEffective
 from blowup_rigidity.fieldgeom import Lcg
 from blowup_rigidity.lattice import BlowupLattice
-from blowup_rigidity.report import SweepCase, default_s, resolve_case
+from blowup_rigidity.report import (
+    SweepCase,
+    cone_checks,
+    default_s,
+    generators_extremal,
+    resolve_case,
+)
 
-from oracles import naive_decompositions
+from oracles import full_extremal_scan, naive_decompositions
 
 
 def test_generator_counts(lat0, lat1):
@@ -282,3 +288,104 @@ def test_cone_search_depth_n7_r7():
     assert cone.is_extremal(first_gamma.cls)
     assert cone.genset.generators[-1].kind == "exc"
     assert cone.is_extremal(cone.genset.generators[-1].cls)
+
+
+def _orbit_key(g):
+    """(kind, free axis, point axis) read off a generator's class."""
+    lat = g.cls.lattice
+    free = g.cls.l.index(1) + 1 if any(g.cls.l) else None
+    point = None
+    if g.kind != "line":
+        point = lat.axis_of[g.cls.e.index(1 if g.kind == "exc" else -1)]
+    return g.kind, free, point
+
+
+@pytest.mark.parametrize("which", ["c0", "c1", "n3r4q19"])
+def test_extremal_record_matches_full_scan(which, request):
+    if which == "n3r4q19":
+        cfg = resolve_case(SweepCase(3, 4, default_s(3, 4), q=19, seed=1))
+    else:
+        cfg = request.getfixturevalue(which)
+    cone = EffectiveCone(BlowupLattice(cfg))
+    rec = next(rec for rec in cone_checks(cone, draws=5)
+               if rec.check_id == "cone.generators_extremal")
+    assert rec.status == "PASS"
+    assert rec.computed["non_extremal"] == full_extremal_scan(cone) == []
+    # one orbit per lt_i, per axis's e_p and per (free axis, point axis)
+    orbits = cone.genset.orbits()
+    r = cfg.r
+    assert len(orbits) == r * (r + 1)
+    gens = cone.genset.generators
+    keys = [{_orbit_key(gens[g]) for g in orbit} for orbit in orbits]
+    assert all(len(k) == 1 for k in keys)
+    assert sorted(g for orbit in orbits for g in orbit) == list(range(len(gens)))
+
+
+def _lopsided_cone(config, monkeypatch):
+    """A cone whose gamma gt[p;3], p the second point on axis 2, also carries
+    e_x for the third point x on axis 2: no swap on axis 2 that moves p or
+    x maps it onto a generator.  Returns the cone and that generator."""
+    honest = BlowupLattice.gamma
+    lat = BlowupLattice(config)
+    p, _, x = [q for q in lat.points if q.axis == 2][1:4]
+
+    def lopsided(self, q, i):
+        c = honest(self, q, i)
+        return c + self.exc_curve(x) if (q, i) == (p, 3) else c
+
+    monkeypatch.setattr(BlowupLattice, "gamma", lopsided)
+    cone = EffectiveCone(lat)
+    bad = next(g for g in cone.genset if g.label == f"gt[{p.key};3]")
+    return cone, bad
+
+
+def _spy_extremal(monkeypatch, answers):
+    """Replace is_extremal by a spy: classes in `answers` get the answer
+    given there, the rest go to the search.  Returns the list of the
+    classes asked about, as (l, e) pairs."""
+    honest = EffectiveCone.is_extremal
+    asked = []
+
+    def spy(self, c):
+        key = (c.l, c.e)
+        asked.append(key)
+        return answers[key] if key in answers else honest(self, c)
+
+    monkeypatch.setattr(EffectiveCone, "is_extremal", spy)
+    return asked
+
+
+def test_asymmetric_gamma_is_tested_itself(c1, monkeypatch):
+    # the search assumes the true gamma shape, so the spy answers for the
+    # lopsided class, which is gt[p;3] + e_x and so splits
+    cone, bad = _lopsided_cone(c1, monkeypatch)
+    key = (bad.cls.l, bad.cls.e)
+    asked = _spy_extremal(monkeypatch, {key: False})
+    want = full_extremal_scan(cone)
+    assert want == [bad.label]
+    asked.clear()
+    rec = generators_extremal(cone)
+    assert key in asked
+    assert rec.status == "FAIL"
+    assert rec.computed["non_extremal"] == want
+
+
+@pytest.mark.parametrize("lopsided", [False, True])
+def test_non_extremal_representative_lists_its_orbit(c1, lopsided, monkeypatch):
+    # the spy makes every true gt[p;3] with p on axis 2 split, so one
+    # representative's answer must list its whole orbit; the lopsided gamma
+    # is in no orbit with them, stays extremal and must not be listed
+    plain = EffectiveCone(BlowupLattice(c1))
+    orbit = [g for g in plain.genset if _orbit_key(g) == ("gamma", 3, 2)]
+    answers = {(g.cls.l, g.cls.e): False for g in orbit}
+    cone, bad = _lopsided_cone(c1, monkeypatch) if lopsided else (plain, None)
+    if bad is not None:
+        answers[(bad.cls.l, bad.cls.e)] = True
+    asked = _spy_extremal(monkeypatch, answers)
+    want = full_extremal_scan(cone)
+    assert want == [g.label for g in orbit if bad is None or g.label != bad.label]
+    asked.clear()
+    rec = generators_extremal(cone)
+    assert rec.status == "FAIL"
+    assert rec.computed["non_extremal"] == want
+    assert len(asked) == len(cone.genset.orbits()) < len(cone.genset)

@@ -16,7 +16,9 @@ from blowup_rigidity.errors import (
     TooSmallField,
     ZeroBase,
 )
+from blowup_rigidity import fieldgeom
 from blowup_rigidity.fieldgeom import (
+    BARREN_PRIMES_LIMIT,
     Config,
     Lcg,
     affine_stabilizer_of,
@@ -25,6 +27,7 @@ from blowup_rigidity.fieldgeom import (
     format_map,
     g_action,
     generate_config,
+    generate_config_smallest_q,
     multiplicative_order,
     primitive_nth_root,
     scaling_group,
@@ -362,3 +365,30 @@ def test_lcg_reproducible_and_bounded():
     assert seq_a == seq_b
     assert all(0 <= x < 97 for x in seq_a)
     assert [Lcg(1).next_u64()] != [Lcg(2).next_u64()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    bounds=st.lists(st.integers(min_value=-2, max_value=2**40), max_size=40),
+)
+def test_lcg_take_equals_repeated_below(seed, bounds):
+    one, many = Lcg(seed), Lcg(seed)
+    try:
+        want = [many.below(k) for k in bounds]
+    except ValueError:
+        with pytest.raises(ValueError, match="bound must be positive"):
+            one.take(bounds)
+    else:
+        assert one.take(bounds) == want
+    assert one.state == many.state
+
+
+def test_smallest_q_scan_gives_up_without_generic_base(monkeypatch, count_calls):
+    # a genericity test that never accepts must end the scan after
+    # BARREN_PRIMES_LIMIT workable primes, not run on to q = 10000
+    monkeypatch.setattr(fieldgeom, "stabilizer_excess", lambda config, stab: [(0, 1)])
+    calls = count_calls("generate_config")
+    with pytest.raises(ExhaustedRetries, match=r"n=2, s=\(2, 3\).* q in 3\.\.\d+$"):
+        generate_config_smallest_q(2, 2, (2, 3), seed=1)
+    assert calls == {"generate_config": BARREN_PRIMES_LIMIT}

@@ -7,10 +7,29 @@ from hypothesis import strategies as st
 from blowup_rigidity.checks import FAIL
 from blowup_rigidity.errors import AxisOutOfRange, ConfigMismatch, SameAxis
 from blowup_rigidity.fieldgeom import Config, Lcg
-from blowup_rigidity.lattice import BlowupLattice, DivisorClass
+from blowup_rigidity.lattice import BlowupLattice, CurveClass, DivisorClass
 from blowup_rigidity.report import lattice_checks
 
 from oracles import dense_pairing
+
+
+def divisor_from_array(lat, arr):
+    r = lat.config.r
+    if len(arr) != r + lat.size:
+        raise ValueError(f"expected length {r + lat.size}, got {len(arr)}")
+    return DivisorClass(tuple(arr[:r]), tuple(arr[r:]), lat)
+
+
+def divisor_basis(lat):
+    return [lat.pullback_h(i) for i in range(1, lat.config.r + 1)] + [
+        lat.exc_divisor(p) for p in lat.points
+    ]
+
+
+def blowup_canonical(lat):
+    """Canonical class of the blow-up by the standard blow-up formula: the
+    pullback of the ambient canonical class plus (r-1) * sum E_p."""
+    return DivisorClass((-2,) * lat.config.r, (lat.config.r - 1,) * lat.size, lat)
 
 
 def test_basis_pairing_examples(lat0):
@@ -144,7 +163,7 @@ def test_canonical_pullback_r4():
 def test_blowup_canonical_value(lat0, lat1):
     # standard blow-up formula: pairing with any exceptional line is -(r-1)
     for lat in (lat0, lat1):
-        ky = lat.blowup_canonical()
+        ky = blowup_canonical(lat)
         for p in lat.points:
             assert lat.intersect(lat.exc_curve(p), ky) == -(lat.config.r - 1)
 
@@ -152,7 +171,7 @@ def test_blowup_canonical_value(lat0, lat1):
 def test_bilinearity_random(lat0):
     rng = Lcg(5)
     curves = lat0.curve_basis()
-    divisors = lat0.divisor_basis()
+    divisors = divisor_basis(lat0)
     for _ in range(100):
         c1 = curves[rng.below(len(curves))]
         c2 = curves[rng.below(len(curves))]
@@ -169,7 +188,7 @@ def test_array_round_trip(lat0):
     c = lat0.gamma(lat0.points[5], 1)
     assert lat0.curve_from_array(c.to_array()) == c
     d = lat0.strict_h(2)
-    assert lat0.divisor_from_array(d.to_array()) == d
+    assert divisor_from_array(lat0, d.to_array()) == d
     with pytest.raises(ValueError):
         lat0.curve_from_array([0, 1])
     assert lat0.curve_labels()[:3] == ["lt1", "lt2", "e[1.1.0]"]
@@ -224,7 +243,7 @@ def test_intersect_matches_dense_reference(lat0, lat1, data):
     for lat in (lat0, lat1):
         width = lat.config.r + lat.size
         c = lat.curve_from_array(data.draw(st.lists(coefficients, min_size=width, max_size=width)))
-        d = lat.divisor_from_array(data.draw(st.lists(coefficients, min_size=width, max_size=width)))
+        d = divisor_from_array(lat, data.draw(st.lists(coefficients, min_size=width, max_size=width)))
         assert lat.intersect(c, d) == dense_pairing(lat, c, d)
         row = lat.exc_pairings(c)
         for k, p in enumerate(lat.points):
@@ -262,3 +281,31 @@ def test_wrong_basis_divisor_fails_pairing_blocks(c0, which, monkeypatch):
 
     monkeypatch.setattr(BlowupLattice, which, wrong)
     assert statuses(BlowupLattice(c0))["lattice.pairing_blocks"] == FAIL
+
+
+def test_basis_classes_built_once(lat0):
+    p = lat0.points[3]
+    for build, arg in ((lat0.line, 1), (lat0.exc_curve, p), (lat0.strict_h, 2),
+                       (lat0.pullback_h, 1), (lat0.exc_divisor, p)):
+        assert build(arg) is build(arg)
+
+
+@pytest.mark.parametrize("which, check_ids", [
+    ("line", {"lattice.pairing_blocks"}),
+    ("exc_curve", {"lattice.pairing_blocks"}),
+    ("strict_h", {"lattice.strict_h_self", "lattice.strict_h_cross"}),
+])
+def test_wrong_cached_class_fails_checks(c0, which, check_ids, monkeypatch):
+    # the checks pair the cached classes through intersect, so one wrong
+    # coefficient at the first point must show
+    honest = getattr(BlowupLattice, which)
+
+    def wrong(self, arg):
+        c = honest(self, arg)
+        if isinstance(c, DivisorClass):
+            return DivisorClass(c.h, (c.m[0] + 1,) + c.m[1:], self)
+        return CurveClass(c.l, (c.e[0] + 1,) + c.e[1:], self)
+
+    monkeypatch.setattr(BlowupLattice, which, wrong)
+    got = statuses(BlowupLattice(c0))
+    assert FAIL in {got[check_id] for check_id in check_ids}

@@ -96,6 +96,15 @@ def test_run_all_builds_marked_set_and_stabilizers_once(c1, count_calls):
     assert calls == {"build_delta": 1, "stabilizer_of_axis": config.r}
 
 
+def test_run_all_tests_one_generator_per_orbit(c1, count_calls):
+    name = "cone.EffectiveCone.two_part_decompositions"
+    calls = count_calls(name)
+    assert run_all(c1, draws=20).exit_code == 0
+    # r(r + 1) = 12 orbit representatives and the 3 sample splits; a test
+    # of every generator makes it 57 + 3
+    assert calls == {name: 15}
+
+
 def test_markdown_rendering(c0):
     report = run_all(c0, draws=50)
     md = report.to_markdown()
