@@ -8,8 +8,6 @@ contain known checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import UnknownCheckId
 
 PASS = "PASS"
@@ -139,17 +137,50 @@ CLAIMS: dict[str, str] = {
 }
 
 
-@dataclass
 class CheckRecord:
-    """One verified claim: id, status, computed vs expected, free-form detail."""
+    """One verified claim: id, status, computed vs expected, free-form detail.
 
-    check_id: str
-    status: str
-    computed: object
-    expected: object
-    claim: str = ""
-    detail: str = ""
-    elapsed_ms: float | None = field(default=None, compare=False)
+    elapsed_ms takes no part in equality; a record is mutable (run_all sets
+    its time) and so unhashable.
+    """
+
+    __slots__ = ("check_id", "status", "computed", "expected", "claim", "detail",
+                 "elapsed_ms")
+
+    def __init__(
+        self,
+        check_id: str,
+        status: str,
+        computed: object,
+        expected: object,
+        claim: str = "",
+        detail: str = "",
+        elapsed_ms: float | None = None,
+    ):
+        self.check_id = check_id
+        self.status = status
+        self.computed = computed
+        self.expected = expected
+        self.claim = claim
+        self.detail = detail
+        self.elapsed_ms = elapsed_ms
+
+    def _key(self) -> tuple:
+        return (self.check_id, self.status, self.computed, self.expected,
+                self.claim, self.detail)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"CheckRecord(check_id={self.check_id!r}, status={self.status!r}, "
+                f"computed={self.computed!r}, expected={self.expected!r}, "
+                f"claim={self.claim!r}, detail={self.detail!r}, "
+                f"elapsed_ms={self.elapsed_ms!r})")
 
     def to_dict(self, timings: bool = False) -> dict:
         d = {

@@ -236,6 +236,8 @@ def _cases_from_spec(raw) -> list[SweepCase]:
     if "cases" in raw:
         if not isinstance(raw["cases"], list):
             raise UsageError("sweep spec: 'cases' must be a list")
+        if not raw["cases"]:
+            raise UsageError("sweep spec: 'cases' is empty, so no case would run")
         out = []
         for idx, case in enumerate(raw["cases"]):
             where = f"case {idx}"
@@ -253,11 +255,17 @@ def _cases_from_spec(raw) -> list[SweepCase]:
             )
         return out
     if "n" in raw and "r" in raw:
-        return product_cases(
-            _spec_value("the spec", raw, "n", _is_int_list),
-            _spec_value("the spec", raw, "r", _is_int_list),
-            seed=seed, variants=_spec_value("the spec", raw, "variants", _is_int, 1),
-        )
+        ns = _spec_value("the spec", raw, "n", _is_int_list)
+        rs = _spec_value("the spec", raw, "r", _is_int_list)
+        variants = _spec_value("the spec", raw, "variants", _is_int, 1)
+        for key, values in (("n", ns), ("r", rs)):
+            if not values:
+                raise UsageError(f"sweep spec: {key!r} is empty, so no case would run")
+        if variants < 1:
+            raise UsageError(
+                f"sweep spec: 'variants' is {variants}, so no case would run"
+            )
+        return product_cases(ns, rs, seed=seed, variants=variants)
     raise UsageError("sweep spec needs either 'cases' or 'n' and 'r' lists")
 
 

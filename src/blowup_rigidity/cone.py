@@ -27,19 +27,32 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+import operator
 
 from .errors import NotEffective
 from .fieldgeom import DeltaPoint
 from .lattice import BlowupLattice, CurveClass
 
 
-@dataclass(frozen=True)
 class Generator:
-    label: str
-    kind: str  # "line" | "gamma" | "exc"
-    cls: CurveClass
-    phi: int
+    """One generator; compares and hashes by all four fields."""
+
+    __slots__ = ("label", "kind", "cls", "phi")
+
+    def __init__(self, label: str, kind: str, cls: CurveClass, phi: int):
+        self.label = label
+        self.kind = kind  # "line" | "gamma" | "exc"
+        self.cls = cls
+        self.phi = phi
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.label, self.kind, self.cls, self.phi) == (
+            other.label, other.kind, other.cls, other.phi)
+
+    def __hash__(self):
+        return hash((self.label, self.kind, self.cls, self.phi))
 
 
 class GeneratorSet:
@@ -49,6 +62,7 @@ class GeneratorSet:
         self.lattice = lattice
         cfg = lattice.config
         self.N = 1 + lattice.size
+        self._axis_sizes = tuple(lattice.axis_of.count(i) for i in range(1, cfg.r + 1))
         gens: list[Generator] = []
         for i in range(1, cfg.r + 1):
             c = lattice.line(i)
@@ -64,10 +78,10 @@ class GeneratorSet:
         self.generators = tuple(gens)
         # by label, the nonzero (coordinate, coefficient) pairs of each class
         # over (lt, e)
-        self.support = {
-            g.label: tuple((k, x) for k, x in enumerate(g.cls.to_array()) if x)
-            for g in gens
-        }
+        self.support = {}
+        for g in gens:
+            arr = g.cls.l + g.cls.e
+            self.support[g.label] = tuple(itertools.compress(enumerate(arr), arr))
 
     def orbits(self) -> list[list[int]]:
         """The generator indices, in canonical order, grouped into orbits
@@ -119,12 +133,15 @@ class GeneratorSet:
         return list(orbits.values())
 
     def phi(self, c: CurveClass) -> int:
-        """Degree against N * sum pi*(H_i) - sum E_p with N = 1 + |Delta|."""
-        lat = self.lattice
-        total = self.N * sum(c.l)
-        for ep, axis in zip(c.e, lat.axis_of):
-            total -= c.l[axis - 1] - ep
-        return total
+        """Degree against N * sum pi*(H_i) - sum E_p with N = 1 + |Delta|.
+
+        c . E_p = l_{axis(p)} - e_p, so the sum over p of c . E_p is
+        sum_i l_i |Delta_i| - sum_p e_p, |Delta_i| being the number of
+        points on axis i.
+        """
+        l = c.l
+        return (self.N * sum(l) - sum(map(operator.mul, l, self._axis_sizes))
+                + sum(c.e))
 
     @property
     def expected_count(self) -> int:
@@ -150,11 +167,22 @@ class GeneratorSet:
         )
 
 
-@dataclass(frozen=True)
 class Decomposition:
-    """A multiset of generator labels with positive multiplicities."""
+    """A multiset of generator labels with positive multiplicities; compares
+    and hashes by its parts."""
 
-    parts: tuple[tuple[str, int], ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[tuple[str, int], ...]):
+        self.parts = parts
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self):
+        return hash((self.parts,))
 
     @property
     def size(self) -> int:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import InitVar, dataclass
 
 from .errors import (
     ExhaustedRetries,
@@ -80,18 +79,30 @@ def format_map(h: tuple[int, int]) -> str:
     return f"[[1,0],[{kappa},{mu}]]"
 
 
-@dataclass(frozen=True)
 class DeltaPoint:
     """A marked point: axis and orbit are 1-based, torsion runs 0..n-1.
 
     coord is the point's own-axis affine coordinate z = zeta^torsion * base
     mod q, standing for [1:z]; at every other axis the point sits at [0:1].
+    Points compare and hash by all four fields.
     """
 
-    axis: int
-    orbit: int
-    torsion: int
-    coord: int
+    __slots__ = ("axis", "orbit", "torsion", "coord")
+
+    def __init__(self, axis: int, orbit: int, torsion: int, coord: int):
+        self.axis = axis
+        self.orbit = orbit
+        self.torsion = torsion
+        self.coord = coord
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.axis, self.orbit, self.torsion, self.coord) == (
+            other.axis, other.orbit, other.torsion, other.coord)
+
+    def __hash__(self):
+        return hash((self.axis, self.orbit, self.torsion, self.coord))
 
     @property
     def key(self) -> str:
@@ -140,36 +151,57 @@ def structural_problems(n, r, s, q, zeta, base) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
 class Config:
     """Construction parameters: torsion order n, dimension r, orbit counts s,
     prime q with q = 1 (mod n), canonical primitive root zeta, and per-axis
     orbit base coordinates.
 
     The default constructor enforces the structural constraints; degenerate
-    test configurations are built with skip_checks=True.  The marked set and
-    its per-axis stabilizers are built on first use and cached; they are not
-    fields, so they take no part in equality, hashing or pickling.
+    test configurations are built with skip_checks=True.  Equality and
+    hashing use the fields (n, r, s, q, zeta, base, seed).  The marked set
+    and its per-axis stabilizers are built on first use and cached; they are
+    not fields, so they take no part in equality, hashing or pickling.
     """
 
-    n: int
-    r: int
-    s: tuple[int, ...]
-    q: int
-    zeta: int
-    base: tuple[tuple[int, ...], ...]
-    seed: int | None = None
-    skip_checks: InitVar[bool] = False
-
-    def __post_init__(self, skip_checks: bool):
-        object.__setattr__(self, "s", tuple(self.s))
-        object.__setattr__(self, "base", tuple(tuple(b) for b in self.base))
+    def __init__(
+        self,
+        n: int,
+        r: int,
+        s: tuple[int, ...],
+        q: int,
+        zeta: int,
+        base: tuple[tuple[int, ...], ...],
+        seed: int | None = None,
+        skip_checks: bool = False,
+    ):
+        self.n = n
+        self.r = r
+        self.s = tuple(s)
+        self.q = q
+        self.zeta = zeta
+        self.base = tuple(tuple(b) for b in base)
+        self.seed = seed
         if not skip_checks:
             problems = structural_problems(
                 self.n, self.r, self.s, self.q, self.zeta, self.base
             )
             if problems:
                 raise InvalidConfig("; ".join(problems))
+
+    def _key(self) -> tuple:
+        return (self.n, self.r, self.s, self.q, self.zeta, self.base, self.seed)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"Config(n={self.n!r}, r={self.r!r}, s={self.s!r}, q={self.q!r}, "
+                f"zeta={self.zeta!r}, base={self.base!r}, seed={self.seed!r})")
 
     @property
     def delta_size(self) -> int:

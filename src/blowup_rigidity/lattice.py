@@ -19,25 +19,32 @@ those, so pairing with a basis divisor or a pullback costs O(r).
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+import itertools
 
 from .errors import AxisOutOfRange, ConfigMismatch, SameAxis
 from .fieldgeom import Config, DeltaPoint
 
 
-@dataclass(frozen=True)
 class DivisorClass:
     """h: coefficients over pi*(H_i); m: coefficients over E_p;
-    support: the indices k with m[k] != 0, derived from m."""
+    support: the indices k with m[k] != 0, derived from m.  Classes compare
+    and hash by (h, m) alone."""
 
-    h: tuple[int, ...]
-    m: tuple[int, ...]
-    lattice: "BlowupLattice" = field(compare=False, repr=False)
-    support: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("h", "m", "lattice", "support")
 
-    def __post_init__(self):
-        object.__setattr__(self, "support", tuple(k for k, x in enumerate(self.m) if x))
+    def __init__(self, h: tuple[int, ...], m: tuple[int, ...], lattice: "BlowupLattice"):
+        self.h = h
+        self.m = m
+        self.lattice = lattice
+        self.support = tuple(itertools.compress(range(len(m)), m))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.h, self.m) == (other.h, other.m)
+
+    def __hash__(self):
+        return hash((self.h, self.m))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self.lattice.check_same(other.lattice)
@@ -65,13 +72,24 @@ class DivisorClass:
         return f"D(h={list(self.h)}, m={list(self.m)})"
 
 
-@dataclass(frozen=True)
 class CurveClass:
-    """l: coefficients over strict lines; e: coefficients over exceptional lines."""
+    """l: coefficients over strict lines; e: coefficients over exceptional
+    lines.  Classes compare and hash by (l, e) alone."""
 
-    l: tuple[int, ...]
-    e: tuple[int, ...]
-    lattice: "BlowupLattice" = field(compare=False, repr=False)
+    __slots__ = ("l", "e", "lattice")
+
+    def __init__(self, l: tuple[int, ...], e: tuple[int, ...], lattice: "BlowupLattice"):
+        self.l = l
+        self.e = e
+        self.lattice = lattice
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.l, self.e) == (other.l, other.e)
+
+    def __hash__(self):
+        return hash((self.l, self.e))
 
     def __add__(self, other: "CurveClass") -> "CurveClass":
         self.lattice.check_same(other.lattice)
@@ -112,8 +130,9 @@ class BlowupLattice:
         self.axis_of = tuple(p.axis for p in self.points)
         self._axis_index = tuple(axis - 1 for axis in self.axis_of)
         self.size = len(self.points)
-        # the basis classes and strict transforms, each built on first use
-        self._basis: dict[tuple[str, int], DivisorClass | CurveClass] = {}
+        # the basis classes, strict transforms and axis membership rows,
+        # each built on first use
+        self._basis: dict[tuple[str, int], DivisorClass | CurveClass | tuple[int, ...]] = {}
 
     def check_same(self, other: "BlowupLattice") -> None:
         if other is self:
@@ -187,15 +206,23 @@ class BlowupLattice:
             )
         return self._basis[key]
 
+    def _on_axis(self, i: int) -> tuple[int, ...]:
+        """The membership row of axis i: 1 at each point on axis i, else 0."""
+        key = ("on", i)
+        if key not in self._basis:
+            self._check_axis(i)
+            self._basis[key] = tuple([1 if axis == i else 0 for axis in self.axis_of])
+        return self._basis[key]
+
     def gamma(self, p: DeltaPoint, i: int) -> CurveClass:
         """Strict transform of the line through p in direction i:
         lt_i + sum of e_q over q marked on axis i, minus e_p."""
-        self._check_axis(i)
+        line = self.line(i)
         if p.axis == i:
             raise SameAxis(f"point {p.key} lies on axis {i}")
-        e = [1 if axis == i else 0 for axis in self.axis_of]
+        e = list(self._on_axis(i))
         e[self.point_index[p]] -= 1
-        return CurveClass(self._unit(self.config.r, i - 1), tuple(e), self)
+        return CurveClass(line.l, tuple(e), self)
 
     def zero_curve(self) -> CurveClass:
         return CurveClass(self._zeros(self.config.r), self._zeros(self.size), self)
@@ -273,6 +300,8 @@ class BlowupLattice:
 
     def write_pairing_table(self, fileobj) -> None:
         """CSV: rows are curve basis elements, columns divisor basis elements."""
+        import csv  # only this table is CSV; `verify` never imports it
+
         writer = csv.writer(fileobj)
         writer.writerow(["curve/divisor"] + self.divisor_labels())
         for label, c in zip(self.curve_labels(), self.curve_basis()):

@@ -13,7 +13,6 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
 
 from .checks import FAIL, PASS, WARN, CheckRecord, make_record
 from .cone import EffectiveCone
@@ -83,13 +82,15 @@ def lattice_checks(lattice: BlowupLattice, draws: int = 1000) -> list[CheckRecor
         got = lattice.pushforward(c) + lattice.exc_pairings(c)
         return [f"{label}.{name}" for name, x, y in zip(names, got, want) if x != y]
 
+    # the expected rows with one nonzero E-pairing are slices of one zero row
+    zeros = (0,) * lattice.size
     bad = []
     for i in range(1, r + 1):
         want = [1 if j == i else 0 for j in range(1, r + 1)]
         want += [1 if p.axis == i else 0 for p in lattice.points]
         bad += row_mismatches(f"lt{i}", lattice.line(i), want)
     for k, p in enumerate(lattice.points):
-        want = [0] * r + [-1 if k2 == k else 0 for k2 in range(lattice.size)]
+        want = (0,) * r + zeros[:k] + (-1,) + zeros[k + 1:]
         bad += row_mismatches(f"e[{p.key}]", lattice.exc_curve(p), want)
     for p in lattice.points:
         ed = lattice.exc_divisor(p)
@@ -162,7 +163,7 @@ def lattice_checks(lattice: BlowupLattice, draws: int = 1000) -> list[CheckRecor
                 continue
             pairs += 1
             g = lattice.gamma(p, i)
-            want = tuple(1 if k2 == k else 0 for k2 in range(lattice.size))
+            want = zeros[:k] + (1,) + zeros[k + 1:]
             if lattice.exc_pairings(g) != want or lattice.pushforward(g) != unit:
                 gamma_ok = False
     records.append(
@@ -365,13 +366,16 @@ def extra_q_vanishing(config: Config, q2: int) -> CheckRecord:
     )
 
 
-@dataclass
 class VerificationReport:
-    config: dict
-    records: list[CheckRecord] = field(default_factory=list)
-    skipped: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        config: dict,
+        records: list[CheckRecord] | None = None,
+        skipped: list[str] | None = None,
+    ):
+        self.config = config
+        self.records = records if records is not None else []
+        self.skipped = skipped if skipped is not None else []
         ids = [rec.check_id for rec in self.records]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate check ids in report: {ids}")
@@ -493,13 +497,33 @@ def default_s(n: int, r: int) -> tuple[int, ...]:
     return tuple(range(1, r + 1))
 
 
-@dataclass(frozen=True)
 class SweepCase:
-    n: int
-    r: int
-    s: tuple[int, ...]
-    q: int | None = None  # None: smallest workable prime
-    seed: int = 0
+    """One sweep case; compares and hashes by all five fields."""
+
+    __slots__ = ("n", "r", "s", "q", "seed")
+
+    def __init__(self, n: int, r: int, s: tuple[int, ...], q: int | None = None,
+                 seed: int = 0):
+        self.n = n
+        self.r = r
+        self.s = s
+        self.q = q  # None: smallest workable prime
+        self.seed = seed
+
+    def _key(self) -> tuple:
+        return (self.n, self.r, self.s, self.q, self.seed)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"SweepCase(n={self.n!r}, r={self.r!r}, s={self.s!r}, q={self.q!r}, "
+                f"seed={self.seed!r})")
 
     @property
     def key(self) -> str:
@@ -525,9 +549,9 @@ def _sweep_worker(args) -> tuple[str, dict]:
         return case.key, {"error": f"{type(exc).__name__}: {exc}"}
 
 
-@dataclass
 class SweepResult:
-    rows: list[tuple[str, dict]]
+    def __init__(self, rows: list[tuple[str, dict]]):
+        self.rows = rows
 
     @property
     def aggregate(self) -> dict:

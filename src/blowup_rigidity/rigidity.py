@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 
 from .checks import FAIL, PASS, WARN, make_record
 from .errors import AmbiguousProfile, NonGeneric
@@ -38,16 +37,28 @@ LINE = "line"
 GAMMA = "gamma"
 
 
-@dataclass(frozen=True)
 class Component:
     """kind "exc": the divisor over `point` (axis unused).
     kind "line": the strict axis line (point unused).
-    kind "gamma": the strict through-`point` line with free axis `axis`."""
+    kind "gamma": the strict through-`point` line with free axis `axis`.
+    Components compare and hash by all four fields."""
 
-    kind: str
-    axis: int | None
-    point: DeltaPoint | None
-    dim: int
+    __slots__ = ("kind", "axis", "point", "dim")
+
+    def __init__(self, kind: str, axis: int | None, point: DeltaPoint | None, dim: int):
+        self.kind = kind
+        self.axis = axis
+        self.point = point
+        self.dim = dim
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.axis, self.point, self.dim) == (
+            other.kind, other.axis, other.point, other.dim)
+
+    def __hash__(self):
+        return hash((self.kind, self.axis, self.point, self.dim))
 
     @property
     def label(self) -> str:
@@ -79,11 +90,16 @@ def components(config: Config, delta: tuple[DeltaPoint, ...]) -> tuple[Component
     return tuple(out)
 
 
-@dataclass
 class IncidenceGraph:
-    config: Config
-    vertices: tuple[Component, ...]
-    adjacency: dict[Component, tuple[Component, ...]]
+    def __init__(
+        self,
+        config: Config,
+        vertices: tuple[Component, ...],
+        adjacency: dict[Component, tuple[Component, ...]],
+    ):
+        self.config = config
+        self.vertices = vertices
+        self.adjacency = adjacency
 
     @property
     def edges(self) -> list[tuple[Component, Component]]:
@@ -158,12 +174,18 @@ def build_graph(config: Config) -> IncidenceGraph:
     return IncidenceGraph(config, verts, adjacency)
 
 
-@dataclass
 class CensusRow:
-    component: Component
-    divisor_neighbors: int
-    curve_neighbors: int
-    nominal_total: int
+    def __init__(
+        self,
+        component: Component,
+        divisor_neighbors: int,
+        curve_neighbors: int,
+        nominal_total: int,
+    ):
+        self.component = component
+        self.divisor_neighbors = divisor_neighbors
+        self.curve_neighbors = curve_neighbors
+        self.nominal_total = nominal_total
 
     @property
     def computed_total(self) -> int:
@@ -193,13 +215,13 @@ def census(graph: IncidenceGraph) -> list[CensusRow]:
     return rows
 
 
-@dataclass
 class PinningCertificate:
     """Why the profiles pin the components: how the divisors are singled out,
     and each line's identifying divisor-degree."""
 
-    exc_criterion: str
-    line_divisor_degrees: dict[int, int]
+    def __init__(self, exc_criterion: str, line_divisor_degrees: dict[int, int]):
+        self.exc_criterion = exc_criterion
+        self.line_divisor_degrees = line_divisor_degrees
 
     def to_dict(self) -> dict:
         return {

@@ -11,18 +11,27 @@ r-dimensional space of scalar blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .checks import FAIL, PASS, make_record
 from .fieldgeom import Config
 
 
-@dataclass(frozen=True)
 class ConstraintRow:
-    """4r coefficients over F_q; at most one 4-entry block is nonzero."""
+    """4r coefficients over F_q; at most one 4-entry block is nonzero.  Rows
+    compare and hash by (coeffs, tag)."""
 
-    coeffs: tuple[int, ...]
-    tag: str
+    __slots__ = ("coeffs", "tag")
+
+    def __init__(self, coeffs: tuple[int, ...], tag: str):
+        self.coeffs = coeffs
+        self.tag = tag
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coeffs, self.tag) == (other.coeffs, other.tag)
+
+    def __hash__(self):
+        return hash((self.coeffs, self.tag))
 
 
 def eigen_constraint_row(
@@ -91,17 +100,26 @@ def kernel_mod_q(
     return len(free_cols), basis, pivots
 
 
-@dataclass
 class KernelResult:
     """The kernel of the rows, which are kept for the checks that reuse them."""
 
-    q: int
-    r: int
-    rows: list[ConstraintRow]
-    rank: int
-    dimension: int
-    basis: list[tuple[int, ...]]
-    pivots: list[int]
+    def __init__(
+        self,
+        q: int,
+        r: int,
+        rows: list[ConstraintRow],
+        rank: int,
+        dimension: int,
+        basis: list[tuple[int, ...]],
+        pivots: list[int],
+    ):
+        self.q = q
+        self.r = r
+        self.rows = rows
+        self.rank = rank
+        self.dimension = dimension
+        self.basis = basis
+        self.pivots = pivots
 
     @property
     def n_rows(self) -> int:

@@ -219,6 +219,16 @@ def dense_pairing(lattice, curve, divisor) -> int:
     return sum(c[a] * gram[a][b] * d[b] for a in range(size) for b in range(size))
 
 
+def pointwise_phi(lattice, curve) -> int:
+    """The degree functional as defined, one marked point at a time:
+    N * sum(l) minus curve . E_p = l_{axis(p)} - e_p for every p, with
+    N = 1 + |Delta|."""
+    total = (1 + lattice.size) * sum(curve.l)
+    for ep, axis in zip(curve.e, lattice.axis_of):
+        total -= curve.l[axis - 1] - ep
+    return total
+
+
 def naive_decompositions(genset, target, bound: int) -> set[frozenset]:
     """Unstructured bounded search for all generator multisets summing to the
     target: plain depth-first over the generator list with the additive

@@ -1,0 +1,66 @@
+"""Equality, hashing, pickling and repr of the package's value classes."""
+
+import pickle
+
+import pytest
+
+from blowup_rigidity.checks import FAIL, PASS, CheckRecord
+from blowup_rigidity.cone import Decomposition, Generator
+from blowup_rigidity.fieldgeom import Config, DeltaPoint
+from blowup_rigidity.lattice import CurveClass, DivisorClass
+from blowup_rigidity.report import SweepCase
+from blowup_rigidity.rigidity import GAMMA, Component
+from blowup_rigidity.vectorfields import ConstraintRow
+
+C0_FIELDS = dict(n=2, r=2, s=(2, 3), q=13, zeta=12, base=((1, 2), (3, 4, 5)))
+
+# name -> make(v, lattice): equal for equal v whatever the lattice, and
+# different for v = 0 and v = 1
+VALUES = {
+    "DeltaPoint": lambda v, lat: DeltaPoint(1, 1, v, 5),
+    "DivisorClass": lambda v, lat: DivisorClass((1, 0), (0, v, -1), lat),
+    "CurveClass": lambda v, lat: CurveClass((1, v), (0, 1), lat),
+    "Generator": lambda v, lat: Generator("lt1", "line", CurveClass((1, 0), (0,), lat), 7 + v),
+    "Decomposition": lambda v, lat: Decomposition((("lt1", 1 + v),)),
+    "Component": lambda v, lat: Component(GAMMA, 2, DeltaPoint(1, 1, v, 5), 1),
+    "ConstraintRow": lambda v, lat: ConstraintRow((0, 1, v, 0), "t"),
+    "SweepCase": lambda v, lat: SweepCase(2, 3, (1, 2, 3), seed=v),
+    "Config": lambda v, lat: Config(**C0_FIELDS, seed=v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_class_equality_and_hash(name, lat0, lat1):
+    make = VALUES[name]
+    a, b, other = make(0, lat0), make(0, lat1), make(1, lat0)
+    # the lattice a class belongs to takes no part in equality or hashing
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != other
+    assert {a: "a", other: "other"}[b] == "a"
+    if name != "Config":  # Config keeps a __dict__ for its cached properties
+        with pytest.raises(AttributeError):
+            a.stray = 1
+
+
+def test_divisor_support_is_derived_from_m(lat0):
+    assert DivisorClass((0, 0), (0, 2, 0, -1), lat0).support == (1, 3)
+
+
+def test_check_record_equality_ignores_time_and_is_unhashable():
+    a = CheckRecord("config.structure", PASS, 1, 1, elapsed_ms=1.0)
+    assert a == CheckRecord("config.structure", PASS, 1, 1, elapsed_ms=2.5)
+    assert a != CheckRecord("config.structure", FAIL, 1, 1, elapsed_ms=1.0)
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+@pytest.mark.parametrize("obj, text", [
+    (SweepCase(2, 3, (1, 2, 3), seed=1),
+     "SweepCase(n=2, r=3, s=(1, 2, 3), q=None, seed=1)"),
+    (Config(**C0_FIELDS),
+     "Config(n=2, r=2, s=(2, 3), q=13, zeta=12, base=((1, 2), (3, 4, 5)), seed=None)"),
+])
+def test_pickle_round_trip_and_repr(obj, text):
+    assert repr(obj) == text
+    back = pickle.loads(pickle.dumps(obj))
+    assert back == obj and hash(back) == hash(obj) and repr(back) == text

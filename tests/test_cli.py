@@ -268,6 +268,23 @@ def test_sweep_malformed_spec_exits_2(spec, message, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"n": [2], "r": [2], "variants": 0}, "'variants' is 0"),
+    ({"n": [2], "r": [2], "variants": -3}, "'variants' is -3"),
+    ({"n": [], "r": [2]}, "'n' is empty"),
+    ({"cases": []}, "'cases' is empty"),
+])
+def test_sweep_spec_selecting_no_case_exits_2(spec, message, tmp_path, capsys):
+    # a sweep that checks nothing must not report success
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["sweep", "--spec", str(path), "--jobs", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and "no case would run" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--draws", "0"],
     ["verify", "--draws", "-5"],
@@ -337,11 +354,13 @@ def test_load_config_returns_config_or_raises_usage_error(raw):
 
 
 def test_cli_import_skips_process_pool():
-    # only `sweep` with more than one job uses the pool
+    # only `sweep` with more than one job uses the pool, only `pairing-table`
+    # writes CSV, and no class is a dataclass (which imports inspect)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, blowup_rigidity.cli; print([m for m in "
-            "('concurrent.futures.process', 'multiprocessing') if m in sys.modules])")
+            "('concurrent.futures.process', 'multiprocessing', 'dataclasses', "
+            "'inspect', 'csv') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.strip() == "[]"

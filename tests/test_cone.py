@@ -12,7 +12,7 @@ from blowup_rigidity.report import (
     resolve_case,
 )
 
-from oracles import full_extremal_scan, naive_decompositions
+from oracles import full_extremal_scan, naive_decompositions, pointwise_phi
 
 
 def test_generator_counts(lat0, lat1):
@@ -300,12 +300,15 @@ def _orbit_key(g):
     return g.kind, free, point
 
 
+def _named_config(which, request):
+    if which == "n3r4q19":
+        return resolve_case(SweepCase(3, 4, default_s(3, 4), q=19, seed=1))
+    return request.getfixturevalue(which)
+
+
 @pytest.mark.parametrize("which", ["c0", "c1", "n3r4q19"])
 def test_extremal_record_matches_full_scan(which, request):
-    if which == "n3r4q19":
-        cfg = resolve_case(SweepCase(3, 4, default_s(3, 4), q=19, seed=1))
-    else:
-        cfg = request.getfixturevalue(which)
+    cfg = _named_config(which, request)
     cone = EffectiveCone(BlowupLattice(cfg))
     rec = next(rec for rec in cone_checks(cone, draws=5)
                if rec.check_id == "cone.generators_extremal")
@@ -319,6 +322,25 @@ def test_extremal_record_matches_full_scan(which, request):
     keys = [{_orbit_key(gens[g]) for g in orbit} for orbit in orbits]
     assert all(len(k) == 1 for k in keys)
     assert sorted(g for orbit in orbits for g in orbit) == list(range(len(gens)))
+
+
+@pytest.mark.parametrize("which", ["c0", "c1", "n3r4q19"])
+def test_phi_and_support_match_pointwise_oracles(which, request):
+    # phi in closed form against the per-point definition, on every
+    # generator and on 100 seeded expansions
+    cfg = _named_config(which, request)
+    cone = EffectiveCone(BlowupLattice(cfg))
+    lat = cone.lattice
+    for g in cone.genset:
+        assert g.phi == pointwise_phi(lat, g.cls)
+        assert cone.genset.support[g.label] == tuple(
+            (k, x) for k, x in enumerate(g.cls.to_array()) if x)
+    rng = Lcg(17)
+    bounds = (15,) * (cfg.r + lat.size)
+    for _ in range(100):
+        vec = [x - 5 for x in rng.take(bounds)]
+        c = lat.expand_in_basis(tuple(vec[:cfg.r]), tuple(vec[cfg.r:]))
+        assert cone.phi(c) == pointwise_phi(lat, c)
 
 
 def _lopsided_cone(config, monkeypatch):
