@@ -145,3 +145,23 @@ def test_generated_configs_sha256(workload, seed):
         resolve_case(case).canonical_json() for case in GENERATION_CASES[workload](seed)
     )
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_GENERATION[(workload, seed)]
+
+
+# sha256 of `sweep --draws 50 --extra-q` stdout on the grid n in {2, 3, 4},
+# r in {2, 3}, two s-variants; serial and forked runs print the same bytes
+GOLDEN_SWEEP = {
+    1: "a52521eec9ffd929c61c2620ff64e540accde8cd9ca08e38645e053f119517dc",
+    7: "1d23822fbede18a70d9fce08e6a22b2f4b5cb58cc6b7b0a47a14cc96b5729215",
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("seed", sorted(GOLDEN_SWEEP))
+def test_sweep_stdout_sha256(seed, jobs, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": [2, 3, 4], "r": [2, 3], "variants": 2, "seed": seed}))
+    code = main(["sweep", "--spec", str(spec), "--draws", "50", "--extra-q",
+                 "--jobs", str(jobs)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SWEEP[seed]
