@@ -272,6 +272,9 @@ class EffectiveCone:
             return first_only
 
         def blocks_step(totals: list[int], parts: list[tuple[str, int]]) -> bool:
+            if not any(totals):
+                # no gamma to place: each e_q is its exceptional line's part
+                return min(target.e) >= 0 and emit(parts, target.e)
             # short[q] = Y_j - e_q - cover_q, later[i] = Y_{i+1} + ... + Y_r;
             # short and parts are updated in place and restored on backtrack
             short = [totals[axis - 1] - e for e, axis in zip(target.e, axis_of)]

@@ -12,9 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import time
 
-from .checks import FAIL, PASS, WARN, CheckRecord, make_record
+from .checks import CLAIMS, FAIL, PASS, WARN, CheckRecord, make_record
 from .cone import EffectiveCone
 from .errors import InvalidSetting, NDoesNotDivide, NotPrime, TooSmallField
 from .fieldgeom import (
@@ -31,35 +32,7 @@ from .lattice import BlowupLattice
 from .rigidity import verify_rigidity
 from .vectorfields import derivation_kernel, verify_vanishing
 
-CHECK_ORDER = [
-    "config.structure",
-    "config.delta",
-    "config.action",
-    "config.genericity",
-    "lattice.pairing_blocks",
-    "lattice.strict_h_self",
-    "lattice.strict_h_cross",
-    "lattice.strict_h_exc",
-    "lattice.gamma_pairings",
-    "lattice.multidegree_expansion",
-    "lattice.canonical_degree",
-    "cone.generator_count",
-    "cone.phi_positive",
-    "cone.generators_extremal",
-    "cone.sample_splits",
-    "cone.case2_membership",
-    "cone.case3_identity",
-    "rigidity.components",
-    "rigidity.census_divisors",
-    "rigidity.census_gammas",
-    "rigidity.census_lines",
-    "rigidity.handshake",
-    "rigidity.pinning",
-    "rigidity.automorphisms",
-    "vectorfields.directions",
-    "vectorfields.kernel",
-    "vectorfields.kernel_extra",
-]
+CHECK_ORDER = list(CLAIMS)
 
 
 def config_seed(config: Config, salt: str) -> int:
@@ -598,6 +571,129 @@ def default_jobs() -> int:
     return jobs
 
 
+def _can_fork() -> bool:
+    """fork copies only the calling thread, so a child of a process with
+    other live threads can start holding a lock that nothing releases."""
+    if not hasattr(os, "fork"):
+        return False
+    threading = sys.modules.get("threading")
+    return threading is None or threading.active_count() == 1
+
+
+class _Worker:
+    """The parent's side of one forked sweep worker: its pid, the pipe the
+    parent deals case indices on (None once closed), the pipe rows come
+    back on, the bytes of a row not yet complete, and the index of the case
+    the worker holds (None when it holds none)."""
+
+    __slots__ = ("pid", "tasks", "results", "buf", "case")
+
+    def __init__(self, pid: int, tasks: int, results: int):
+        self.pid = pid
+        self.tasks = tasks
+        self.results = results
+        self.buf = b""
+        self.case = None
+
+    def close(self) -> None:
+        os.close(self.results)
+        if self.tasks is not None:
+            os.close(self.tasks)
+
+
+def _fork_worker(work: list, workers: dict[int, _Worker]) -> _Worker:
+    """Fork a child that runs each case whose 4-byte index arrives on its
+    task pipe and writes the row back as one JSON line, until the task pipe
+    closes."""
+    task_r, task_w = os.pipe()
+    result_r, result_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            # keep only its own two pipe ends, so that every other worker
+            # sees end-of-file when the parent closes that worker's task pipe
+            os.close(task_w)
+            os.close(result_r)
+            for w in workers.values():
+                w.close()
+            with open(result_w, "w", encoding="ascii") as out:
+                while len(index := os.read(task_r, 4)) == 4:
+                    row = _sweep_worker(work[int.from_bytes(index, "little")])
+                    out.write(json.dumps(row, separators=(",", ":")) + "\n")
+                    out.flush()
+            status = 0
+        finally:
+            # no atexit handler runs, and no inherited buffer is flushed twice
+            os._exit(status)
+    os.close(task_r)
+    os.close(result_w)
+    return _Worker(pid, task_w, result_r)
+
+
+def _fork_sweep(work: list, jobs: int) -> list[tuple[str, dict]]:
+    """Run the cases in `jobs` forked workers, largest n * sum(s) * r first.
+
+    The parent deals each worker one case index at a time and deals the
+    next when its row comes back, so a row always belongs to the case its
+    worker holds.  A worker that dies leaves an error row for that case,
+    and a new worker is forked while cases remain; every worker is reaped
+    before this returns.
+    """
+    import select  # only here: `verify` processes never need it
+
+    # popped from the end: the largest case first, ties in grid order
+    cost = [case.n * sum(case.s) * case.r for case, _, _ in work]
+    pending = sorted(range(len(work)), key=lambda i: (cost[i], -i))
+    rows: list = [None] * len(work)
+    workers: dict[int, _Worker] = {}
+    poller = select.poll()
+
+    def deal(w: _Worker) -> None:
+        if not pending:
+            os.close(w.tasks)
+            w.tasks = w.case = None
+            return
+        w.case = pending.pop()
+        try:
+            os.write(w.tasks, w.case.to_bytes(4, "little"))
+        except BrokenPipeError:
+            pass  # the worker is gone; its end-of-file makes the error row
+
+    try:
+        while pending or workers:
+            while pending and len(workers) < jobs:
+                w = _fork_worker(work, workers)
+                workers[w.results] = w
+                poller.register(w.results, select.POLLIN)
+                deal(w)
+            for fd, _ in poller.poll():
+                w = workers[fd]
+                data = os.read(fd, 1 << 16)
+                if data:
+                    *lines, w.buf = (w.buf + data).split(b"\n")
+                    for line in lines:
+                        rows[w.case] = tuple(json.loads(line))
+                        deal(w)
+                    continue
+                poller.unregister(fd)
+                del workers[fd]
+                w.close()
+                code = os.waitstatus_to_exitcode(os.waitpid(w.pid, 0)[1])
+                if w.case is not None:
+                    how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                    rows[w.case] = (work[w.case][0].key, {"error": f"worker {how}"})
+    finally:
+        if workers:  # left by an exception: stop and reap the rest
+            import signal
+
+            for w in workers.values():
+                os.kill(w.pid, signal.SIGKILL)
+                os.waitpid(w.pid, 0)
+                w.close()
+    return rows
+
+
 def sweep(
     cases: list[SweepCase],
     jobs: int | None = None,
@@ -606,17 +702,14 @@ def sweep(
 ) -> SweepResult:
     """One report per case; failures in one case do not stop the others.
     Results are keyed and sorted, so the output is order-stable regardless
-    of worker completion order."""
+    of worker completion order.  More than one job runs the cases in forked
+    workers, or serially where the process cannot fork safely."""
     jobs = jobs if jobs is not None else default_jobs()
     work = [(case, draws, extra_q) for case in cases]
-    if jobs <= 1 or len(work) <= 1:
+    if jobs <= 1 or len(work) <= 1 or not _can_fork():
         rows = [_sweep_worker(w) for w in work]
     else:
-        # imported here: the pool costs every other process time and memory
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_worker, work))
+        rows = _fork_sweep(work, min(jobs, len(work)))
     rows.sort(key=lambda kv: kv[0])
     return SweepResult(rows)
 

@@ -364,3 +364,22 @@ def test_cli_import_skips_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_parallel_sweep_imports_no_process_pool(tmp_path):
+    # forked sweep workers need neither the executor nor pickled messages
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"cases": [{"n": 2, "r": 2, "s": [2, 3], "q": 13},
+                                          {"n": 3, "r": 2, "s": [1, 2], "q": 13}]}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys; from blowup_rigidity.cli import main; "
+            f"code = main(['sweep', '--spec', {str(spec)!r}, '--draws', '10', "
+            "'--jobs', '2', '--out', sys.argv[1]]); "
+            "print(code, [m for m in ('concurrent.futures', 'multiprocessing', 'pickle') "
+            "if m in sys.modules])")
+    out = tmp_path / "sweep.json"
+    proc = subprocess.run([sys.executable, "-c", code, str(out)], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.strip() == "0 []"
+    assert len(json.loads(out.read_text())["rows"]) == 2

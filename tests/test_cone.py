@@ -3,7 +3,7 @@ import pytest
 from blowup_rigidity.cone import EffectiveCone, GeneratorSet
 from blowup_rigidity.errors import NotEffective
 from blowup_rigidity.fieldgeom import Lcg
-from blowup_rigidity.lattice import BlowupLattice
+from blowup_rigidity.lattice import BlowupLattice, CurveClass
 from blowup_rigidity.report import (
     SweepCase,
     cone_checks,
@@ -124,6 +124,8 @@ def test_decompositions_match_naive_oracle(cone0, lat0):
         lat0.line(2) + lat0.exc_curve(p),
         lat0.gamma(lat0.points[4], 1),
         lat0.line(1) + lat0.line(2),
+        # zero multidegree, so every gamma block total is 0, and e_p = -1
+        CurveClass((0, 0), (-1, 2) + (0,) * (lat0.size - 2), lat0),
     ]
     for target in targets:
         fast = {
@@ -131,6 +133,8 @@ def test_decompositions_match_naive_oracle(cone0, lat0):
         }
         slow = naive_decompositions(cone0.genset, target, cone0.phi(target))
         assert fast == slow
+    assert cone0.phi(targets[-1]) == 1
+    assert cone0.member(targets[-1]) is None
 
 
 def test_case2_random_membership(cone0, lat0):

@@ -1,7 +1,9 @@
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -39,7 +41,7 @@ def test_run_all_c0(c0):
     assert report.exit_code == 0
     assert report.counts == {"PASS": 25, "FAIL": 0, "WARN": 1}
     ids = [rec.check_id for rec in report.records]
-    assert ids == [cid for cid in CHECK_ORDER if cid != "vectorfields.kernel_extra"]
+    assert ids == [cid for cid in CLAIMS if cid != "vectorfields.kernel_extra"]
     warn = next(rec for rec in report.records if rec.status == "WARN")
     assert warn.check_id == "rigidity.census_lines"
     assert report.skipped == ["vectorfields.kernel_extra"]
@@ -192,10 +194,92 @@ def test_sweep_parallel_matches_serial():
     cases = [
         SweepCase(n=2, r=2, s=(2, 3), q=13, seed=1),
         SweepCase(n=3, r=2, s=(1, 2), q=13, seed=1),
+        SweepCase(n=3, r=3, s=(1, 2, 3), q=7, seed=0),  # impossible field
+        SweepCase(n=2, r=3, s=(1, 2, 3), seed=1),
+        SweepCase(n=4, r=2, s=(1, 2), seed=1),
+        SweepCase(n=2, r=2, s=(2, 3), q=13, seed=1),  # a repeated key
     ]
     serial = sweep(cases, jobs=1, draws=50)
-    parallel = sweep(cases, jobs=2, draws=50)
-    assert serial.to_json() == parallel.to_json()
+    assert serial.exit_code == 1
+    for jobs in (2, 4):
+        parallel = sweep(cases, jobs=jobs, draws=50)
+        # rows come back through JSON, so tuples in a payload arrive as lists
+        assert (json.dumps(parallel.rows, sort_keys=True)
+                == json.dumps(serial.rows, sort_keys=True))
+        assert parallel.to_json() == serial.to_json()
+        assert parallel.exit_code == 1
+
+
+def test_sweep_dead_worker_leaves_an_error_row(monkeypatch):
+    import blowup_rigidity.report as report
+
+    real_worker = report._sweep_worker
+
+    def dies_on_n3(args):
+        if args[0].n == 3:
+            os._exit(3)
+        return real_worker(args)
+
+    monkeypatch.setattr(report, "_sweep_worker", dies_on_n3)
+    cases = [
+        SweepCase(n=2, r=2, s=(2, 3), q=13, seed=1),
+        SweepCase(n=3, r=2, s=(1, 2), q=13, seed=1),
+        SweepCase(n=4, r=2, s=(1, 2), seed=1),
+    ]
+    result = sweep(cases, jobs=2, draws=20)
+    rows = dict(result.rows)
+    assert len(result.rows) == 3
+    assert rows["n=3 r=2 s=(1,2) q=13 seed=1"] == {"error": "worker exited with status 3"}
+    for key in ("n=2 r=2 s=(2,3) q=13 seed=1", "n=4 r=2 s=(1,2) q=auto seed=1"):
+        assert rows[key]["summary"]["FAIL"] == 0
+    assert result.aggregate["errors"] == 1
+    assert result.exit_code == 1
+
+
+def test_sweep_dead_workers_are_replaced(monkeypatch):
+    # every worker dies on its first case; each case still gets its own row
+    import blowup_rigidity.report as report
+
+    def killed(args):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(report, "_sweep_worker", killed)
+    cases = [SweepCase(n=2, r=2, s=(2, 3), q=13, seed=seed) for seed in range(5)]
+    result = sweep(cases, jobs=2, draws=10)
+    assert [key for key, _ in result.rows] == [case.key for case in cases]
+    assert all(payload == {"error": f"worker killed by signal {int(signal.SIGKILL)}"}
+               for _, payload in result.rows)
+
+
+def test_sweep_deals_more_cases_than_a_pipe_holds(monkeypatch):
+    # 20 000 4-byte indices are more than a default 64 KiB pipe buffer
+    import blowup_rigidity.report as report
+
+    monkeypatch.setattr(report, "_sweep_worker", lambda args: (args[0].key, {"seed": args[0].seed}))
+    cases = [SweepCase(n=2, r=2, s=(2, 3), q=13, seed=seed) for seed in range(20_000)]
+    result = sweep(cases, jobs=2, draws=1)
+    assert sorted(payload["seed"] for _, payload in result.rows) == list(range(20_000))
+    assert [key for key, _ in result.rows] == sorted(case.key for case in cases)
+
+
+def test_sweep_runs_serially_beside_a_live_thread(monkeypatch):
+    # a child forked beside another thread could inherit a lock it holds
+    def no_fork():
+        raise AssertionError("forked beside a live thread")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        cases = [SweepCase(n=2, r=2, s=(2, 3), q=13, seed=1),
+                 SweepCase(n=3, r=2, s=(1, 2), q=13, seed=1)]
+        result = sweep(cases, jobs=2, draws=10)
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert len(result.rows) == 2 and result.exit_code == 0
 
 
 def test_default_jobs_env(monkeypatch):
