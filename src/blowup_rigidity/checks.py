@@ -138,11 +138,8 @@ CLAIMS: dict[str, str] = {
 
 
 class CheckRecord:
-    """One verified claim: id, status, computed vs expected, free-form detail.
-
-    elapsed_ms takes no part in equality; a record is mutable (run_all sets
-    its time) and so unhashable.
-    """
+    """One verified claim: id, status, computed vs expected, free-form detail,
+    and the time run_all measured for it (elapsed_ms)."""
 
     __slots__ = ("check_id", "status", "computed", "expected", "claim", "detail",
                  "elapsed_ms")
@@ -164,17 +161,6 @@ class CheckRecord:
         self.claim = claim
         self.detail = detail
         self.elapsed_ms = elapsed_ms
-
-    def _key(self) -> tuple:
-        return (self.check_id, self.status, self.computed, self.expected,
-                self.claim, self.detail)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    __hash__ = None
 
     def __repr__(self):
         return (f"CheckRecord(check_id={self.check_id!r}, status={self.status!r}, "

@@ -35,7 +35,7 @@ from .lattice import BlowupLattice, CurveClass
 
 
 class Generator:
-    """One generator; compares and hashes by all four fields."""
+    """One generator: its label, kind, class and phi."""
 
     __slots__ = ("label", "kind", "cls", "phi")
 
@@ -44,15 +44,6 @@ class Generator:
         self.kind = kind  # "line" | "gamma" | "exc"
         self.cls = cls
         self.phi = phi
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.label, self.kind, self.cls, self.phi) == (
-            other.label, other.kind, other.cls, other.phi)
-
-    def __hash__(self):
-        return hash((self.label, self.kind, self.cls, self.phi))
 
 
 class GeneratorSet:
@@ -168,21 +159,12 @@ class GeneratorSet:
 
 
 class Decomposition:
-    """A multiset of generator labels with positive multiplicities; compares
-    and hashes by its parts."""
+    """A multiset of generator labels with positive multiplicities."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[tuple[str, int], ...]):
         self.parts = parts
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self):
-        return hash((self.parts,))
 
     @property
     def size(self) -> int:

@@ -112,8 +112,8 @@ class DeltaPoint:
         return f"p[{self.key}]=[1:{self.coord}]"
 
 
-def parameter_problems(n, r, s, q) -> list[str]:
-    """Violated constraints on (n, r, s, q), ignoring zeta and base."""
+def shape_problems(n, r, s) -> list[str]:
+    """Violated constraints on (n, r, s), the ones that do not involve q."""
     problems = []
     if n < 2:
         problems.append(f"n = {n} < 2")
@@ -129,6 +129,12 @@ def parameter_problems(n, r, s, q) -> list[str]:
         for i, si in enumerate(s, start=1):
             if si >= 1 and n * si < 3:
                 problems.append(f"n*s_{i} = {n * si} < 3 (required when r = 2)")
+    return problems
+
+
+def parameter_problems(n, r, s, q) -> list[str]:
+    """Violated constraints on (n, r, s, q), ignoring zeta and base."""
+    problems = shape_problems(n, r, s)
     if not is_prime(q):
         problems.append(f"q = {q} is not prime")
     elif n >= 2 and (q - 1) % n != 0:
@@ -160,7 +166,7 @@ class Config:
     test configurations are built with skip_checks=True.  Equality and
     hashing use the fields (n, r, s, q, zeta, base, seed).  The marked set
     and its per-axis stabilizers are built on first use and cached; they are
-    not fields, so they take no part in equality, hashing or pickling.
+    not fields, so they take no part in equality or hashing.
     """
 
     def __init__(
@@ -219,9 +225,6 @@ class Config:
         return tuple(
             tuple(stabilizer_of_axis(self, axis)) for axis in range(1, self.r + 1)
         )
-
-    def __getstate__(self):
-        return {k: v for k, v in vars(self).items() if k not in ("delta", "stabilizers")}
 
     def to_dict(self) -> dict:
         d = {
@@ -595,17 +598,34 @@ def validate_config(config: Config) -> list["CheckRecord"]:
 BARREN_PRIMES_LIMIT = 16
 
 
+def workable_field(n: int, s: tuple[int, ...], q: int) -> bool:
+    """q is prime, q = 1 (mod n), and F_q has at least max(s) scaling orbits."""
+    return is_prime(q) and (q - 1) % n == 0 and (q - 1) // n >= max(s)
+
+
+def next_valid_q(n: int, s: tuple[int, ...], after: int) -> int:
+    """The smallest workable field size q > after."""
+    q = after + 1
+    while not workable_field(n, s, q):
+        q += 1
+    return q
+
+
 def generate_config_smallest_q(
     n: int, r: int, s: tuple[int, ...], seed: int = 0, attempts_per_q: int = 50
 ) -> Config:
-    """Scan primes q = 1 (mod n) upward until a generic configuration exists;
-    raise ExhaustedRetries after BARREN_PRIMES_LIMIT workable primes without
-    one."""
+    """Scan the workable field sizes q upward until a generic configuration
+    exists; raise InvalidConfig for a shape (n, r, s) that no q can mend,
+    and ExhaustedRetries after BARREN_PRIMES_LIMIT workable primes without
+    a generic configuration."""
     s = tuple(s)
+    problems = shape_problems(n, r, s)
+    if problems:
+        raise InvalidConfig("; ".join(problems))
     q = n + 1
     barren = 0
     while True:
-        if is_prime(q) and (q - 1) % n == 0 and (q - 1) // n >= max(s):
+        if workable_field(n, s, q):
             try:
                 return generate_config(n, r, s, q, seed=seed, max_retries=attempts_per_q)
             except (ExhaustedRetries, TooSmallField):

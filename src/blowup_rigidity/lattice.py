@@ -27,8 +27,7 @@ from .fieldgeom import Config, DeltaPoint
 
 class DivisorClass:
     """h: coefficients over pi*(H_i); m: coefficients over E_p;
-    support: the indices k with m[k] != 0, derived from m.  Classes compare
-    and hash by (h, m) alone."""
+    support: the indices k with m[k] != 0, derived from m."""
 
     __slots__ = ("h", "m", "lattice", "support")
 
@@ -38,43 +37,13 @@ class DivisorClass:
         self.lattice = lattice
         self.support = tuple(itertools.compress(range(len(m)), m))
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.h, self.m) == (other.h, other.m)
-
-    def __hash__(self):
-        return hash((self.h, self.m))
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self.lattice.check_same(other.lattice)
-        return DivisorClass(
-            tuple(a + b for a, b in zip(self.h, other.h)),
-            tuple(a + b for a, b in zip(self.m, other.m)),
-            self.lattice,
-        )
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return self + (-other)
-
-    def __neg__(self) -> "DivisorClass":
-        return self.scale(-1)
-
-    def scale(self, k: int) -> "DivisorClass":
-        return DivisorClass(
-            tuple(k * a for a in self.h), tuple(k * a for a in self.m), self.lattice
-        )
-
-    def to_array(self) -> list[int]:
-        return list(self.h) + list(self.m)
-
     def __repr__(self):
         return f"D(h={list(self.h)}, m={list(self.m)})"
 
 
 class CurveClass:
     """l: coefficients over strict lines; e: coefficients over exceptional
-    lines.  Classes compare and hash by (l, e) alone."""
+    lines."""
 
     __slots__ = ("l", "e", "lattice")
 
@@ -82,14 +51,6 @@ class CurveClass:
         self.l = l
         self.e = e
         self.lattice = lattice
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.l, self.e) == (other.l, other.e)
-
-    def __hash__(self):
-        return hash((self.l, self.e))
 
     def __add__(self, other: "CurveClass") -> "CurveClass":
         self.lattice.check_same(other.lattice)
@@ -99,19 +60,10 @@ class CurveClass:
             self.lattice,
         )
 
-    def __sub__(self, other: "CurveClass") -> "CurveClass":
-        return self + (-other)
-
-    def __neg__(self) -> "CurveClass":
-        return self.scale(-1)
-
     def scale(self, k: int) -> "CurveClass":
         return CurveClass(
             tuple(k * a for a in self.l), tuple(k * a for a in self.e), self.lattice
         )
-
-    def is_zero(self) -> bool:
-        return not any(self.l) and not any(self.e)
 
     def to_array(self) -> list[int]:
         return list(self.l) + list(self.e)
@@ -223,9 +175,6 @@ class BlowupLattice:
         e = list(self._on_axis(i))
         e[self.point_index[p]] -= 1
         return CurveClass(line.l, tuple(e), self)
-
-    def zero_curve(self) -> CurveClass:
-        return CurveClass(self._zeros(self.config.r), self._zeros(self.size), self)
 
     # pairing ----------------------------------------------------------
 

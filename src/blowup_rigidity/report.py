@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
 import time
 
 from .checks import CLAIMS, FAIL, PASS, WARN, CheckRecord, make_record
@@ -24,6 +23,7 @@ from .fieldgeom import (
     generate_config,
     generate_config_smallest_q,
     is_prime,
+    next_valid_q,
     primitive_nth_root,
     sample_base,
     validate_config,
@@ -297,15 +297,6 @@ def cone_checks(cone: EffectiveCone, draws: int = 1000) -> list[CheckRecord]:
     return records
 
 
-def next_valid_q(n: int, s: tuple[int, ...], after: int) -> int:
-    """Smallest prime q > after with q = 1 (mod n) and enough scaling orbits."""
-    q = after + 1
-    while True:
-        if is_prime(q) and (q - 1) % n == 0 and (q - 1) // n >= max(s):
-            return q
-        q += 1
-
-
 def check_extra_q(n: int, s: tuple[int, ...], q2: int) -> None:
     """Refuse a second field that is not prime, not 1 (mod n), or short of
     scaling orbits for the counts s."""
@@ -471,7 +462,7 @@ def default_s(n: int, r: int) -> tuple[int, ...]:
 
 
 class SweepCase:
-    """One sweep case; compares and hashes by all five fields."""
+    """One sweep case: n, r, s, the field size q and the generation seed."""
 
     __slots__ = ("n", "r", "s", "q", "seed")
 
@@ -482,17 +473,6 @@ class SweepCase:
         self.s = s
         self.q = q  # None: smallest workable prime
         self.seed = seed
-
-    def _key(self) -> tuple:
-        return (self.n, self.r, self.s, self.q, self.seed)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         return (f"SweepCase(n={self.n!r}, r={self.r!r}, s={self.s!r}, q={self.q!r}, "
@@ -571,129 +551,6 @@ def default_jobs() -> int:
     return jobs
 
 
-def _can_fork() -> bool:
-    """fork copies only the calling thread, so a child of a process with
-    other live threads can start holding a lock that nothing releases."""
-    if not hasattr(os, "fork"):
-        return False
-    threading = sys.modules.get("threading")
-    return threading is None or threading.active_count() == 1
-
-
-class _Worker:
-    """The parent's side of one forked sweep worker: its pid, the pipe the
-    parent deals case indices on (None once closed), the pipe rows come
-    back on, the bytes of a row not yet complete, and the index of the case
-    the worker holds (None when it holds none)."""
-
-    __slots__ = ("pid", "tasks", "results", "buf", "case")
-
-    def __init__(self, pid: int, tasks: int, results: int):
-        self.pid = pid
-        self.tasks = tasks
-        self.results = results
-        self.buf = b""
-        self.case = None
-
-    def close(self) -> None:
-        os.close(self.results)
-        if self.tasks is not None:
-            os.close(self.tasks)
-
-
-def _fork_worker(work: list, workers: dict[int, _Worker]) -> _Worker:
-    """Fork a child that runs each case whose 4-byte index arrives on its
-    task pipe and writes the row back as one JSON line, until the task pipe
-    closes."""
-    task_r, task_w = os.pipe()
-    result_r, result_w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            # keep only its own two pipe ends, so that every other worker
-            # sees end-of-file when the parent closes that worker's task pipe
-            os.close(task_w)
-            os.close(result_r)
-            for w in workers.values():
-                w.close()
-            with open(result_w, "w", encoding="ascii") as out:
-                while len(index := os.read(task_r, 4)) == 4:
-                    row = _sweep_worker(work[int.from_bytes(index, "little")])
-                    out.write(json.dumps(row, separators=(",", ":")) + "\n")
-                    out.flush()
-            status = 0
-        finally:
-            # no atexit handler runs, and no inherited buffer is flushed twice
-            os._exit(status)
-    os.close(task_r)
-    os.close(result_w)
-    return _Worker(pid, task_w, result_r)
-
-
-def _fork_sweep(work: list, jobs: int) -> list[tuple[str, dict]]:
-    """Run the cases in `jobs` forked workers, largest n * sum(s) * r first.
-
-    The parent deals each worker one case index at a time and deals the
-    next when its row comes back, so a row always belongs to the case its
-    worker holds.  A worker that dies leaves an error row for that case,
-    and a new worker is forked while cases remain; every worker is reaped
-    before this returns.
-    """
-    import select  # only here: `verify` processes never need it
-
-    # popped from the end: the largest case first, ties in grid order
-    cost = [case.n * sum(case.s) * case.r for case, _, _ in work]
-    pending = sorted(range(len(work)), key=lambda i: (cost[i], -i))
-    rows: list = [None] * len(work)
-    workers: dict[int, _Worker] = {}
-    poller = select.poll()
-
-    def deal(w: _Worker) -> None:
-        if not pending:
-            os.close(w.tasks)
-            w.tasks = w.case = None
-            return
-        w.case = pending.pop()
-        try:
-            os.write(w.tasks, w.case.to_bytes(4, "little"))
-        except BrokenPipeError:
-            pass  # the worker is gone; its end-of-file makes the error row
-
-    try:
-        while pending or workers:
-            while pending and len(workers) < jobs:
-                w = _fork_worker(work, workers)
-                workers[w.results] = w
-                poller.register(w.results, select.POLLIN)
-                deal(w)
-            for fd, _ in poller.poll():
-                w = workers[fd]
-                data = os.read(fd, 1 << 16)
-                if data:
-                    *lines, w.buf = (w.buf + data).split(b"\n")
-                    for line in lines:
-                        rows[w.case] = tuple(json.loads(line))
-                        deal(w)
-                    continue
-                poller.unregister(fd)
-                del workers[fd]
-                w.close()
-                code = os.waitstatus_to_exitcode(os.waitpid(w.pid, 0)[1])
-                if w.case is not None:
-                    how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                    rows[w.case] = (work[w.case][0].key, {"error": f"worker {how}"})
-    finally:
-        if workers:  # left by an exception: stop and reap the rest
-            import signal
-
-            for w in workers.values():
-                os.kill(w.pid, signal.SIGKILL)
-                os.waitpid(w.pid, 0)
-                w.close()
-    return rows
-
-
 def sweep(
     cases: list[SweepCase],
     jobs: int | None = None,
@@ -706,10 +563,12 @@ def sweep(
     workers, or serially where the process cannot fork safely."""
     jobs = jobs if jobs is not None else default_jobs()
     work = [(case, draws, extra_q) for case in cases]
-    if jobs <= 1 or len(work) <= 1 or not _can_fork():
+    if jobs <= 1 or len(work) <= 1:
         rows = [_sweep_worker(w) for w in work]
     else:
-        rows = _fork_sweep(work, min(jobs, len(work)))
+        from .forkpool import fork_sweep  # `verify` never loads the pool
+
+        rows = fork_sweep(work, min(jobs, len(work)), _sweep_worker)
     rows.sort(key=lambda kv: kv[0])
     return SweepResult(rows)
 

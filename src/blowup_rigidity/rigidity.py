@@ -175,44 +175,25 @@ def build_graph(config: Config) -> IncidenceGraph:
 
 
 class CensusRow:
-    def __init__(
-        self,
-        component: Component,
-        divisor_neighbors: int,
-        curve_neighbors: int,
-        nominal_total: int,
-    ):
+    def __init__(self, component: Component, divisor_neighbors: int, curve_neighbors: int):
         self.component = component
         self.divisor_neighbors = divisor_neighbors
         self.curve_neighbors = curve_neighbors
-        self.nominal_total = nominal_total
 
     @property
     def computed_total(self) -> int:
         return self.divisor_neighbors + self.curve_neighbors
 
-    @property
-    def agrees(self) -> bool:
-        return self.computed_total == self.nominal_total
-
 
 def census(graph: IncidenceGraph) -> list[CensusRow]:
-    """Per-component neighbor profile plus the nominal neighbor totals
-    (r for a divisor, n*s_i + 1 for a through-point curve in direction i,
-    n*s_i for the axis-i line; the last is the one computed geometry
-    exceeds, by the r-1 line-line meetings at the unblown common point)."""
-    cfg = graph.config
-    rows = []
-    for v in graph.vertices:
-        div, cur = graph.profile(v)
-        if v.kind == EXC:
-            nominal = cfg.r
-        elif v.kind == GAMMA:
-            nominal = cfg.n * cfg.s[v.axis - 1] + 1
-        else:
-            nominal = cfg.n * cfg.s[v.axis - 1]
-        rows.append(CensusRow(v, div, cur, nominal))
-    return rows
+    """Per-component neighbor profile, in vertex order.
+
+    The nominal neighbor totals are r for a divisor, n*s_i + 1 for a
+    through-point curve in direction i and n*s_i for the axis-i line; the
+    last is the one computed geometry exceeds, by the r-1 line-line meetings
+    at the unblown common point (check rigidity.census_lines).
+    """
+    return [CensusRow(v, *graph.profile(v)) for v in graph.vertices]
 
 
 class PinningCertificate:
@@ -232,14 +213,12 @@ class PinningCertificate:
         }
 
 
-def pin_components(graph: IncidenceGraph, rows: list[CensusRow] | None = None) -> PinningCertificate:
-    """Certify from computed profiles that (i) the exceptional divisors are
-    determined among all components and (ii) each strict line is determined
-    among the curve components by its divisor-neighbor count."""
+def pin_components(graph: IncidenceGraph, rows: list[CensusRow]) -> PinningCertificate:
+    """Certify from the computed profiles rows (census(graph)) that (i) the
+    exceptional divisors are determined among all components and (ii) each
+    strict line is determined among the curve components by its
+    divisor-neighbor count."""
     cfg = graph.config
-    if rows is None:
-        rows = census(graph)
-    by_component = {row.component: row for row in rows}
 
     if cfg.r >= 3:
         exc_criterion = "maximal dimension r-1 >= 2"

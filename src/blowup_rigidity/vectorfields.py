@@ -16,22 +16,13 @@ from .fieldgeom import Config
 
 
 class ConstraintRow:
-    """4r coefficients over F_q; at most one 4-entry block is nonzero.  Rows
-    compare and hash by (coeffs, tag)."""
+    """4r coefficients over F_q; at most one 4-entry block is nonzero."""
 
     __slots__ = ("coeffs", "tag")
 
     def __init__(self, coeffs: tuple[int, ...], tag: str):
         self.coeffs = coeffs
         self.tag = tag
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.coeffs, self.tag) == (other.coeffs, other.tag)
-
-    def __hash__(self):
-        return hash((self.coeffs, self.tag))
 
 
 def eigen_constraint_row(

@@ -215,7 +215,7 @@ def dense_pairing(lattice, curve, divisor) -> int:
                 gram[i][r + k] = 1
     for k in range(len(points)):
         gram[r + k][r + k] = -1
-    c, d = curve.to_array(), divisor.to_array()
+    c, d = curve.l + curve.e, divisor.h + divisor.m
     return sum(c[a] * gram[a][b] * d[b] for a in range(size) for b in range(size))
 
 

@@ -16,10 +16,11 @@ from blowup_rigidity.fieldgeom import (
     Lcg,
     build_delta,
     delta_permutation,
+    next_valid_q,
     stabilizer_of_axis,
 )
 from blowup_rigidity.lattice import BlowupLattice
-from blowup_rigidity.report import next_valid_q, extra_q_vanishing
+from blowup_rigidity.report import extra_q_vanishing
 from blowup_rigidity.rigidity import (
     build_graph,
     census,
@@ -126,9 +127,10 @@ def test_criterion_census(sweep_configs):
                     assert profile == (1, cfg.n * cfg.s[v.axis - 1])
                 else:
                     assert profile == (cfg.n * cfg.s[v.axis - 1], cfg.r - 1)
-                    # the divergence from the nominal divisor-only count is
-                    # exactly the r-1 line-line meetings; recorded as WARN
-                    assert row.computed_total == row.nominal_total + cfg.r - 1
+                    # the divergence from the nominal divisor-only count n*s_i
+                    # is exactly the r-1 line-line meetings; recorded as WARN
+                    nominal = cfg.n * cfg.s[v.axis - 1]
+                    assert row.computed_total == nominal + cfg.r - 1
 
 
 def test_criterion_rigidity(c0, c1):

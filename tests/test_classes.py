@@ -1,10 +1,10 @@
-"""Equality, hashing, pickling and repr of the package's value classes."""
+"""Equality and hashing of the value classes the program compares or keys
+dicts by, the fixed slots of the others, and repr."""
 
 import pickle
 
 import pytest
 
-from blowup_rigidity.checks import FAIL, PASS, CheckRecord
 from blowup_rigidity.cone import Decomposition, Generator
 from blowup_rigidity.fieldgeom import Config, DeltaPoint
 from blowup_rigidity.lattice import CurveClass, DivisorClass
@@ -14,8 +14,7 @@ from blowup_rigidity.vectorfields import ConstraintRow
 
 C0_FIELDS = dict(n=2, r=2, s=(2, 3), q=13, zeta=12, base=((1, 2), (3, 4, 5)))
 
-# name -> make(v, lattice): equal for equal v whatever the lattice, and
-# different for v = 0 and v = 1
+# name -> make(v, lattice), different for v = 0 and v = 1
 VALUES = {
     "DeltaPoint": lambda v, lat: DeltaPoint(1, 1, v, 5),
     "DivisorClass": lambda v, lat: DivisorClass((1, 0), (0, v, -1), lat),
@@ -28,30 +27,28 @@ VALUES = {
     "Config": lambda v, lat: Config(**C0_FIELDS, seed=v),
 }
 
+# marked points and components key dicts, and check_same compares configs
+COMPARED = ["Component", "Config", "DeltaPoint"]
 
-@pytest.mark.parametrize("name", sorted(VALUES))
+
+@pytest.mark.parametrize("name", COMPARED)
 def test_value_class_equality_and_hash(name, lat0, lat1):
     make = VALUES[name]
     a, b, other = make(0, lat0), make(0, lat1), make(1, lat0)
-    # the lattice a class belongs to takes no part in equality or hashing
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != other
     assert {a: "a", other: "other"}[b] == "a"
-    if name != "Config":  # Config keeps a __dict__ for its cached properties
-        with pytest.raises(AttributeError):
-            a.stray = 1
+
+
+@pytest.mark.parametrize("name", sorted(set(VALUES) - {"Config"}))
+def test_value_class_has_fixed_slots(name, lat0):
+    # Config keeps a __dict__ for its cached properties
+    with pytest.raises(AttributeError):
+        VALUES[name](0, lat0).stray = 1
 
 
 def test_divisor_support_is_derived_from_m(lat0):
     assert DivisorClass((0, 0), (0, 2, 0, -1), lat0).support == (1, 3)
-
-
-def test_check_record_equality_ignores_time_and_is_unhashable():
-    a = CheckRecord("config.structure", PASS, 1, 1, elapsed_ms=1.0)
-    assert a == CheckRecord("config.structure", PASS, 1, 1, elapsed_ms=2.5)
-    assert a != CheckRecord("config.structure", FAIL, 1, 1, elapsed_ms=1.0)
-    with pytest.raises(TypeError):
-        hash(a)
 
 
 @pytest.mark.parametrize("obj, text", [
@@ -63,4 +60,6 @@ def test_check_record_equality_ignores_time_and_is_unhashable():
 def test_pickle_round_trip_and_repr(obj, text):
     assert repr(obj) == text
     back = pickle.loads(pickle.dumps(obj))
-    assert back == obj and hash(back) == hash(obj) and repr(back) == text
+    assert repr(back) == text
+    if isinstance(obj, Config):
+        assert back == obj and hash(back) == hash(obj)

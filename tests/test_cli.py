@@ -353,17 +353,25 @@ def test_load_config_returns_config_or_raises_usage_error(raw):
     assert isinstance(config, Config)
 
 
-def test_cli_import_skips_process_pool():
+def test_cli_import_skips_process_pool(tmp_path):
     # only `sweep` with more than one job uses the pool, only `pairing-table`
-    # writes CSV, and no class is a dataclass (which imports inspect)
+    # writes CSV, and no class is a dataclass (which imports inspect); a
+    # `verify` run loads neither the fork pool nor `select`
+    config = tmp_path / "c0.json"
+    config.write_text(json.dumps(C0_RAW))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, blowup_rigidity.cli; print([m for m in "
-            "('concurrent.futures.process', 'multiprocessing', 'dataclasses', "
-            "'inspect', 'csv') if m in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert proc.stdout.strip() == "[]"
+    code = ("import sys, blowup_rigidity.cli; "
+            "loaded = lambda: [m for m in ('concurrent.futures.process', 'multiprocessing', "
+            "'dataclasses', 'inspect', 'csv', 'blowup_rigidity.forkpool', 'select') "
+            "if m in sys.modules]; print(loaded()); "
+            f"code = blowup_rigidity.cli.main(['verify', '--config', {str(config)!r}, "
+            "'--out', sys.argv[1]]); print(code, loaded())")
+    out = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, "-c", code, str(out)], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.splitlines() == ["[]", "0 []"]
+    assert json.loads(out.read_text())["summary"]["FAIL"] == 0
 
 
 def test_parallel_sweep_imports_no_process_pool(tmp_path):
@@ -377,9 +385,9 @@ def test_parallel_sweep_imports_no_process_pool(tmp_path):
             f"code = main(['sweep', '--spec', {str(spec)!r}, '--draws', '10', "
             "'--jobs', '2', '--out', sys.argv[1]]); "
             "print(code, [m for m in ('concurrent.futures', 'multiprocessing', 'pickle') "
-            "if m in sys.modules])")
+            "if m in sys.modules], 'blowup_rigidity.forkpool' in sys.modules)")
     out = tmp_path / "sweep.json"
     proc = subprocess.run([sys.executable, "-c", code, str(out)], capture_output=True,
                           text=True, env=env, check=True)
-    assert proc.stdout.strip() == "0 []"
+    assert proc.stdout.strip() == "0 [] True"
     assert len(json.loads(out.read_text())["rows"]) == 2

@@ -10,13 +10,12 @@ import pytest
 
 from blowup_rigidity.checks import CLAIMS, CheckRecord, make_record
 from blowup_rigidity.errors import InvalidSetting, UnknownCheckId
-from blowup_rigidity.fieldgeom import Config
+from blowup_rigidity.fieldgeom import Config, next_valid_q
 from blowup_rigidity.report import (
     CHECK_ORDER,
     SweepCase,
     VerificationReport,
     default_s,
-    next_valid_q,
     product_cases,
     run_all,
     sweep,

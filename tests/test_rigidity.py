@@ -127,22 +127,33 @@ def test_graph_empty_delta_harness():
     assert len(g.edges) == 3  # complete graph on the lines
 
 
+def nominal_total(cfg, v) -> int:
+    """The nominal neighbor total of `census`'s docstring: r for a divisor,
+    n*s_i + 1 for a through-point curve in direction i, n*s_i for the
+    axis-i line."""
+    if v.kind == EXC:
+        return cfg.r
+    return cfg.n * cfg.s[v.axis - 1] + (1 if v.kind == GAMMA else 0)
+
+
 def test_census_profiles(c0):
     graph = build_graph(c0)
     rows = census(graph)
     for row in rows:
         v = row.component
         profile = (row.divisor_neighbors, row.curve_neighbors)
+        nominal = nominal_total(c0, v)
         if v.kind == EXC:
             assert profile == (0, 2)
-            assert row.agrees  # nominal r == computed
+            assert row.computed_total == nominal  # nominal r == computed
         elif v.kind == GAMMA:
             assert profile == (1, c0.n * c0.s[v.axis - 1])
-            assert row.agrees  # nominal n*s_i + 1 == computed
+            assert row.computed_total == nominal  # nominal n*s_i + 1 == computed
         else:
             assert profile == (c0.n * c0.s[v.axis - 1], 1)
-            assert not row.agrees  # nominal n*s_i, computed n*s_i + r - 1
-            assert row.computed_total == row.nominal_total + c0.r - 1
+            # nominal n*s_i, computed n*s_i + r - 1
+            assert row.computed_total != nominal
+            assert row.computed_total == nominal + c0.r - 1
 
 
 def test_census_handshake(c0, c1):
@@ -158,10 +169,12 @@ def test_census_handshake(c0, c1):
 
 
 def test_pinning_certificates(c0, c1):
-    cert0 = pin_components(build_graph(c0))
+    graph0 = build_graph(c0)
+    cert0 = pin_components(graph0, census(graph0))
     assert cert0.line_divisor_degrees == {1: 4, 2: 6}
     assert "total degree" in cert0.exc_criterion
-    cert1 = pin_components(build_graph(c1))
+    graph1 = build_graph(c1)
+    cert1 = pin_components(graph1, census(graph1))
     assert cert1.line_divisor_degrees == {1: 3, 2: 6, 3: 9}
     assert "dimension" in cert1.exc_criterion
 
@@ -169,8 +182,9 @@ def test_pinning_certificates(c0, c1):
 def test_pinning_ambiguous_on_equal_s():
     cfg = Config(n=2, r=2, s=(2, 2), q=13, zeta=12, base=((1, 2), (3, 4)),
                  skip_checks=True)
+    graph = build_graph(cfg)
     with pytest.raises(AmbiguousProfile):
-        pin_components(build_graph(cfg))
+        pin_components(graph, census(graph))
 
 
 def test_geometric_automorphisms_orders(c0, c1):

@@ -1,0 +1,32 @@
+"""Static checks of the package source."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "blowup_rigidity"
+MODULES = sorted(path.name for path in PACKAGE.glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names bound by top-level imports that the module never reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+def test_unused_imports_detects_a_leftover():
+    assert unused_imports("import os\nimport sys\nos.getpid()\n") == ["sys"]
+    assert unused_imports("from __future__ import annotations\n") == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_top_level_import(module):
+    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
