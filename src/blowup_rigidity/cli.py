@@ -13,7 +13,7 @@ import sys
 
 from .cone import EffectiveCone
 from .errors import BlowupError
-from .fieldgeom import Config, generate_config, primitive_nth_root, structural_problems
+from .fieldgeom import Config, generate_config, structural_problems
 from .lattice import BlowupLattice
 from .report import SweepCase, check_extra_q, product_cases, run_all, sweep
 from .rigidity import build_graph, geometric_automorphisms, verify_rigidity
@@ -66,12 +66,10 @@ def load_config(path: str) -> Config:
             )
         except BlowupError as exc:
             raise UsageError(f"cannot generate base coordinates: {exc}") from exc
-    if "zeta" not in raw:
-        try:
-            raw = {**raw, "zeta": primitive_nth_root(raw["q"], raw["n"])}
-        except BlowupError as exc:
-            raise UsageError(str(exc)) from exc
-    return Config.from_dict(raw, skip_checks=True)
+    try:
+        return Config.from_dict(raw, skip_checks=True)
+    except BlowupError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def load_valid_config(path: str) -> Config:
@@ -206,7 +204,7 @@ def cmd_vector_fields(args) -> int:
         with open(args.matrix, "w", encoding="utf-8") as fh:
             json.dump(
                 {"q": config.q, "columns": 4 * config.r,
-                 "rows": [{"tag": row.tag, "coeffs": list(row.coeffs)}
+                 "rows": [{"tag": row.tag, "coeffs": list(row.coeffs(config.r))}
                           for row in kernel.rows]},
                 fh, sort_keys=True, separators=(",", ":"),
             )

@@ -370,8 +370,5 @@ class EffectiveCone:
         terms = [(self._exc[k0].label, sum(a) - eps_q)] + [
             (label, x) for label, x in zip(self._gamma_labels[k0], a) if x
         ]
-        rhs = [0] * (cfg.r + lat.size)
-        for label, mult in terms:
-            for k, x in self.genset.support[label]:
-                rhs[k] += mult * x
-        return list(lhs.l + lhs.e) == rhs
+        rhs = Decomposition(tuple(terms)).resum(self.genset)
+        return (lhs.l, lhs.e) == (rhs.l, rhs.e)

@@ -47,15 +47,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def multiplicative_order(z: int, q: int) -> int:
-    z %= q
-    if z == 0:
-        raise ValueError("zero has no multiplicative order")
-    k, acc = 1, z
-    while acc != 1:
-        acc = acc * z % q
-        k += 1
-    return k
+def prime_divisors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n >= 1, ascending."""
+    return tuple(p for p in range(2, n + 1) if n % p == 0 and is_prime(p))
+
+
+def has_exact_order(z: int, n: int, q: int, primes: tuple[int, ...]) -> bool:
+    """z has multiplicative order exactly n mod the prime q: z^n = 1 and
+    z^(n/p) != 1 for each of the primes p dividing n (prime_divisors(n))."""
+    return pow(z, n, q) == 1 and all(pow(z, n // p, q) != 1 for p in primes)
 
 
 def primitive_nth_root(q: int, n: int) -> int:
@@ -66,8 +66,9 @@ def primitive_nth_root(q: int, n: int) -> int:
         raise NotPrime(f"{q} is not prime")
     if (q - 1) % n != 0:
         raise NDoesNotDivide(f"{n} does not divide {q - 1}")
+    primes = prime_divisors(n)
     for value in range(2, q):
-        if multiplicative_order(value, q) == n:
+        if has_exact_order(value, n, q, primes):
             return value
     raise NDoesNotDivide(f"no element of order {n} in F_{q}^*")  # unreachable
 
@@ -146,7 +147,7 @@ def structural_problems(n, r, s, q, zeta, base) -> list[str]:
     """All violated structural constraints, as human-readable reasons."""
     problems = parameter_problems(n, r, s, q)
     if n >= 2 and is_prime(q) and (q - 1) % n == 0:
-        if zeta % q == 0 or multiplicative_order(zeta, q) != n:
+        if not has_exact_order(zeta, n, q, prime_divisors(n)):
             problems.append(f"zeta = {zeta} does not have exact order {n} mod {q}")
     if len(base) != len(s):
         problems.append(f"base has {len(base)} axes, expected {len(s)}")

@@ -49,7 +49,7 @@ def lattice_checks(lattice: BlowupLattice, draws: int = 1000) -> list[CheckRecor
     # each basis curve's pushforward and pairing row; each E_p also goes
     # through intersect, against its own exceptional line and every strict
     # line, so a wrong exc_divisor class fails here as well
-    names = [f"piH{j}" for j in range(1, r + 1)] + [f"E[{p.key}]" for p in lattice.points]
+    names = lattice.divisor_labels()
 
     def row_mismatches(label, c, want):
         got = lattice.pushforward(c) + lattice.exc_pairings(c)

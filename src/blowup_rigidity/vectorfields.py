@@ -7,6 +7,12 @@ is an eigenvector of block i, i.e. det[A v | v] = a*xy + b*y^2 - c*x^2
 of [1:z] on the point's own block and the row of [0:1] (forcing b = 0) on
 every other block.  For a valid configuration the kernel is exactly the
 r-dimensional space of scalar blocks.
+
+Each row touches one block, so the system is block-diagonal and is stored and
+reduced that way: a row is its block plus 4 entries, each block reduces its
+distinct rows on its own 4 columns, and the reduced form of the whole system
+is the blocks' forms side by side.  A row is written out as 4r coefficients
+only for `vector-fields --matrix`.
 """
 
 from __future__ import annotations
@@ -16,25 +22,27 @@ from .fieldgeom import Config
 
 
 class ConstraintRow:
-    """4r coefficients over F_q; at most one 4-entry block is nonzero."""
+    """One row of the system: 4 entries on block `block` (1-based), zero on
+    every other block."""
 
-    __slots__ = ("coeffs", "tag")
+    __slots__ = ("block", "entries", "tag")
 
-    def __init__(self, coeffs: tuple[int, ...], tag: str):
-        self.coeffs = coeffs
+    def __init__(self, block: int, entries: tuple[int, int, int, int], tag: str):
+        self.block = block
+        self.entries = entries
         self.tag = tag
 
+    def coeffs(self, r: int) -> tuple[int, ...]:
+        """The row written out as 4r coefficients."""
+        return (0,) * (4 * self.block - 4) + self.entries + (0,) * (4 * (r - self.block))
 
-def eigen_constraint_row(
-    v: tuple[int, int], block: int, r: int, q: int, tag: str = ""
-) -> ConstraintRow:
+
+def eigen_constraint_row(v: tuple[int, int], block: int, q: int, tag: str = "") -> ConstraintRow:
     """The linear condition over F_q that v = (x, y) is an eigenvector of
     block `block` (1-based): a*xy + b*y^2 - c*x^2 - d*xy = 0."""
     x, y = v
     entries = (x * y % q, y * y % q, -x * x % q, -x * y % q)
-    coeffs = [0] * (4 * r)
-    coeffs[4 * (block - 1): 4 * block] = entries
-    return ConstraintRow(tuple(coeffs), tag or f"block{block}@[{x}:{y}]")
+    return ConstraintRow(block, entries, tag or f"block{block}@[{x}:{y}]")
 
 
 def assemble_system(config: Config) -> list[ConstraintRow]:
@@ -44,7 +52,7 @@ def assemble_system(config: Config) -> list[ConstraintRow]:
         for axis in range(1, config.r + 1):
             v = (1, p.coord) if axis == p.axis else (0, 1)
             rows.append(eigen_constraint_row(
-                v, axis, config.r, config.q, tag=f"p[{p.key}]@axis{axis}"
+                v, axis, config.q, tag=f"p[{p.key}]@axis{axis}"
             ))
     return rows
 
@@ -95,26 +103,24 @@ class KernelResult:
     """The kernel of the rows, which are kept for the checks that reuse them."""
 
     def __init__(
-        self,
-        q: int,
-        r: int,
-        rows: list[ConstraintRow],
-        rank: int,
-        dimension: int,
-        basis: list[tuple[int, ...]],
-        pivots: list[int],
+        self, r: int, rows: list[ConstraintRow], basis: list[tuple[int, ...]], pivots: list[int]
     ):
-        self.q = q
         self.r = r
         self.rows = rows
-        self.rank = rank
-        self.dimension = dimension
         self.basis = basis
         self.pivots = pivots
 
     @property
     def n_rows(self) -> int:
         return len(self.rows)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
 
     def blocks(self, vec: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
         return [tuple(vec[4 * i: 4 * i + 4]) for i in range(self.r)]
@@ -132,32 +138,28 @@ class KernelResult:
 
 
 def kernel_of_rows(rows: list[ConstraintRow], r: int, q: int) -> KernelResult:
-    dim, basis, pivots = kernel_mod_q([row.coeffs for row in rows], 4 * r, q)
-    return KernelResult(
-        q=q,
-        r=r,
-        rows=rows,
-        rank=len(pivots),
-        dimension=dim,
-        basis=basis,
-        pivots=pivots,
-    )
+    """The kernel of the 4r-column system, one block at a time: block b's
+    distinct rows reduce on their own 4 columns, its pivots shift by 4(b - 1)
+    and its canonical basis vectors are embedded at block b."""
+    by_block = [{} for _ in range(r)]
+    for row in rows:
+        by_block[row.block - 1][row.entries] = None
+    basis, pivots = [], []
+    for b, entries in enumerate(by_block):
+        _, block_basis, block_pivots = kernel_mod_q(list(entries), 4, q)
+        pivots += [4 * b + col for col in block_pivots]
+        basis += [(0,) * (4 * b) + vec + (0,) * (4 * (r - 1 - b)) for vec in block_basis]
+    return KernelResult(r, rows, basis, pivots)
 
 
 def derivation_kernel(config: Config) -> KernelResult:
     return kernel_of_rows(assemble_system(config), config.r, config.q)
 
 
-def scalar_tuples_satisfy(rows: list[ConstraintRow], r: int, q: int) -> bool:
-    """Scalar blocks annihilate every row (a = d makes each row vanish)."""
-    for i in range(r):
-        vec = [0] * (4 * r)
-        vec[4 * i] = 1
-        vec[4 * i + 3] = 1
-        for row in rows:
-            if sum(x * y for x, y in zip(row.coeffs, vec)) % q:
-                return False
-    return True
+def scalar_tuples_satisfy(rows: list[ConstraintRow], q: int) -> bool:
+    """Scalar blocks annihilate every row: the scalar vector of block i pairs
+    with a row of block i as a + d and with every other row as 0."""
+    return all((row.entries[0] + row.entries[3]) % q == 0 for row in rows)
 
 
 def direction_counts(config: Config) -> list[int]:
@@ -177,20 +179,17 @@ def verify_vanishing(config: Config) -> list:
 
 def vanishing_records(config: Config, result: KernelResult) -> list:
     """verify_vanishing's records, read from the config's derivation kernel."""
-    records = []
     counts = direction_counts(config)
-    records.append(
+    containment = scalar_tuples_satisfy(result.rows, config.q)
+    witness = result.nonscalar_witness()
+    ok = result.dimension == config.r and witness is None and containment
+    return [
         make_record(
             "vectorfields.directions",
             PASS if all(c >= 3 for c in counts) else FAIL,
             counts,
             ">= 3 per block",
-        )
-    )
-    containment = scalar_tuples_satisfy(result.rows, config.r, config.q)
-    ok = result.dimension == config.r and result.basis_is_scalar() and containment
-    witness = result.nonscalar_witness()
-    records.append(
+        ),
         make_record(
             "vectorfields.kernel",
             PASS if ok else FAIL,
@@ -199,7 +198,7 @@ def vanishing_records(config: Config, result: KernelResult) -> list:
                 "rows": result.n_rows,
                 "rank": result.rank,
                 "dimension": result.dimension,
-                "scalar_basis": result.basis_is_scalar(),
+                "scalar_basis": witness is None,
                 "scalars_contained": containment,
             },
             {"q": config.q, "rows": len(config.delta) * config.r, "rank": 3 * config.r,
@@ -209,6 +208,5 @@ def vanishing_records(config: Config, result: KernelResult) -> list:
                 f"pivot sequence {result.pivots}"
                 + (f"; nonscalar kernel vector {witness}" if witness else "")
             ),
-        )
-    )
-    return records
+        ),
+    ]

@@ -26,10 +26,14 @@ from blowup_rigidity.rigidity import (
 )
 
 
-def exhaustive_order(value: int, q: int) -> int:
-    k, acc = 1, value % q
+def multiplicative_order(z: int, q: int) -> int:
+    """The order of z in F_q^*, by repeated multiplication."""
+    z %= q
+    if z == 0:
+        raise ValueError("zero has no multiplicative order")
+    k, acc = 1, z
     while acc != 1:
-        acc = acc * value % q
+        acc = acc * z % q
         k += 1
     return k
 
@@ -37,7 +41,7 @@ def exhaustive_order(value: int, q: int) -> int:
 def smallest_of_order(q: int, n: int) -> int:
     """Exhaustive scan for the smallest element of exact order n in F_q^*."""
     for value in range(1, q):
-        if exhaustive_order(value, q) == n:
+        if multiplicative_order(value, q) == n:
             return value
     raise AssertionError(f"no element of order {n} mod {q}")
 

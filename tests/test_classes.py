@@ -22,7 +22,7 @@ VALUES = {
     "Generator": lambda v, lat: Generator("lt1", "line", CurveClass((1, 0), (0,), lat), 7 + v),
     "Decomposition": lambda v, lat: Decomposition((("lt1", 1 + v),)),
     "Component": lambda v, lat: Component(GAMMA, 2, DeltaPoint(1, 1, v, 5), 1),
-    "ConstraintRow": lambda v, lat: ConstraintRow((0, 1, v, 0), "t"),
+    "ConstraintRow": lambda v, lat: ConstraintRow(1, (0, 1, v, 0), "t"),
     "SweepCase": lambda v, lat: SweepCase(2, 3, (1, 2, 3), seed=v),
     "Config": lambda v, lat: Config(**C0_FIELDS, seed=v),
 }

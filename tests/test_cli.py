@@ -146,6 +146,17 @@ def test_verify_reports_invalid_values_as_failed_checks(bad, check_id, tmp_path,
     assert (last["check_id"], last["status"]) == (check_id, "FAIL")
 
 
+@pytest.mark.parametrize("n, q, message", [(2, 15, "15 is not prime"),
+                                           (3, 11, "3 does not divide 10")])
+def test_config_without_zeta_and_no_root_exits_2(n, q, message, tmp_path, capsys):
+    # the default zeta comes from Config.from_dict; its error is a usage error
+    path = tmp_path / "no_zeta.json"
+    path.write_text(json.dumps({"n": n, "r": 2, "s": [2, 3], "q": q,
+                                "base": [[1, 2], [3, 4, 5]]}))
+    assert main(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_vector_fields_builds_marked_set_once(c0_file, tmp_path, capsys, count_calls):
     calls = count_calls("build_delta")
     matrix = tmp_path / "matrix.json"

@@ -27,8 +27,10 @@ from blowup_rigidity.fieldgeom import (
     g_action,
     generate_config,
     generate_config_smallest_q,
-    multiplicative_order,
+    has_exact_order,
+    is_prime,
     parameter_problems,
+    prime_divisors,
     primitive_nth_root,
     scaling_group,
     stabilizer_of_axis,
@@ -38,7 +40,12 @@ from blowup_rigidity.fieldgeom import (
 
 from blowup_rigidity.report import SweepCase, sweep
 
-from oracles import pair_scan_stabilizer, smallest_of_order, stabilizer_oracle
+from oracles import (
+    multiplicative_order,
+    pair_scan_stabilizer,
+    smallest_of_order,
+    stabilizer_oracle,
+)
 
 
 # --- residues mod q ----------------------------------------------------
@@ -50,6 +57,8 @@ def test_primitive_nth_root_examples():
     # oracle: exhaustive smallest-of-exact-order scan
     for q, n in [(13, 2), (13, 3), (13, 4), (7, 3), (31, 5), (11, 2)]:
         assert primitive_nth_root(q, n) == smallest_of_order(q, n)
+    # the scan tests exact order with a few powers, so a large field is cheap
+    assert primitive_nth_root(10007, 2) == 10006
 
 
 def test_primitive_nth_root_errors():
@@ -59,6 +68,22 @@ def test_primitive_nth_root_errors():
         primitive_nth_root(15, 2)
     with pytest.raises(NDoesNotDivide):
         primitive_nth_root(7, 4)
+
+
+def test_exact_order_matches_the_order_oracle():
+    # every z of every small field, against every n dividing q - 1 and a
+    # few that do not
+    for q in (q for q in range(2, 80) if is_prime(q)):
+        orders = [None] + [multiplicative_order(z, q) for z in range(1, q)]
+        for n in range(1, q + 2):
+            primes = prime_divisors(n)
+            for z in range(q):
+                assert has_exact_order(z, n, q, primes) == (orders[z] == n), (z, n, q)
+
+
+def test_prime_divisors():
+    assert [prime_divisors(n) for n in (1, 2, 12, 13, 60, 97 * 97)] == [
+        (), (2,), (2, 3), (13,), (2, 3, 5), (97,)]
 
 
 def test_multiplicative_order():

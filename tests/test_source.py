@@ -30,3 +30,18 @@ def test_unused_imports_detects_a_leftover():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_top_level_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def asserts(source: str) -> list[int]:
+    """The line numbers of the module's `assert` statements."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_asserts_detects_an_assert():
+    assert asserts("def f(x):\n    assert x > 0\n    return x\n") == [2]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_assert_in_package(module):
+    # `python -O` strips assert, so no verdict or guard may rest on one
+    assert asserts((PACKAGE / module).read_text(encoding="utf-8")) == []

@@ -1,7 +1,11 @@
 import itertools
 
-from blowup_rigidity.fieldgeom import Lcg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from blowup_rigidity.fieldgeom import Config, Lcg
 from blowup_rigidity.vectorfields import (
+    ConstraintRow,
     assemble_system,
     derivation_kernel,
     direction_counts,
@@ -9,20 +13,24 @@ from blowup_rigidity.vectorfields import (
     kernel_mod_q,
     kernel_of_rows,
     scalar_tuples_satisfy,
+    vanishing_records,
     verify_vanishing,
 )
+
+# axis 1 is stabilized by z -> 4z, of order 6 > n
+NON_GENERIC = Config(n=3, r=2, s=(2, 3), q=13, zeta=3, base=((1, 4), (1, 2, 4)))
 
 
 def test_constraint_row_examples():
     q = 13
-    row = eigen_constraint_row((0, 1), 1, r=2, q=q)
-    assert row.coeffs == (0, 1, 0, 0, 0, 0, 0, 0)  # b = 0
-    row = eigen_constraint_row((1, 1), 1, r=2, q=q)
-    assert row.coeffs[:4] == (1, 1, q - 1, q - 1)  # a + b - c - d = 0
+    row = eigen_constraint_row((0, 1), 1, q=q)
+    assert row.coeffs(2) == (0, 1, 0, 0, 0, 0, 0, 0)  # b = 0
+    row = eigen_constraint_row((1, 1), 1, q=q)
+    assert row.coeffs(2)[:4] == (1, 1, q - 1, q - 1)  # a + b - c - d = 0
     z = 5
-    row = eigen_constraint_row((1, z), 2, r=2, q=q)
-    assert row.coeffs[:4] == (0, 0, 0, 0)
-    assert row.coeffs[4:] == (z, z * z % q, q - 1, (q - z) % q)
+    row = eigen_constraint_row((1, z), 2, q=q)
+    assert row.coeffs(2)[:4] == (0, 0, 0, 0)
+    assert row.coeffs(2)[4:] == (z, z * z % q, q - 1, (q - z) % q)
 
 
 def test_system_sizes(c0, c1):
@@ -53,8 +61,8 @@ def test_kernel_degenerate_single_direction():
     # only the [0:1] row on each of two blocks: b_i = 0 leaves dimension 6
     q = 13
     rows = [
-        eigen_constraint_row((0, 1), 1, r=2, q=q),
-        eigen_constraint_row((0, 1), 2, r=2, q=q),
+        eigen_constraint_row((0, 1), 1, q=q),
+        eigen_constraint_row((0, 1), 2, q=q),
     ]
     res = kernel_of_rows(rows, r=2, q=q)
     assert res.dimension == 6
@@ -65,7 +73,7 @@ def test_kernel_degenerate_single_direction():
 def test_scalars_always_in_kernel(c0, c1, sweep_configs):
     for cfg in (c0, c1, *sweep_configs[:4]):
         rows = assemble_system(cfg)
-        assert scalar_tuples_satisfy(rows, cfg.r, cfg.q)
+        assert scalar_tuples_satisfy(rows, cfg.q)
 
 
 def test_three_directions_force_scalars():
@@ -74,14 +82,14 @@ def test_three_directions_force_scalars():
     for q in (5, 7):
         points = [(1, z) for z in range(q)] + [(0, 1)]
         for triple in itertools.combinations(points, 3):
-            rows = [eigen_constraint_row(v, 1, r=1, q=q).coeffs for v in triple]
+            rows = [eigen_constraint_row(v, 1, q=q).entries for v in triple]
             dim, basis, _ = kernel_mod_q(list(rows), 4, q)
             assert dim == 1
             assert basis == [(1, 0, 0, 1)]
 
 
 def test_kernel_row_order_invariance(c0):
-    rows = [row.coeffs for row in assemble_system(c0)]
+    rows = [row.coeffs(c0.r) for row in assemble_system(c0)]
     dim0, basis0, _ = kernel_mod_q(rows, 4 * c0.r, c0.q)
     rng = Lcg(17)
     shuffled = list(rows)
@@ -129,3 +137,63 @@ def test_rank_is_three_per_block(sweep_configs):
         assert res.rank == 3 * cfg.r
         assert res.dimension == cfg.r
         assert res.basis_is_scalar()
+
+
+# --- the block reduction against the dense oracle ----------------------
+
+
+def dense_kernel(rows, r, q):
+    """kernel_mod_q over the rows written out as 4r coefficients."""
+    return kernel_mod_q([row.coeffs(r) for row in rows], 4 * r, q)
+
+
+def test_block_kernel_matches_dense(c0, c1):
+    for cfg in (c0, c1, NON_GENERIC):
+        rows = assemble_system(cfg)
+        res = kernel_of_rows(rows, cfg.r, cfg.q)
+        assert (res.dimension, res.basis, res.pivots) == dense_kernel(rows, cfg.r, cfg.q)
+
+
+blocks_and_entries = st.tuples(
+    st.integers(1, 4), st.tuples(*[st.integers(0, 40)] * 4)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.integers(1, 4),
+    q=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
+    picks=st.lists(blocks_and_entries, max_size=12),
+    repeats=st.lists(st.integers(0, 11), max_size=4),
+)
+def test_block_kernel_matches_dense_on_random_systems(r, q, picks, repeats):
+    # random blocks and entries: zero rows, repeated rows and blocks that
+    # get no row at all all occur
+    rows = [ConstraintRow((b - 1) % r + 1, entries, "t") for b, entries in picks]
+    rows += [rows[i] for i in repeats if i < len(rows)]
+    res = kernel_of_rows(rows, r, q)
+    assert (res.dimension, res.basis, res.pivots) == dense_kernel(rows, r, q)
+    assert res.rank == 4 * r - res.dimension
+
+
+def test_rows_moved_off_the_last_block_fail_the_kernel(c1):
+    # block r is left without rows, so its whole 4-space joins the kernel
+    rows = [
+        ConstraintRow(1 if row.block == c1.r else row.block, row.entries, row.tag)
+        for row in assemble_system(c1)
+    ]
+    records = vanishing_records(c1, kernel_of_rows(rows, c1.r, c1.q))
+    kern = records[1]
+    assert kern.check_id == "vectorfields.kernel"
+    assert kern.status == "FAIL"
+    assert kern.computed["dimension"] > c1.r
+
+
+def test_row_not_killed_by_scalars_fails_containment(c0):
+    rows = assemble_system(c0)
+    assert scalar_tuples_satisfy(rows, c0.q)
+    bad = ConstraintRow(2, (1, 0, 0, 0), "bad")  # a + d = 1 on block 2
+    assert not scalar_tuples_satisfy(rows + [bad], c0.q)
+    records = vanishing_records(c0, kernel_of_rows(rows + [bad], c0.r, c0.q))
+    assert records[1].computed["scalars_contained"] is False
+    assert records[1].status == "FAIL"
