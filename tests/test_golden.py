@@ -12,7 +12,14 @@ import json
 import pytest
 
 from blowup_rigidity.cli import main
-from blowup_rigidity.report import SweepCase, default_s, product_cases, resolve_case
+from blowup_rigidity.fieldgeom import Config
+from blowup_rigidity.report import (
+    SweepCase,
+    config_seed,
+    default_s,
+    product_cases,
+    resolve_case,
+)
 
 CONFIGS = {
     "C0": {"n": 2, "r": 2, "s": [2, 3], "q": 13, "base": [[1, 2], [3, 4, 5]]},
@@ -106,6 +113,34 @@ def test_vector_fields_matrix_sha256(name, tmp_path, capsys):
     main(["vector-fields", "--config", str(path), "--matrix", str(matrix)])
     capsys.readouterr()
     assert hashlib.sha256(matrix.read_bytes()).hexdigest() == GOLDEN_MATRIX[name]
+
+
+# report.config_seed per config and salt: the seeds of the random draws of
+# lattice.multidegree_expansion, cone.case2_membership, cone.case3_identity
+# and vectorfields.kernel_extra (at q = 17).  A changed seed changes the
+# drawn vectors even where every check still passes and the stdout pins hold.
+GOLDEN_SEEDS = {
+    ("C0", "expansion"): 0xE682ECE1433DD847,
+    ("C0", "case2"): 0xA8F416650529B3B6,
+    ("C0", "case3"): 0x91417F2EB63204D9,
+    ("C0", "extra_q=17"): 0xC42DE1F4DAD96DD0,
+    ("C1", "expansion"): 0x4DD2DDA9A2B3DCD4,
+    ("C1", "case2"): 0xB305815B37F05308,
+    ("C1", "case3"): 0x0F2E56C067AEB212,
+    ("C1", "extra_q=17"): 0x7D1EFD1647D6B751,
+    ("non_generic", "expansion"): 0xAEB237F431AC83F5,
+    ("non_generic", "case2"): 0x5620AC1975778476,
+    ("non_generic", "case3"): 0x23C1FE39077E8766,
+    ("non_generic", "extra_q=17"): 0x2FC974E068434A29,
+}
+
+
+@pytest.mark.parametrize(
+    "name,salt", sorted(GOLDEN_SEEDS), ids=[f"{n}-{s}" for n, s in sorted(GOLDEN_SEEDS)]
+)
+def test_config_seed(name, salt):
+    config = Config.from_dict(CONFIGS[name])
+    assert config_seed(config, salt) == GOLDEN_SEEDS[(name, salt)]
 
 
 # Generated configurations, pinned so that config generation keeps drawing
