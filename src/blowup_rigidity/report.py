@@ -9,7 +9,6 @@ canonical form.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -26,6 +25,7 @@ from .fieldgeom import (
     next_valid_q,
     primitive_nth_root,
     sample_base,
+    sha256,
     validate_config,
 )
 from .lattice import BlowupLattice
@@ -36,8 +36,9 @@ CHECK_ORDER = list(CLAIMS)
 
 
 def config_seed(config: Config, salt: str) -> int:
-    """Deterministic draw seed derived from the exact configuration."""
-    digest = hashlib.sha256((config.canonical_json() + salt).encode()).digest()
+    """Deterministic draw seed derived from the exact configuration: the
+    first 8 bytes, big-endian, of the SHA-256 of its canonical JSON + salt."""
+    digest = sha256((config.canonical_json() + salt).encode())
     return int.from_bytes(digest[:8], "big")
 
 

@@ -367,14 +367,16 @@ def test_load_config_returns_config_or_raises_usage_error(raw):
 def test_cli_import_skips_process_pool(tmp_path):
     # only `sweep` with more than one job uses the pool, only `pairing-table`
     # writes CSV, and no class is a dataclass (which imports inspect); a
-    # `verify` run loads neither the fork pool nor `select`
+    # `verify` run loads neither the fork pool nor `select`, and its draw
+    # seeds are hashed in-package, without hashlib and OpenSSL
     config = tmp_path / "c0.json"
     config.write_text(json.dumps(C0_RAW))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, blowup_rigidity.cli; "
             "loaded = lambda: [m for m in ('concurrent.futures.process', 'multiprocessing', "
-            "'dataclasses', 'inspect', 'csv', 'blowup_rigidity.forkpool', 'select') "
+            "'dataclasses', 'inspect', 'csv', 'blowup_rigidity.forkpool', 'select', "
+            "'hashlib', '_hashlib') "
             "if m in sys.modules]; print(loaded()); "
             f"code = blowup_rigidity.cli.main(['verify', '--config', {str(config)!r}, "
             "'--out', sys.argv[1]]); print(code, loaded())")
@@ -386,7 +388,8 @@ def test_cli_import_skips_process_pool(tmp_path):
 
 
 def test_parallel_sweep_imports_no_process_pool(tmp_path):
-    # forked sweep workers need neither the executor nor pickled messages
+    # forked sweep workers need neither the executor nor pickled messages,
+    # and their draw seeds need neither hashlib nor OpenSSL
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"cases": [{"n": 2, "r": 2, "s": [2, 3], "q": 13},
                                           {"n": 3, "r": 2, "s": [1, 2], "q": 13}]}))
@@ -395,7 +398,8 @@ def test_parallel_sweep_imports_no_process_pool(tmp_path):
     code = ("import sys; from blowup_rigidity.cli import main; "
             f"code = main(['sweep', '--spec', {str(spec)!r}, '--draws', '10', "
             "'--jobs', '2', '--out', sys.argv[1]]); "
-            "print(code, [m for m in ('concurrent.futures', 'multiprocessing', 'pickle') "
+            "print(code, [m for m in ('concurrent.futures', 'multiprocessing', 'pickle', "
+            "'hashlib', '_hashlib') "
             "if m in sys.modules], 'blowup_rigidity.forkpool' in sys.modules)")
     out = tmp_path / "sweep.json"
     proc = subprocess.run([sys.executable, "-c", code, str(out)], capture_output=True,

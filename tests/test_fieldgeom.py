@@ -1,7 +1,8 @@
+import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blowup_rigidity.errors import (
@@ -33,6 +34,7 @@ from blowup_rigidity.fieldgeom import (
     prime_divisors,
     primitive_nth_root,
     scaling_group,
+    sha256,
     stabilizer_of_axis,
     structural_problems,
     validate_config,
@@ -407,6 +409,30 @@ def test_lcg_take_equals_repeated_below(seed, bounds):
     else:
         assert one.take(bounds) == want
     assert one.state == many.state
+
+
+@pytest.mark.parametrize("message,digest", [
+    (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+    (b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+     "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"),
+], ids=["empty", "abc", "448-bit"])
+def test_sha256_fips_180_4_examples(message, digest):
+    assert sha256(message).hex() == digest
+
+
+# hashlib is the oracle; the examples sit at the padding edges, where the
+# length field just fits in the last block (55, 119) or spills into a new one
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=300))
+@example(data=bytes(range(55)))
+@example(data=bytes(range(56)))
+@example(data=bytes(range(63)))
+@example(data=bytes(range(64)))
+@example(data=bytes(range(119)))
+@example(data=bytes(range(120)))
+def test_sha256_matches_hashlib(data):
+    assert sha256(data) == hashlib.sha256(data).digest()
 
 
 def test_smallest_q_scan_gives_up_without_generic_base(monkeypatch, count_calls):

@@ -3,7 +3,8 @@
 Each case runs one subcommand in-process and hashes its whole standard
 output, trailing newline included, so any change to the canonical bytes of
 a report (key order, number formatting, map strings in messages) fails here.
-The generated configurations of the benchmark grids are pinned the same way.
+The generated configurations of the benchmark grids are pinned the same way,
+and the seeds of the random checks' draws are pinned as values.
 """
 
 import hashlib
