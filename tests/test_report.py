@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 from blowup_rigidity.checks import CLAIMS, CheckRecord, make_record
+from blowup_rigidity.cone import Decomposition, EffectiveCone, GeneratorSet
 from blowup_rigidity.errors import InvalidSetting, UnknownCheckId
 from blowup_rigidity.fieldgeom import Config, next_valid_q
+from blowup_rigidity.lattice import BlowupLattice, DivisorClass
 from blowup_rigidity.report import (
     CHECK_ORDER,
     SweepCase,
@@ -104,6 +106,52 @@ def test_run_all_tests_one_generator_per_orbit(c1, count_calls):
     # r(r + 1) = 12 orbit representatives and the 3 sample splits; a test
     # of every generator makes it 57 + 3
     assert calls == {name: 15}
+
+
+# Each sabotage breaks one input of one check and never its expected value.
+REAL_PHI = GeneratorSet.phi
+REAL_RESUM = Decomposition.resum
+
+
+def halved_canonical_pullback(lattice):
+    # pi*(-H_1 - ... - H_r) in place of pi*(-2 H_1 - ... - 2 H_r)
+    return DivisorClass((-1,) * lattice.config.r, (0,) * lattice.size, lattice)
+
+
+def iter_repeating_a_gamma(genset):
+    # the first gamma a second time, in place of the gamma after it
+    gens = list(genset.generators)
+    first = next(k for k, g in enumerate(gens) if g.kind == "gamma")
+    gens[first + 1] = gens[first]
+    return iter(gens)
+
+
+def phi_minus_one(genset, c):
+    return REAL_PHI(genset, c) - 1
+
+
+def resum_of_positive_parts(dec, genset):
+    # drops the parts of non-positive multiplicity, which no search emits
+    return REAL_RESUM(Decomposition(tuple((label, m) for label, m in dec.parts if m > 0)),
+                      genset)
+
+
+@pytest.mark.parametrize("check_id, owner, attr, sabotage", [
+    ("lattice.canonical_degree", BlowupLattice, "ambient_canonical_pullback",
+     halved_canonical_pullback),
+    ("cone.generator_count", GeneratorSet, "__iter__", iter_repeating_a_gamma),
+    ("cone.phi_positive", GeneratorSet, "phi", phi_minus_one),
+    ("cone.sample_splits", EffectiveCone, "two_part_decompositions", lambda cone, c: []),
+    ("cone.case2_membership", EffectiveCone, "member", lambda cone, c: None),
+    ("cone.case3_identity", Decomposition, "resum", resum_of_positive_parts),
+])
+@pytest.mark.parametrize("config", ["c0", "c1"])
+def test_sabotaged_input_fails_its_check(config, check_id, owner, attr, sabotage,
+                                         request, monkeypatch):
+    monkeypatch.setattr(owner, attr, sabotage)
+    report = run_all(request.getfixturevalue(config), draws=200)
+    assert next(rec.status for rec in report.records if rec.check_id == check_id) == "FAIL"
+    assert report.exit_code == 1
 
 
 def test_markdown_rendering(c0):
