@@ -15,9 +15,9 @@ from .cone import EffectiveCone
 from .errors import BlowupError
 from .fieldgeom import Config, generate_config, structural_problems
 from .lattice import BlowupLattice
-from .report import SweepCase, check_extra_q, product_cases, run_all, sweep
+from .report import SweepCase, product_cases, run_all, sweep
 from .rigidity import build_graph, geometric_automorphisms, verify_rigidity
-from .vectorfields import derivation_kernel, vanishing_records
+from .vectorfields import check_extra_q, derivation_kernel, vanishing_records
 
 
 class UsageError(Exception):

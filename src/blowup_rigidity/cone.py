@@ -29,8 +29,9 @@ import itertools
 import json
 import operator
 
+from .checks import FAIL, PASS, CheckRecord, make_record
 from .errors import NotEffective
-from .fieldgeom import DeltaPoint
+from .fieldgeom import DeltaPoint, Lcg, config_seed
 from .lattice import BlowupLattice, CurveClass
 
 
@@ -372,3 +373,121 @@ class EffectiveCone:
         ]
         rhs = Decomposition(tuple(terms)).resum(self.genset)
         return (lhs.l, lhs.e) == (rhs.l, rhs.e)
+
+
+def generators_extremal(cone: EffectiveCone) -> CheckRecord:
+    """The cone.generators_extremal record, from one is_extremal test per
+    orbit of `GeneratorSet.orbits`.
+
+    Extremality is constant on those orbits (see `EffectiveCone`), and each
+    swap behind an orbit is checked on the generator set before it is used,
+    so a broken symmetry splits orbits and never leaves a generator
+    untested.  A representative that is not extremal puts its whole orbit
+    on the list, which is then in canonical order, the same list as a test
+    of every generator gives.
+    """
+    gens = cone.genset.generators
+    non_extremal_at: list[int] = []
+    for orbit in cone.genset.orbits():
+        if not cone.is_extremal(gens[orbit[0]].cls):
+            non_extremal_at += orbit
+    non_extremal = [gens[g].label for g in sorted(non_extremal_at)]
+    return make_record(
+        "cone.generators_extremal",
+        PASS if not non_extremal else FAIL,
+        {"generators": len(gens), "non_extremal": non_extremal},
+        {"generators": len(gens), "non_extremal": []},
+    )
+
+
+def cone_checks(cone: EffectiveCone, draws: int = 1000) -> list[CheckRecord]:
+    lattice = cone.lattice
+    cfg = lattice.config
+    records = []
+
+    distinct = len({(g.cls.l, g.cls.e) for g in cone.genset})
+    records.append(
+        make_record(
+            "cone.generator_count",
+            PASS if distinct == cone.genset.expected_count else FAIL,
+            distinct,
+            cone.genset.expected_count,
+        )
+    )
+
+    phis = [g.phi for g in cone.genset]
+    records.append(
+        make_record(
+            "cone.phi_positive",
+            PASS if all(x >= 1 for x in phis) else FAIL,
+            {"min_phi": min(phis), "max_phi": max(phis)},
+            {"min_phi": ">= 1"},
+        )
+    )
+
+    records.append(generators_extremal(cone))
+
+    p0 = lattice.points[0]
+    samples = {
+        "lt1+e": lattice.line(1) + lattice.exc_curve(p0),
+        "2e": lattice.exc_curve(p0).scale(2),
+        "lt1+lt2": lattice.line(1) + lattice.line(2),
+    }
+    split_counts = {
+        name: len(cone.two_part_decompositions(c)) for name, c in samples.items()
+    }
+    records.append(
+        make_record(
+            "cone.sample_splits",
+            PASS if all(v >= 1 for v in split_counts.values()) else FAIL,
+            split_counts,
+            "each >= 1 (so none of these classes is extremal)",
+        )
+    )
+
+    rng = Lcg(config_seed(cfg, "case2"))
+    case2_ok = True
+    case2_draws = min(draws, 200)
+    bounds = (3,) * cfg.r
+    for _ in range(case2_draws):
+        a = tuple(rng.take(bounds))
+        eps = tuple(rng.take([a[axis - 1] + 1 for axis in lattice.axis_of]))
+        target = lattice.expand_in_basis(a, eps)
+        dec = cone.member(target)
+        if dec is None:
+            case2_ok = False
+            break
+        resum = dec.resum(cone.genset)
+        if (resum.l, resum.e) != (target.l, target.e):
+            case2_ok = False
+            break
+    records.append(
+        make_record(
+            "cone.case2_membership",
+            PASS if case2_ok else FAIL,
+            {"draws": case2_draws, "all_members_resum": case2_ok},
+            {"draws": case2_draws, "all_members_resum": True},
+        )
+    )
+
+    rng = Lcg(config_seed(cfg, "case3"))
+    case3_ok = True
+    # a point, then a_i for each axis i but the point's own (a_j = 0), then
+    # the excess at the point
+    bounds = (lattice.size,) + (4,) * cfg.r
+    for _ in range(draws):
+        k, *rest, eps_q = rng.take(bounds)
+        q0 = lattice.points[k]
+        rest.insert(q0.axis - 1, 0)
+        if not cone.case3_identity(q0, tuple(rest), eps_q):
+            case3_ok = False
+            break
+    records.append(
+        make_record(
+            "cone.case3_identity",
+            PASS if case3_ok else FAIL,
+            {"draws": draws, "all_exact": case3_ok},
+            {"draws": draws, "all_exact": True},
+        )
+    )
+    return records

@@ -456,6 +456,13 @@ def sha256(data: bytes) -> bytes:
     return b"".join(x.to_bytes(4, "big") for x in h)
 
 
+def config_seed(config: Config, salt: str) -> int:
+    """Deterministic draw seed derived from the exact configuration: the
+    first 8 bytes, big-endian, of the SHA-256 of its canonical JSON + salt."""
+    digest = sha256((config.canonical_json() + salt).encode())
+    return int.from_bytes(digest[:8], "big")
+
+
 def sample_base(
     n: int, s: tuple[int, ...], q: int, zeta: int, rng: Lcg
 ) -> tuple[tuple[int, ...], ...] | None:

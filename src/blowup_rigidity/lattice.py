@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import itertools
 
+from .checks import FAIL, PASS, CheckRecord, make_record
 from .errors import AxisOutOfRange, ConfigMismatch, SameAxis
-from .fieldgeom import Config, DeltaPoint
+from .fieldgeom import Config, DeltaPoint, Lcg, config_seed
 
 
 class DivisorClass:
@@ -255,3 +256,141 @@ class BlowupLattice:
         writer.writerow(["curve/divisor"] + self.divisor_labels())
         for label, c in zip(self.curve_labels(), self.curve_basis()):
             writer.writerow([label, *self.pushforward(c), *self.exc_pairings(c)])
+
+
+def lattice_checks(lattice: BlowupLattice, draws: int = 1000) -> list[CheckRecord]:
+    cfg = lattice.config
+    r = cfg.r
+    records = []
+
+    # each basis curve's pushforward and pairing row; each E_p also goes
+    # through intersect, against its own exceptional line and every strict
+    # line, so a wrong exc_divisor class fails here as well
+    names = lattice.divisor_labels()
+
+    def row_mismatches(label, c, want):
+        got = lattice.pushforward(c) + lattice.exc_pairings(c)
+        return [f"{label}.{name}" for name, x, y in zip(names, got, want) if x != y]
+
+    # the expected rows with one nonzero E-pairing are slices of one zero row
+    zeros = (0,) * lattice.size
+    bad = []
+    for i in range(1, r + 1):
+        want = [1 if j == i else 0 for j in range(1, r + 1)]
+        want += [1 if p.axis == i else 0 for p in lattice.points]
+        bad += row_mismatches(f"lt{i}", lattice.line(i), want)
+    for k, p in enumerate(lattice.points):
+        want = (0,) * r + zeros[:k] + (-1,) + zeros[k + 1:]
+        bad += row_mismatches(f"e[{p.key}]", lattice.exc_curve(p), want)
+    for p in lattice.points:
+        ed = lattice.exc_divisor(p)
+        if lattice.intersect(lattice.exc_curve(p), ed) != -1:
+            bad.append(f"e[{p.key}].E[{p.key}]")
+        for i in range(1, r + 1):
+            if lattice.intersect(lattice.line(i), ed) != (1 if p.axis == i else 0):
+                bad.append(f"lt{i}.E[{p.key}]")
+    ok = not bad
+    records.append(
+        make_record(
+            "lattice.pairing_blocks",
+            PASS if ok else FAIL,
+            "all basis pairings as stated" if ok else bad,
+            "identity / minus-identity diagonal blocks, membership rectangle",
+        )
+    )
+
+    self_vals = {
+        f"axis_{i}": lattice.intersect(lattice.line(i), lattice.strict_h(i))
+        for i in range(1, r + 1)
+    }
+    records.append(
+        make_record(
+            "lattice.strict_h_self",
+            PASS if all(v == 1 for v in self_vals.values()) else FAIL,
+            self_vals,
+            {f"axis_{i}": 1 for i in range(1, r + 1)},
+        )
+    )
+
+    cross_vals = {}
+    cross_want = {}
+    for i in range(1, r + 1):
+        for j in range(1, r + 1):
+            if i != j:
+                key = f"H{i}.l{j}"
+                cross_vals[key] = lattice.intersect(lattice.line(j), lattice.strict_h(i))
+                cross_want[key] = -cfg.n * cfg.s[j - 1]
+    records.append(
+        make_record(
+            "lattice.strict_h_cross",
+            PASS if cross_vals == cross_want else FAIL,
+            cross_vals,
+            cross_want,
+        )
+    )
+
+    exc_ok = all(
+        lattice.intersect(lattice.exc_curve(p), lattice.strict_h(i))
+        == (0 if p.axis == i else 1)
+        for p in lattice.points
+        for i in range(1, r + 1)
+    )
+    records.append(
+        make_record(
+            "lattice.strict_h_exc",
+            PASS if exc_ok else FAIL,
+            "membership pattern holds at every (p, i)" if exc_ok else "mismatch",
+            "1 off the axis, 0 on the axis",
+        )
+    )
+
+    gamma_ok = True
+    pairs = 0
+    for i in range(1, r + 1):
+        unit = tuple(1 if j == i else 0 for j in range(1, r + 1))
+        for k, p in enumerate(lattice.points):
+            if p.axis == i:
+                continue
+            pairs += 1
+            g = lattice.gamma(p, i)
+            want = zeros[:k] + (1,) + zeros[k + 1:]
+            if lattice.exc_pairings(g) != want or lattice.pushforward(g) != unit:
+                gamma_ok = False
+    records.append(
+        make_record(
+            "lattice.gamma_pairings",
+            PASS if gamma_ok else FAIL,
+            {"admissible_pairs": pairs, "all_identities_hold": gamma_ok},
+            {"admissible_pairs": pairs, "all_identities_hold": True},
+        )
+    )
+
+    rng = Lcg(config_seed(cfg, "expansion"))
+    expansion_ok = True
+    bounds = (15,) * (r + lattice.size)
+    for _ in range(draws):
+        vec = tuple([x - 5 for x in rng.take(bounds)])
+        a, eps = vec[:r], vec[r:]
+        c = lattice.expand_in_basis(a, eps)
+        if lattice.pushforward(c) != a or lattice.exc_pairings(c) != eps:
+            expansion_ok = False
+            break
+    records.append(
+        make_record(
+            "lattice.multidegree_expansion",
+            PASS if expansion_ok else FAIL,
+            {"draws": draws, "all_exact": expansion_ok},
+            {"draws": draws, "all_exact": True},
+        )
+    )
+
+    canon = {f"axis_{i}": lattice.canonical_pullback_check(i) for i in range(1, r + 1)}
+    records.append(
+        make_record(
+            "lattice.canonical_degree",
+            PASS if all(v == -2 for v in canon.values()) else FAIL,
+            canon,
+            {f"axis_{i}": -2 for i in range(1, r + 1)},
+        )
+    )
+    return records

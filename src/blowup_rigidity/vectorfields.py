@@ -17,8 +17,9 @@ only for `vector-fields --matrix`.
 
 from __future__ import annotations
 
-from .checks import FAIL, PASS, make_record
-from .fieldgeom import Config
+from .checks import FAIL, PASS, CheckRecord, make_record
+from .errors import NDoesNotDivide, NotPrime, TooSmallField
+from .fieldgeom import Config, Lcg, config_seed, is_prime, primitive_nth_root, sample_base
 
 
 class ConstraintRow:
@@ -210,3 +211,36 @@ def vanishing_records(config: Config, result: KernelResult) -> list:
             ),
         ),
     ]
+
+
+def check_extra_q(n: int, s: tuple[int, ...], q2: int) -> None:
+    """Refuse a second field that is not prime, not 1 (mod n), or short of
+    scaling orbits for the counts s."""
+    if not is_prime(q2):
+        raise NotPrime(f"q2 = {q2} is not prime")
+    if n < 1 or (q2 - 1) % n:
+        raise NDoesNotDivide(f"q2 = {q2} is not 1 (mod {n})")
+    if (q2 - 1) // n < max(s, default=0):
+        raise TooSmallField(f"q2 = {q2} has too few scaling orbits")
+
+
+def extra_q_vanishing(config: Config, q2: int) -> CheckRecord:
+    """Re-run the kernel computation over a second field with the same
+    (n, r, s).  Genericity is not needed for this check, so the base table
+    is resampled with orbit-disjointness only."""
+    check_extra_q(config.n, config.s, q2)
+    zeta2 = primitive_nth_root(q2, config.n)
+    rng = Lcg(config_seed(config, f"extra_q={q2}"))
+    base = None
+    while base is None:
+        base = sample_base(config.n, config.s, q2, zeta2, rng)
+    cfg2 = Config(n=config.n, r=config.r, s=config.s, q=q2, zeta=zeta2, base=base)
+    result = derivation_kernel(cfg2)
+    ok = result.dimension == cfg2.r and result.basis_is_scalar()
+    return make_record(
+        "vectorfields.kernel_extra",
+        PASS if ok else FAIL,
+        {"q": q2, "rank": result.rank, "dimension": result.dimension,
+         "scalar_basis": result.basis_is_scalar()},
+        {"q": q2, "rank": 3 * cfg2.r, "dimension": cfg2.r, "scalar_basis": True},
+    )

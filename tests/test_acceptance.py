@@ -20,7 +20,6 @@ from blowup_rigidity.fieldgeom import (
     stabilizer_of_axis,
 )
 from blowup_rigidity.lattice import BlowupLattice
-from blowup_rigidity.report import extra_q_vanishing
 from blowup_rigidity.rigidity import (
     build_graph,
     census,
@@ -28,7 +27,7 @@ from blowup_rigidity.rigidity import (
     geometric_automorphisms,
     geometric_permutation,
 )
-from blowup_rigidity.vectorfields import derivation_kernel
+from blowup_rigidity.vectorfields import derivation_kernel, extra_q_vanishing
 
 from oracles import incident_oracle, stabilizer_oracle
 

@@ -1,16 +1,10 @@
 import pytest
 
-from blowup_rigidity.cone import EffectiveCone, GeneratorSet
+from blowup_rigidity.cone import EffectiveCone, GeneratorSet, cone_checks, generators_extremal
 from blowup_rigidity.errors import NotEffective
 from blowup_rigidity.fieldgeom import Lcg
 from blowup_rigidity.lattice import BlowupLattice, CurveClass
-from blowup_rigidity.report import (
-    SweepCase,
-    cone_checks,
-    default_s,
-    generators_extremal,
-    resolve_case,
-)
+from blowup_rigidity.report import SweepCase, default_s, resolve_case
 
 from oracles import full_extremal_scan, naive_decompositions, pointwise_phi
 

@@ -13,14 +13,8 @@ import json
 import pytest
 
 from blowup_rigidity.cli import main
-from blowup_rigidity.fieldgeom import Config
-from blowup_rigidity.report import (
-    SweepCase,
-    config_seed,
-    default_s,
-    product_cases,
-    resolve_case,
-)
+from blowup_rigidity.fieldgeom import Config, config_seed
+from blowup_rigidity.report import SweepCase, default_s, product_cases, resolve_case
 
 CONFIGS = {
     "C0": {"n": 2, "r": 2, "s": [2, 3], "q": 13, "base": [[1, 2], [3, 4, 5]]},
@@ -116,7 +110,7 @@ def test_vector_fields_matrix_sha256(name, tmp_path, capsys):
     assert hashlib.sha256(matrix.read_bytes()).hexdigest() == GOLDEN_MATRIX[name]
 
 
-# report.config_seed per config and salt: the seeds of the random draws of
+# fieldgeom.config_seed per config and salt: the seeds of the random draws of
 # lattice.multidegree_expansion, cone.case2_membership, cone.case3_identity
 # and vectorfields.kernel_extra (at q = 17).  A changed seed changes the
 # drawn vectors even where every check still passes and the stdout pins hold.

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from blowup_rigidity.checks import FAIL
 from blowup_rigidity.errors import AxisOutOfRange, ConfigMismatch, SameAxis
 from blowup_rigidity.fieldgeom import Config, Lcg
-from blowup_rigidity.lattice import BlowupLattice, CurveClass, DivisorClass
-from blowup_rigidity.report import lattice_checks
+from blowup_rigidity.lattice import BlowupLattice, CurveClass, DivisorClass, lattice_checks
 
 from oracles import dense_pairing
 

@@ -215,8 +215,7 @@ def test_sweep_records_any_case_exception(monkeypatch):
 # `python -O` strips assert statements.
 SABOTAGED_EXPANSION = """
 from blowup_rigidity.fieldgeom import Config
-from blowup_rigidity.lattice import BlowupLattice, CurveClass
-from blowup_rigidity.report import lattice_checks
+from blowup_rigidity.lattice import BlowupLattice, CurveClass, lattice_checks
 
 def wrong_e_part(self, a, eps):
     e = tuple(a[axis - 1] - ep + 1 for ep, axis in zip(eps, self.axis_of))

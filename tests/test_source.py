@@ -1,12 +1,19 @@
 """Static checks of the package source."""
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "blowup_rigidity"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "blowup_rigidity"
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py"))
+# the module that makes the records of each stage, by check-id prefix
+STAGE_MODULES = {"config": "fieldgeom.py", "lattice": "lattice.py", "cone": "cone.py",
+                 "rigidity": "rigidity.py", "vectorfields": "vectorfields.py"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,3 +52,47 @@ def test_asserts_detects_an_assert():
 def test_no_assert_in_package(module):
     # `python -O` strips assert, so no verdict or guard may rest on one
     assert asserts((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def record_ids(source: str) -> list[str | None]:
+    """The check id of every make_record call, or None where it is not a
+    string literal."""
+    return [
+        node.args[0].value
+        if node.args and isinstance(node.args[0], ast.Constant)
+        and isinstance(node.args[0].value, str) else None
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "make_record"
+    ]
+
+
+def test_record_ids_finds_every_call():
+    source = 'make_record("cone.phi_positive", PASS, 1, 1)\nmake_record(cid, FAIL, 0, 1)\n'
+    assert record_ids(source) == ["cone.phi_positive", None]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_records_are_made_in_their_stage_module(module):
+    # a stage's claims are checked in that stage's module
+    ids = record_ids((PACKAGE / module).read_text(encoding="utf-8"))
+    assert [cid for cid in ids
+            if cid is None or STAGE_MODULES.get(cid.partition(".")[0]) != module] == []
+
+
+def test_trace_targets_resolve(monkeypatch):
+    # a target the trace cannot find only warns, and its spans then read 0
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_trace",
+                                                  ROOT / "perfbench" / "trace.py")
+    trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace)
+    for modname, attr, _ in trace.TARGETS:
+        owner = importlib.import_module(f"blowup_rigidity.{modname}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), f"{modname}.{attr}"
+    report = importlib.import_module("blowup_rigidity.report")
+    for modname, name in [("lattice", "lattice_checks"), ("cone", "cone_checks"),
+                          ("vectorfields", "extra_q_vanishing")]:
+        module = importlib.import_module(f"blowup_rigidity.{modname}")
+        assert getattr(report, name) is getattr(module, name)
