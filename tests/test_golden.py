@@ -63,6 +63,16 @@ GOLDEN = [
      "8c80335dd34a76f7c5a75c4ec0748c10e4445a2c746755a76b8944538a170411"),
 ]
 
+# `verify --q-extra` stdout with a large second field, so that its base is
+# drawn among thousands of scaling orbits; keyed by (config, q2, seed), the
+# seed being added to the config file so that it moves the second-field draws
+GOLDEN_EXTRA_Q = {
+    ("C0", 10007, 1): "85bfa951e077390825f184a4a16cb758a138e67aa969f572c15fd7dd7ead307d",
+    ("C0", 10007, 7): "f6b9217778fdda0592763efe90730065bf6631346d593382a79900fcc3b6a82f",
+    ("C1", 10009, 1): "5e8761db50cf4f64150edddf359629a1767b9bd5c934ac52c4463d3fb48cd7c8",
+    ("C1", 10009, 7): "ad88c41a570073c2b1c9c424645bf99d8e92a8c0ebea53963996ae416882d52b",
+}
+
 # sha256 of the file written by `graph --dot`
 GOLDEN_DOT = {
     "C0": "702170057960eef5743381f8d01f88ff477a49a468f6e56d94ec72e8bb03f095",
@@ -88,6 +98,18 @@ def test_cli_stdout_sha256(name, argv, digest, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.endswith("\n")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "name,q2,seed", sorted(GOLDEN_EXTRA_Q),
+    ids=[f"{n}-q{q}-seed{s}" for n, q, s in sorted(GOLDEN_EXTRA_Q)],
+)
+def test_verify_large_extra_q_sha256(name, q2, seed, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(dict(CONFIGS[name], seed=seed)))
+    main(["verify", "--config", str(path), "--q-extra", str(q2)])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_EXTRA_Q[(name, q2, seed)]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DOT))
@@ -143,6 +165,8 @@ def test_config_seed(name, salt):
 # benchmark workloads in perfbench/cases.py: `sweep` is its product grid,
 # `ladder` the C0/C1 shapes at q = 13 plus the generated (n, r, q) rungs,
 # `wide` the smallest-q (n, r) cases, each generated at the given seed.
+# `grid_r45` widens the product grid to r = 4, 5, where more bases are
+# rejected before a generic one is found.
 GENERATION_CASES = {
     "sweep": lambda seed: product_cases([2, 3, 4, 5, 6, 7], [2, 3], seed=seed, variants=2),
     "ladder": lambda seed: [
@@ -153,6 +177,7 @@ GENERATION_CASES = {
     "wide": lambda seed: [
         SweepCase(n, r, default_s(n, r), seed=seed) for n, r in [(2, 5), (3, 5), (2, 6)]
     ],
+    "grid_r45": lambda seed: product_cases([2, 3, 4, 5, 6, 7], [4, 5], seed=seed, variants=2),
 }
 
 # sha256 of the newline-joined canonical_json() of each generated config
@@ -163,6 +188,8 @@ GOLDEN_GENERATION = {
     ("ladder", 7): "c5aa6d3fef23b74774e2c07cd896236a2b0006fa3472a6712d15f0d0aa8a714d",
     ("wide", 1): "edfca4b8ca53b286a4a69c4289854a1d4f751c75f91e415722dc6de6a8695f17",
     ("wide", 7): "23bb1008cd664581f3c3978a0e333920d50d590e9ac9a5e462774e03f3ab75f5",
+    ("grid_r45", 1): "b7eebd5d6a535124acf7c967d95a49bc295eecb8f0b32326fc2b3ac080be8380",
+    ("grid_r45", 7): "d213d3d65554c8167bfe07599363eb5bad0a440ba4be1d4763310ec96d3b20ba",
 }
 
 
