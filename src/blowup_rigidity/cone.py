@@ -364,13 +364,15 @@ class EffectiveCone:
         if any(x < 0 for x in a):
             raise ValueError("multidegree must be nonnegative")
         k0 = lat.point_index[q0]
+        gamma_terms = [(label, x) for label, x in zip(self._gamma_labels[k0], a) if x]
+        # a generator set without some gamma(q0, i) cannot give the identity
+        if any(label is None for label, _ in gamma_terms):
+            return False
         eps = [0] * lat.size
         eps[k0] = eps_q
         lhs = lat.expand_in_basis(tuple(a), tuple(eps))
         # the right-hand side adds the generators' own sparse classes; a_j = 0
-        terms = [(self._exc[k0].label, sum(a) - eps_q)] + [
-            (label, x) for label, x in zip(self._gamma_labels[k0], a) if x
-        ]
+        terms = [(self._exc[k0].label, sum(a) - eps_q)] + gamma_terms
         rhs = Decomposition(tuple(terms)).resum(self.genset)
         return (lhs.l, lhs.e) == (rhs.l, rhs.e)
 

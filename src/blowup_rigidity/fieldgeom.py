@@ -265,6 +265,23 @@ def mu_orbit(z: int, zeta: int, n: int, q: int) -> frozenset[int]:
     return frozenset(z * pow(zeta, t, q) % q for t in range(n))
 
 
+@functools.lru_cache(maxsize=None)
+def orbit_labels(n: int, q: int, zeta: int) -> tuple[int, ...]:
+    """label[z] for each residue z mod q: the number of z's scaling orbit
+    {z, zeta*z, ..., zeta^(n-1)*z}, counting orbits from 0 in the order of
+    their smallest element; label[0] = -1.  zeta must have exact order n."""
+    labels = [-1] * q
+    count = 0
+    for z in range(1, q):
+        if labels[z] < 0:
+            w = z
+            for _ in range(n):
+                labels[w] = count
+                w = w * zeta % q
+            count += 1
+    return tuple(labels)
+
+
 def build_delta(config: Config) -> tuple[DeltaPoint, ...]:
     """All marked points in (axis, orbit, torsion) lexicographic order."""
     q, zeta = config.q, config.zeta
@@ -470,9 +487,10 @@ def sample_base(
     orbit disjoint from the axis's earlier ones; None when an axis needs more
     than 50 draws per scaling orbit of F_q^*."""
     limit = 50 * ((q - 1) // n)
+    labels = orbit_labels(n, q, zeta)
     base = []
     for si in s:
-        taken: list[frozenset[int]] = []
+        taken: set[int] = set()
         axis_base = []
         draws = 0
         while len(axis_base) < si:
@@ -480,10 +498,10 @@ def sample_base(
                 return None
             draws += 1
             z = 1 + rng.below(q - 1)
-            orb = mu_orbit(z, zeta, n, q)
-            if any(orb & prev for prev in taken):
+            label = labels[z]
+            if label in taken:
                 continue
-            taken.append(orb)
+            taken.add(label)
             axis_base.append(z)
         base.append(tuple(axis_base))
     return tuple(base)
@@ -525,12 +543,27 @@ def generate_config(
 
 
 def config_is_generic(config: Config) -> bool:
-    """True when every axis stabilizer is exactly the scaling group; stops
-    at the first axis where it is not."""
-    return all(
-        stabilizer_excess(config, stabilizer_of_axis(config, axis)) is None
-        for axis in range(1, config.r + 1)
-    )
+    """True when every axis stabilizer is exactly the scaling group, decided
+    from the base table alone; stops at the first axis where it is not.
+
+    The base must be drawn as sample_base draws it: nonzero entries in
+    pairwise distinct scaling orbits.  Every map in an axis stabilizer is a
+    scaling z -> mu*z (affine_stabilizer_of), and one that permutes the
+    marked set sends b_0's orbit onto some b_j's.  So mu is b_j/b_0 times a
+    power of zeta, and all of that coset permutes the orbits alike: the
+    stabilizer exceeds the scaling group exactly when, for some j >= 1,
+    b_j/b_0 maps every base entry's orbit onto one of the axis's orbits.
+    """
+    q = config.q
+    labels = orbit_labels(config.n, q, config.zeta)
+    for axis_base in config.base:
+        axis_labels = {labels[b] for b in axis_base}
+        b0_inv = pow(axis_base[0], -1, q)
+        for bj in axis_base[1:]:
+            mu = bj * b0_inv % q
+            if all(labels[mu * b % q] in axis_labels for b in axis_base):
+                return False
+    return True
 
 
 def validate_config(config: Config) -> list["CheckRecord"]:

@@ -14,7 +14,13 @@ from __future__ import annotations
 import functools
 import itertools
 
-from blowup_rigidity.fieldgeom import Config, DeltaPoint, delta_permutation
+from blowup_rigidity.fieldgeom import (
+    Config,
+    DeltaPoint,
+    delta_permutation,
+    stabilizer_excess,
+    stabilizer_of_axis,
+)
 from blowup_rigidity.rigidity import (
     EXC,
     GAMMA,
@@ -87,6 +93,15 @@ def stabilizer_oracle(coords: set[int], q: int) -> list[tuple[int, ...]]:
         if frozenset(apply_map(m, p, q) for p in points) == points
     ]
     return sorted(keep)
+
+
+def stabilizer_is_generic(config: Config) -> bool:
+    """Genericity from the marked set: every axis stabilizer, computed from
+    the axis's marked coordinates, is exactly the scaling group."""
+    return all(
+        stabilizer_excess(config, stabilizer_of_axis(config, axis)) is None
+        for axis in range(1, config.r + 1)
+    )
 
 
 def pair_scan_stabilizer(coords, q: int) -> list[tuple[int, int]]:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -30,6 +31,8 @@ from blowup_rigidity.fieldgeom import (
     generate_config_smallest_q,
     has_exact_order,
     is_prime,
+    mu_orbit,
+    orbit_labels,
     parameter_problems,
     prime_divisors,
     primitive_nth_root,
@@ -40,12 +43,13 @@ from blowup_rigidity.fieldgeom import (
     validate_config,
 )
 
-from blowup_rigidity.report import SweepCase, sweep
+from blowup_rigidity.report import SweepCase, default_s, sweep
 
 from oracles import (
     multiplicative_order,
     pair_scan_stabilizer,
     smallest_of_order,
+    stabilizer_is_generic,
     stabilizer_oracle,
 )
 
@@ -329,6 +333,47 @@ def test_validate_config_non_generic():
 # --- generation --------------------------------------------------------
 
 
+# (n, q) -> a generic axis that sits beside every varied axis; at (3, 13)
+# it is the golden non-generic configuration's second axis
+FIXED_AXIS = {(2, 7): (1,), (2, 13): (1,), (3, 13): (1, 2, 4), (3, 19): (1,), (4, 13): (1,)}
+
+
+def one_axis_bases(n, q, zeta):
+    """Every orbit-disjoint base of one axis: each nonempty set of scaling
+    orbits, taken in the order of their smallest elements, with each choice
+    of representative in each orbit."""
+    orbits = sorted({tuple(sorted(mu_orbit(z, zeta, n, q))) for z in range(1, q)})
+    for k in range(1, len(orbits) + 1):
+        for chosen in itertools.combinations(orbits, k):
+            yield from itertools.product(*chosen)
+
+
+@pytest.mark.parametrize("n, q", sorted(FIXED_AXIS))
+def test_orbit_labels_partition_the_scaling_orbits(n, q):
+    zeta = primitive_nth_root(q, n)
+    labels = orbit_labels(n, q, zeta)
+    assert len(labels) == q and labels[0] == -1
+    assert sorted(set(labels[1:])) == list(range((q - 1) // n))
+    for z in range(1, q):
+        assert {w for w in range(q) if labels[w] == labels[z]} == mu_orbit(z, zeta, n, q)
+
+
+def test_genericity_from_base_matches_stabilizers_exhaustively():
+    # every orbit-disjoint base of the first axis, beside a fixed generic
+    # second axis: the base-only test agrees with the stabilizer scans
+    outcomes = {}
+    for (n, q), fixed in FIXED_AXIS.items():
+        zeta = primitive_nth_root(q, n)
+        for varied in one_axis_bases(n, q, zeta):
+            cfg = Config(n=n, r=2, s=(len(varied), len(fixed)), q=q, zeta=zeta,
+                         base=(varied, fixed), skip_checks=True)
+            generic = stabilizer_is_generic(cfg)
+            assert config_is_generic(cfg) == generic, cfg
+            outcomes[(n, q, varied)] = generic
+    assert outcomes[(3, 13, (1, 4))] is False  # the golden non_generic config
+    assert set(outcomes.values()) == {True, False}
+
+
 def test_generate_config_deterministic():
     a = generate_config(2, 2, (2, 3), 13, seed=1)
     b = generate_config(2, 2, (2, 3), 13, seed=1)
@@ -438,11 +483,21 @@ def test_sha256_matches_hashlib(data):
 def test_smallest_q_scan_gives_up_without_generic_base(monkeypatch, count_calls):
     # a genericity test that never accepts must end the scan after
     # BARREN_PRIMES_LIMIT workable primes, not run on to q = 10000
-    monkeypatch.setattr(fieldgeom, "stabilizer_excess", lambda config, stab: [(0, 1)])
+    monkeypatch.setattr(fieldgeom, "config_is_generic", lambda config: False)
     calls = count_calls("generate_config")
     with pytest.raises(ExhaustedRetries, match=r"n=2, s=\(2, 3\).* q in 3\.\.\d+$"):
         generate_config_smallest_q(2, 2, (2, 3), seed=1)
     assert calls == {"generate_config": BARREN_PRIMES_LIMIT}
+
+
+@pytest.mark.parametrize("n, r", [(2, 5), (3, 5), (2, 6)])
+def test_generation_builds_no_marked_set(n, r, count_calls):
+    # the base-only genericity test leaves the marked set and its
+    # stabilizers to the checks that report on them
+    calls = count_calls("build_delta", "stabilizer_of_axis")
+    config = generate_config_smallest_q(n, r, default_s(n, r), seed=1)
+    assert config_is_generic(config)
+    assert calls == {"build_delta": 0, "stabilizer_of_axis": 0}
 
 
 @pytest.mark.parametrize("n, s, reason", [

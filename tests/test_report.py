@@ -111,6 +111,7 @@ def test_run_all_tests_one_generator_per_orbit(c1, count_calls):
 # Each sabotage breaks one input of one check and never its expected value.
 REAL_PHI = GeneratorSet.phi
 REAL_RESUM = Decomposition.resum
+REAL_GAMMA = BlowupLattice.gamma
 
 
 def halved_canonical_pullback(lattice):
@@ -124,6 +125,15 @@ def iter_repeating_a_gamma(genset):
     first = next(k for k, g in enumerate(gens) if g.kind == "gamma")
     gens[first + 1] = gens[first]
     return iter(gens)
+
+
+def gamma_of_the_next_point(lattice, p, i):
+    # the first point off axis i gets the gamma of the second one, so the
+    # generator set holds that gamma twice and the first point's not at all
+    eligible = [x for x in lattice.points if x.axis != i]
+    if p == eligible[0]:
+        p = eligible[1]
+    return REAL_GAMMA(lattice, p, i)
 
 
 def phi_minus_one(genset, c):
@@ -144,6 +154,9 @@ def resum_of_positive_parts(dec, genset):
     ("cone.sample_splits", EffectiveCone, "two_part_decompositions", lambda cone, c: []),
     ("cone.case2_membership", EffectiveCone, "member", lambda cone, c: None),
     ("cone.case3_identity", Decomposition, "resum", resum_of_positive_parts),
+    ("lattice.gamma_pairings", BlowupLattice, "gamma", gamma_of_the_next_point),
+    ("cone.generator_count", BlowupLattice, "gamma", gamma_of_the_next_point),
+    ("cone.case3_identity", BlowupLattice, "gamma", gamma_of_the_next_point),
 ])
 @pytest.mark.parametrize("config", ["c0", "c1"])
 def test_sabotaged_input_fails_its_check(config, check_id, owner, attr, sabotage,
