@@ -88,6 +88,26 @@ GOLDEN_MATRIX = {
 }
 
 
+# Generated configurations with r >= 4, whose gamma blocks sit at vertex
+# offsets that C0, C1 and non_generic (r <= 3) do not reach.  Each is written
+# to its config file as resolve_case gives it, seed included.
+GENERATED = {
+    "n3r4q19": SweepCase(3, 4, default_s(3, 4), q=19, seed=1),
+    "n2r5": SweepCase(2, 5, default_s(2, 5), seed=1),
+}
+
+# sha256 of `graph` stdout, of the file written by `graph --dot` and of
+# `rigidity` stdout, per generated configuration
+GOLDEN_GENERATED = {
+    ("n3r4q19", "graph"): "b26e085e094b9a710b57594ec7468e91a12cdac793b26816e2e2601e6208a1cc",
+    ("n3r4q19", "dot"): "7687404e16063b4548d4a68b318f4437b63d715f5812b1839efee0daa0c3178d",
+    ("n3r4q19", "rigidity"): "e8bbd05b69d36e6ae1e9d196cfdc76d2c25fcccdb67fbd8c2b81fd047f3f0bc3",
+    ("n2r5", "graph"): "1f6af91304bed3d3e6eff69f9a566074d10a8fa42f2214b6ed55fec352390aa2",
+    ("n2r5", "dot"): "6302eab1f807968750ed0f4f77c12ee75cd58d1aa10c32c74b7e31e3e7529001",
+    ("n2r5", "rigidity"): "622e04a03ffc1625ebbdded4944eaa1f96d515cef121531bfa5df61aeb962de4",
+}
+
+
 @pytest.mark.parametrize(
     "name,argv,digest", GOLDEN, ids=[f"{n}-{' '.join(a)}" for n, a, _ in GOLDEN]
 )
@@ -120,6 +140,21 @@ def test_graph_dot_sha256(name, tmp_path, capsys):
     main(["graph", "--config", str(path), "--dot", str(dot)])
     capsys.readouterr()
     assert hashlib.sha256(dot.read_bytes()).hexdigest() == GOLDEN_DOT[name]
+
+
+@pytest.mark.parametrize(
+    "name,output", sorted(GOLDEN_GENERATED), ids=[f"{n}-{o}" for n, o in sorted(GOLDEN_GENERATED)]
+)
+def test_generated_graph_and_rigidity_sha256(name, output, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(resolve_case(GENERATED[name]).canonical_json())
+    dot = tmp_path / f"{name}.dot"
+    argv = {"graph": ["graph"], "dot": ["graph", "--dot", str(dot)],
+            "rigidity": ["rigidity"]}[output]
+    assert main([argv[0], "--config", str(path), *argv[1:]]) == 0
+    out = capsys.readouterr().out
+    data = dot.read_bytes() if output == "dot" else out.encode()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_GENERATED[(name, output)]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_MATRIX))

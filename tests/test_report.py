@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from blowup_rigidity import rigidity
 from blowup_rigidity.checks import CLAIMS, CheckRecord, make_record
 from blowup_rigidity.cone import Decomposition, EffectiveCone, GeneratorSet
 from blowup_rigidity.errors import InvalidSetting, UnknownCheckId
 from blowup_rigidity.fieldgeom import Config, next_valid_q
 from blowup_rigidity.lattice import BlowupLattice, DivisorClass
+from blowup_rigidity.rigidity import EXC, GAMMA, LINE, Component
 from blowup_rigidity.report import (
     CHECK_ORDER,
     SweepCase,
@@ -112,6 +114,8 @@ def test_run_all_tests_one_generator_per_orbit(c1, count_calls):
 REAL_PHI = GeneratorSet.phi
 REAL_RESUM = Decomposition.resum
 REAL_GAMMA = BlowupLattice.gamma
+REAL_COMPONENTS = rigidity.components
+REAL_CENSUS = rigidity.census
 
 
 def halved_canonical_pullback(lattice):
@@ -146,6 +150,41 @@ def resum_of_positive_parts(dec, genset):
                       genset)
 
 
+def components_with_a_second_last_line(config, delta):
+    # one vertex too many: a copy of the axis-r line after the gammas
+    return REAL_COMPONENTS(config, delta) + (Component(LINE, config.r, None, 1),)
+
+
+def first_row(rows, kind):
+    return next(row for row in rows if row.component.kind == kind)
+
+
+def census_one_more_curve_on_a_divisor(graph):
+    rows = REAL_CENSUS(graph)
+    first_row(rows, EXC).curve_neighbors += 1
+    return rows
+
+
+def census_one_more_divisor_on_a_gamma(graph):
+    rows = REAL_CENSUS(graph)
+    first_row(rows, GAMMA).divisor_neighbors += 1
+    return rows
+
+
+def census_one_more_curve_on_a_line(graph):
+    rows = REAL_CENSUS(graph)
+    first_row(rows, LINE).curve_neighbors += 1
+    return rows
+
+
+def census_first_line_like_the_last(graph):
+    # the axis-1 line gets the axis-r line's divisor-degree
+    rows = REAL_CENSUS(graph)
+    lines = [row for row in rows if row.component.kind == LINE]
+    lines[0].divisor_neighbors = lines[-1].divisor_neighbors
+    return rows
+
+
 @pytest.mark.parametrize("check_id, owner, attr, sabotage", [
     ("lattice.canonical_degree", BlowupLattice, "ambient_canonical_pullback",
      halved_canonical_pullback),
@@ -157,6 +196,12 @@ def resum_of_positive_parts(dec, genset):
     ("lattice.gamma_pairings", BlowupLattice, "gamma", gamma_of_the_next_point),
     ("cone.generator_count", BlowupLattice, "gamma", gamma_of_the_next_point),
     ("cone.case3_identity", BlowupLattice, "gamma", gamma_of_the_next_point),
+    ("rigidity.components", rigidity, "components", components_with_a_second_last_line),
+    ("rigidity.census_divisors", rigidity, "census", census_one_more_curve_on_a_divisor),
+    ("rigidity.census_gammas", rigidity, "census", census_one_more_divisor_on_a_gamma),
+    ("rigidity.census_lines", rigidity, "census", census_one_more_curve_on_a_line),
+    ("rigidity.handshake", rigidity, "census", census_one_more_divisor_on_a_gamma),
+    ("rigidity.pinning", rigidity, "census", census_first_line_like_the_last),
 ])
 @pytest.mark.parametrize("config", ["c0", "c1"])
 def test_sabotaged_input_fails_its_check(config, check_id, owner, attr, sabotage,
