@@ -685,6 +685,11 @@ def validate_config(config: Config) -> list["CheckRecord"]:
 # prime that took.
 BARREN_PRIMES_LIMIT = 16
 
+# Bases the smallest-q scan draws at one workable prime: a field where that
+# many found no generic base is passed over for the next prime, not searched
+# up to generate_config's 1000.  Every generated (q, base) depends on it.
+ATTEMPTS_PER_Q = 50
+
 
 def workable_field(n: int, s: tuple[int, ...], q: int) -> bool:
     """q is prime, q = 1 (mod n), and F_q has at least max(s) scaling orbits."""
@@ -699,13 +704,11 @@ def next_valid_q(n: int, s: tuple[int, ...], after: int) -> int:
     return q
 
 
-def generate_config_smallest_q(
-    n: int, r: int, s: tuple[int, ...], seed: int = 0, attempts_per_q: int = 50
-) -> Config:
-    """Scan the workable field sizes q upward until a generic configuration
-    exists; raise InvalidConfig for a shape (n, r, s) that no q can mend,
-    and ExhaustedRetries after BARREN_PRIMES_LIMIT workable primes without
-    a generic configuration."""
+def generate_config_smallest_q(n: int, r: int, s: tuple[int, ...], seed: int = 0) -> Config:
+    """Scan the workable field sizes q upward until generate_config finds a
+    generic configuration within ATTEMPTS_PER_Q draws; raise InvalidConfig
+    for a shape (n, r, s) that no q can mend, and ExhaustedRetries after
+    BARREN_PRIMES_LIMIT workable primes without a generic configuration."""
     s = tuple(s)
     problems = shape_problems(n, r, s)
     if problems:
@@ -715,7 +718,7 @@ def generate_config_smallest_q(
     while True:
         if workable_field(n, s, q):
             try:
-                return generate_config(n, r, s, q, seed=seed, max_retries=attempts_per_q)
+                return generate_config(n, r, s, q, seed=seed, max_retries=ATTEMPTS_PER_Q)
             except (ExhaustedRetries, TooSmallField):
                 barren += 1
             if barren == BARREN_PRIMES_LIMIT:

@@ -3,10 +3,10 @@ geometric automorphism group.
 
 Components: the exceptional divisors E_p (dimension r-1), the strict line
 transforms (dimension 1), and the strict through-point lines (dimension 1).
-Incidence follows closed-form coordinate rules (stated at `build_graph`),
-which name each component's neighbours directly, so the adjacency is built
-by index instead of by testing every pair; the point-level oracle that
-re-derives each rule from all pairs lives in the test suite.
+A component is its index in components() order, and the adjacency is
+tuples of those indices, found by offset from closed-form coordinate rules
+(stated at `build_graph`) instead of by testing every pair; the point-level
+oracle that re-derives each rule from all pairs lives in the test suite.
 
 The automorphism group is checked per axis through its product structure:
 once pinning fixes the axis permutation, it is the direct product of the r
@@ -17,6 +17,7 @@ the n^r elements (see its docstring for the argument).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -38,10 +39,10 @@ GAMMA = "gamma"
 
 
 class Component:
-    """kind "exc": the divisor over `point` (axis unused).
+    """What a vertex stands for, behind its label and messages.
+    kind "exc": the divisor over `point` (axis unused).
     kind "line": the strict axis line (point unused).
-    kind "gamma": the strict through-`point` line with free axis `axis`.
-    Components compare and hash by all four fields."""
+    kind "gamma": the strict through-`point` line with free axis `axis`."""
 
     __slots__ = ("kind", "axis", "point", "dim")
 
@@ -50,15 +51,6 @@ class Component:
         self.axis = axis
         self.point = point
         self.dim = dim
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.axis, self.point, self.dim) == (
-            other.kind, other.axis, other.point, other.dim)
-
-    def __hash__(self):
-        return hash((self.kind, self.axis, self.point, self.dim))
 
     @property
     def label(self) -> str:
@@ -72,17 +64,13 @@ class Component:
     def is_divisor(self) -> bool:
         return self.kind == EXC
 
-    def sort_key(self):
-        kind_rank = {EXC: 0, LINE: 1, GAMMA: 2}[self.kind]
-        pkey = (self.point.axis, self.point.orbit, self.point.torsion) if self.point else ()
-        return (kind_rank, self.axis or 0, pkey)
-
     def __repr__(self):
         return self.label
 
 
 def components(config: Config, delta: tuple[DeltaPoint, ...]) -> tuple[Component, ...]:
-    """All components: divisors by point, lines by axis, gammas by (axis, point)."""
+    """All components in vertex order: the divisors by point, then the
+    lines by axis, then the gammas by (axis, point)."""
     out = [Component(EXC, None, p, config.r - 1) for p in delta]
     out += [Component(LINE, i, None, 1) for i in range(1, config.r + 1)]
     for i in range(1, config.r + 1):
@@ -91,46 +79,48 @@ def components(config: Config, delta: tuple[DeltaPoint, ...]) -> tuple[Component
 
 
 class IncidenceGraph:
-    def __init__(
-        self,
-        config: Config,
-        vertices: tuple[Component, ...],
-        adjacency: dict[Component, tuple[Component, ...]],
-    ):
+    """Vertex v is vertices[v], in components() order; adjacency[v] is the
+    ascending tuple of its neighbours' indices."""
+
+    def __init__(self, config: Config, vertices: tuple[Component, ...],
+                 adjacency: tuple[tuple[int, ...], ...]):
         self.config = config
         self.vertices = vertices
         self.adjacency = adjacency
+        # the indices below this are the divisors; the r lines come next
+        self.divisors = len(config.delta)
+
+    def by_kind(self, rows: list) -> tuple[list, list, list]:
+        """Per-vertex rows split into the divisors', lines' and gammas' parts."""
+        d, r = self.divisors, self.config.r
+        return rows[:d], rows[d:d + r], rows[d + r:]
 
     @property
-    def edges(self) -> list[tuple[Component, Component]]:
-        out = []
-        for v in self.vertices:
-            for w in self.adjacency[v]:
-                if v.sort_key() < w.sort_key():
-                    out.append((v, w))
-        return out
+    def edges(self) -> list[tuple[int, int]]:
+        """Each edge once, as (v, w) with v < w, in vertex order."""
+        return [(v, w) for v, nbrs in enumerate(self.adjacency) for w in nbrs if v < w]
 
-    def profile(self, v: Component) -> tuple[int, int]:
+    def profile(self, v: int) -> tuple[int, int]:
         """(divisor neighbors, curve neighbors)."""
         nbrs = self.adjacency[v]
-        div = sum(1 for w in nbrs if w.is_divisor)
+        div = bisect.bisect_left(nbrs, self.divisors)
         return div, len(nbrs) - div
 
     def to_adjacency_dict(self) -> dict[str, list[str]]:
-        return {
-            v.label: [w.label for w in self.adjacency[v]] for v in self.vertices
-        }
+        labels = [v.label for v in self.vertices]
+        return {labels[v]: [labels[w] for w in nbrs] for v, nbrs in enumerate(self.adjacency)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_adjacency_dict(), sort_keys=True, separators=(",", ":"))
 
     def to_dot(self) -> str:
+        labels = [v.label for v in self.vertices]
         lines = ["graph incidence {"]
-        for v in self.vertices:
+        for v, label in zip(self.vertices, labels):
             shape = "box" if v.is_divisor else "ellipse"
-            lines.append(f'  "{v.label}" [shape={shape}];')
+            lines.append(f'  "{label}" [shape={shape}];')
         for v, w in self.edges:
-            lines.append(f'  "{v.label}" -- "{w.label}";')
+            lines.append(f'  "{labels[v]}" -- "{labels[w]}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -152,26 +142,38 @@ def build_graph(config: Config) -> IncidenceGraph:
 
     So E_p meets lt_{axis(p)} and gt[p;i] for i != axis(p); lt_i meets E_p
     for p on axis i and the other lines; gt[p;i] meets E_p and gt[q;axis(p)]
-    for q on axis i.  Each neighbour tuple is in vertex order.
+    for q on axis i.  Each neighbour tuple is ascending vertex indices,
+    found by offset: E_p is p's index in config.delta, where each axis's
+    points are one range, and the gammas of axis i are one block in delta
+    order that skips axis i's range.
     """
     delta = config.delta
-    verts = components(config, delta)
-    at = {(v.kind, v.axis, v.point): idx for idx, v in enumerate(verts)}
-    axes = range(1, config.r + 1)
-    on_axis = {i: [p for p in delta if p.axis == i] for i in axes}
+    d, r = len(delta), config.r
+    axes = range(1, r + 1)
+    size = [config.n * len(b) for b in config.base]
+    # the points on axis i are delta[first[i - 1]:first[i]]
+    first = list(itertools.accumulate(size, initial=0))
+    # the gammas of axis i start at index block[i - 1]
+    block = list(itertools.accumulate((d - m for m in size), initial=d + r))
 
-    def neighbours(v: Component) -> list[int]:
-        if v.kind == EXC:
-            p = v.point
-            return [at[LINE, p.axis, None]] + [at[GAMMA, i, p] for i in axes if i != p.axis]
-        if v.kind == LINE:
-            return [at[EXC, None, p] for p in on_axis[v.axis]] + [
-                at[LINE, j, None] for j in axes if j != v.axis
-            ]
-        return [at[EXC, None, v.point]] + [at[GAMMA, v.point.axis, q] for q in on_axis[v.axis]]
+    def gamma(k: int, i: int) -> int:
+        """The index of gt[delta[k]; i]."""
+        return block[i - 1] + k - (size[i - 1] if k >= first[i] else 0)
 
-    adjacency = {v: tuple(verts[j] for j in sorted(neighbours(v))) for v in verts}
-    return IncidenceGraph(config, verts, adjacency)
+    adjacency = [
+        (d + p.axis - 1, *(gamma(k, i) for i in axes if i != p.axis))
+        for k, p in enumerate(delta)
+    ]
+    adjacency += [
+        (*range(first[i - 1], first[i]), *(d + j - 1 for j in axes if j != i))
+        for i in axes
+    ]
+    for i in axes:
+        for k, p in enumerate(delta):
+            if p.axis != i:
+                start = gamma(first[i - 1], p.axis)
+                adjacency.append((k, *range(start, start + size[i - 1])))
+    return IncidenceGraph(config, components(config, delta), tuple(adjacency))
 
 
 class CensusRow:
@@ -186,14 +188,14 @@ class CensusRow:
 
 
 def census(graph: IncidenceGraph) -> list[CensusRow]:
-    """Per-component neighbor profile, in vertex order.
+    """Per-vertex neighbor profile, one row per vertex of the adjacency.
 
     The nominal neighbor totals are r for a divisor, n*s_i + 1 for a
     through-point curve in direction i and n*s_i for the axis-i line; the
     last is the one computed geometry exceeds, by the r-1 line-line meetings
     at the unblown common point (check rigidity.census_lines).
     """
-    return [CensusRow(v, *graph.profile(v)) for v in graph.vertices]
+    return [CensusRow(graph.vertices[v], *graph.profile(v)) for v in range(len(graph.adjacency))]
 
 
 class PinningCertificate:
@@ -218,18 +220,16 @@ def pin_components(graph: IncidenceGraph, rows: list[CensusRow]) -> PinningCerti
     exceptional divisors are determined among all components and (ii) each
     strict line is determined among the curve components by its
     divisor-neighbor count."""
-    cfg = graph.config
+    exc_rows, line_rows, gamma_rows = graph.by_kind(rows)
 
-    if cfg.r >= 3:
+    if graph.config.r >= 3:
         exc_criterion = "maximal dimension r-1 >= 2"
     else:
-        exc_totals = {
-            row.computed_total for row in rows if row.component.kind == EXC
-        }
+        exc_totals = {row.computed_total for row in exc_rows}
         clash = [
             row.component
-            for row in rows
-            if row.component.kind != EXC and row.computed_total in exc_totals
+            for row in line_rows + gamma_rows
+            if row.computed_total in exc_totals
         ]
         if clash:
             raise AmbiguousProfile(
@@ -239,10 +239,7 @@ def pin_components(graph: IncidenceGraph, rows: list[CensusRow]) -> PinningCerti
             f"unique total degree {sorted(exc_totals)} among all components"
         )
 
-    line_rows = [row for row in rows if row.component.kind == LINE]
-    gamma_div_degrees = {
-        row.divisor_neighbors for row in rows if row.component.kind == GAMMA
-    }
+    gamma_div_degrees = {row.divisor_neighbors for row in gamma_rows}
     degrees: dict[int, int] = {}
     for row in line_rows:
         d = row.divisor_neighbors
@@ -345,7 +342,7 @@ def verify_rigidity(config: Config) -> list:
     )
 
     rows = census(graph)
-    exc_rows = [r for r in rows if r.component.kind == EXC]
+    exc_rows, line_rows, gamma_rows = graph.by_kind(rows)
     exc_ok = all(
         (r.divisor_neighbors, r.curve_neighbors) == (0, cfg.r) for r in exc_rows
     )
@@ -358,7 +355,6 @@ def verify_rigidity(config: Config) -> list:
         )
     )
 
-    gamma_rows = [r for r in rows if r.component.kind == GAMMA]
     gamma_ok = all(
         (r.divisor_neighbors, r.curve_neighbors)
         == (1, cfg.n * cfg.s[r.component.axis - 1])
@@ -373,7 +369,6 @@ def verify_rigidity(config: Config) -> list:
         )
     )
 
-    line_rows = [r for r in rows if r.component.kind == LINE]
     line_profile_ok = all(
         (r.divisor_neighbors, r.curve_neighbors)
         == (cfg.n * cfg.s[r.component.axis - 1], cfg.r - 1)
@@ -396,12 +391,8 @@ def verify_rigidity(config: Config) -> list:
         )
     )
 
-    handshake_lhs = sum(
-        r.divisor_neighbors for r in rows if not r.component.is_divisor
-    )
-    handshake_rhs = sum(
-        r.curve_neighbors for r in rows if r.component.is_divisor
-    )
+    handshake_lhs = sum(r.divisor_neighbors for r in line_rows + gamma_rows)
+    handshake_rhs = sum(r.curve_neighbors for r in exc_rows)
     records.append(
         make_record(
             "rigidity.handshake",

@@ -301,8 +301,8 @@ def abstract_automorphism_count(graph: IncidenceGraph, cap: int = 100_000) -> in
     import networkx as nx
 
     g = nx.Graph()
-    g.add_nodes_from(v.label for v in graph.vertices)
-    g.add_edges_from((v.label, w.label) for v, w in graph.edges)
+    g.add_nodes_from(range(len(graph.vertices)))
+    g.add_edges_from(graph.edges)
     matcher = nx.algorithms.isomorphism.GraphMatcher(g, g)
     count = 0
     for _ in matcher.isomorphisms_iter():

@@ -23,7 +23,6 @@ from blowup_rigidity.lattice import BlowupLattice
 from blowup_rigidity.rigidity import (
     build_graph,
     census,
-    components,
     geometric_automorphisms,
     geometric_permutation,
 )
@@ -187,10 +186,10 @@ def test_criterion_oracle_equivalences(sweep_configs, c0, c1):
                 assert [(1, 0, k, m) for k, m in got] == stabilizer_oracle(coords, cfg.q)
         for cfg in (c0, c1):
             delta = build_delta(cfg)
-            comps = components(cfg, delta)
-            adj = build_graph(cfg).adjacency
-            for a, b in itertools.combinations(comps, 2):
-                assert (b in adj[a]) == incident_oracle(a, b, cfg, delta)
+            graph = build_graph(cfg)
+            adj, comps = graph.adjacency, graph.vertices
+            for (a, ca), (b, cb) in itertools.combinations(enumerate(comps), 2):
+                assert (b in adj[a]) == incident_oracle(ca, cb, cfg, delta)
 
 
 def test_criterion_determinism(tmp_path):

@@ -27,8 +27,9 @@ VALUES = {
     "Config": lambda v, lat: Config(**C0_FIELDS, seed=v),
 }
 
-# marked points and components key dicts, and check_same compares configs
-COMPARED = ["Component", "Config", "DeltaPoint"]
+# marked points key dicts, and check_same compares configs; a graph vertex
+# is known by its index, so Component is only checked for its slots
+COMPARED = ["Config", "DeltaPoint"]
 
 
 @pytest.mark.parametrize("name", COMPARED)

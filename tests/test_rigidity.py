@@ -8,7 +8,6 @@ from blowup_rigidity.rigidity import (
     EXC,
     GAMMA,
     LINE,
-    Component,
     build_graph,
     census,
     components,
@@ -45,17 +44,21 @@ def test_component_dims_and_labels(c0, delta0):
     assert by_kind[GAMMA][0].label.startswith("gt[")
 
 
-def test_incident_spot_rules(c0, delta0):
-    adj = build_graph(c0).adjacency
-    comps = components(c0, delta0)
-    line1 = next(c for c in comps if c.kind == LINE and c.axis == 1)
-    line2 = next(c for c in comps if c.kind == LINE and c.axis == 2)
-    p_on_1 = next(c for c in comps if c.kind == EXC and c.point.axis == 1)
-    p_on_2 = next(c for c in comps if c.kind == EXC and c.point.axis == 2)
-    gamma_p1 = next(
-        c for c in comps if c.kind == GAMMA and c.axis == 1
-        and c.point == p_on_2.point
-    )
+def index_of(comps, **fields):
+    """The index of the one component with those field values."""
+    (k,) = [k for k, c in enumerate(comps)
+            if all(getattr(c, name) == value for name, value in fields.items())]
+    return k
+
+
+def test_incident_spot_rules(c0):
+    graph = build_graph(c0)
+    adj, comps = graph.adjacency, graph.vertices
+    line1 = index_of(comps, kind=LINE, axis=1)
+    line2 = index_of(comps, kind=LINE, axis=2)
+    p_on_1 = next(k for k, c in enumerate(comps) if c.kind == EXC and c.point.axis == 1)
+    p_on_2 = next(k for k, c in enumerate(comps) if c.kind == EXC and c.point.axis == 2)
+    gamma_p1 = index_of(comps, kind=GAMMA, axis=1, point=comps[p_on_2].point)
     assert p_on_1 in adj[line1]
     assert p_on_2 not in adj[line1]
     assert p_on_2 in adj[gamma_p1]          # its own point
@@ -63,37 +66,37 @@ def test_incident_spot_rules(c0, delta0):
     assert line2 in adj[line1]              # both contain the all-[0:1] point
     assert line1 not in adj[gamma_p1]
     assert line2 not in adj[gamma_p1]
-    assert all(v not in adj[v] for v in comps)  # irreflexive
+    assert all(v not in adj[v] for v in range(len(comps)))  # irreflexive
 
 
 def test_incident_gamma_gamma_same_point_r3(c1):
     delta = build_delta(c1)
-    comps = components(c1, delta)
-    adj = build_graph(c1).adjacency
+    graph = build_graph(c1)
+    adj, comps = graph.adjacency, graph.vertices
     p = next(pt for pt in delta if pt.axis == 3)
     free_axes = [1, 2]
-    g1 = next(c for c in comps if c.kind == GAMMA and c.point == p and c.axis == free_axes[0])
-    g2 = next(c for c in comps if c.kind == GAMMA and c.point == p and c.axis == free_axes[1])
+    g1 = index_of(comps, kind=GAMMA, point=p, axis=free_axes[0])
+    g2 = index_of(comps, kind=GAMMA, point=p, axis=free_axes[1])
     # same marked point, different directions: separated on the blow-up
     assert g2 not in adj[g1]
     # gamma(p, 1) meets gamma(q, 3) for every q on axis 1
     for q in delta:
         if q.axis == 1:
-            gq = next(c for c in comps if c.kind == GAMMA and c.point == q and c.axis == 3)
+            gq = index_of(comps, kind=GAMMA, point=q, axis=3)
             assert gq in adj[g1] and g1 in adj[gq]
 
 
 def test_incident_matches_point_oracle_c0(c0, delta0):
-    adj = build_graph(c0).adjacency
-    comps = components(c0, delta0)
-    for a, b in itertools.combinations(comps, 2):
-        assert (b in adj[a]) == incident_oracle(a, b, c0, delta0), (a, b)
+    graph = build_graph(c0)
+    adj, comps = graph.adjacency, graph.vertices
+    for (a, ca), (b, cb) in itertools.combinations(enumerate(comps), 2):
+        assert (b in adj[a]) == incident_oracle(ca, cb, c0, delta0), (ca, cb)
 
 
 def test_incident_symmetric(c0, c1):
     for cfg in (c0, c1):
         adj = build_graph(cfg).adjacency
-        for a, b in itertools.combinations(adj, 2):
+        for a, b in itertools.combinations(range(len(adj)), 2):
             assert (b in adj[a]) == (a in adj[b])
 
 
@@ -105,9 +108,21 @@ def test_graph_equals_all_pairs_oracle(name, c0, c1):
     delta = build_delta(cfg)
     graph = build_graph(cfg)
     want = oracle_adjacency(cfg, delta, graph.vertices)
-    # same neighbours in the same order, and the same key order
-    assert list(graph.adjacency) == list(want)
-    assert graph.adjacency == want
+    # same neighbours in the same order, and the same vertex order
+    index = {v: k for k, v in enumerate(graph.vertices)}
+    assert list(want) == list(graph.vertices)
+    assert graph.adjacency == tuple(tuple(index[w] for w in want[v]) for v in want)
+
+
+def test_graph_census_and_pinning_hash_no_marked_point(count_calls):
+    # a vertex is its index: building the graph, its census and the pinning
+    # certificate never keys a dict or set by a DeltaPoint
+    cfg = resolve_case(SweepCase(3, 4, default_s(3, 4), q=19, seed=1))
+    cfg.delta
+    calls = count_calls("fieldgeom.DeltaPoint.__hash__")
+    graph = build_graph(cfg)
+    pin_components(graph, census(graph))
+    assert calls == {"fieldgeom.DeltaPoint.__hash__": 0}
 
 
 def test_graph_counts(c0, c1):
