@@ -18,8 +18,6 @@ from blowup_rigidity.fieldgeom import (
     Config,
     DeltaPoint,
     delta_permutation,
-    stabilizer_excess,
-    stabilizer_of_axis,
 )
 from blowup_rigidity.rigidity import (
     EXC,
@@ -95,11 +93,20 @@ def stabilizer_oracle(coords: set[int], q: int) -> list[tuple[int, ...]]:
     return sorted(keep)
 
 
+def marked_coordinates(config: Config, axis: int) -> set[int]:
+    """The axis's marked coordinates b*zeta^t straight from the base table,
+    without the package's marked set."""
+    q = config.q
+    return {b * pow(config.zeta, t, q) % q
+            for b in config.base[axis - 1] for t in range(config.n)}
+
+
 def stabilizer_is_generic(config: Config) -> bool:
-    """Genericity from the marked set: every axis stabilizer, computed from
-    the axis's marked coordinates, is exactly the scaling group."""
+    """Genericity from the marked coordinates: every axis stabilizer, by
+    pair_scan_stabilizer, is exactly the scalings z -> zeta^k z."""
+    scalings = sorted((0, pow(config.zeta, k, config.q)) for k in range(config.n))
     return all(
-        stabilizer_excess(config, stabilizer_of_axis(config, axis)) is None
+        pair_scan_stabilizer(marked_coordinates(config, axis), config.q) == scalings
         for axis in range(1, config.r + 1)
     )
 

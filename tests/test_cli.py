@@ -70,6 +70,31 @@ def test_verify_q_extra(c0_file, capsys):
     assert "vectorfields.kernel_extra" in ids
 
 
+# q = 1000003 is far beyond any generated field; 999996 = q - 7 lies in the
+# scaling orbit {7, -7} of the entry before it
+@pytest.mark.parametrize("axis_1, status", [
+    ([7, 999996], {"config.structure": "PASS", "config.delta": "FAIL"}),
+    ([7, 8], {"config.structure": "PASS", "config.delta": "PASS",
+              "config.action": "PASS", "config.genericity": "PASS"}),
+])
+def test_verify_at_a_large_prime_builds_no_orbit_table(axis_1, status, tmp_path, capsys,
+                                                       count_calls):
+    # a hand-written base is checked orbit by orbit, never through the
+    # O(q) table of orbit labels
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 2, "r": 2, "s": [2, 3], "q": 1000003,
+                                "base": [axis_1, [3, 4, 5]]}))
+    calls = count_calls("orbit_labels")
+    code = main(["verify", "--config", str(path), "--draws", "20"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {c["check_id"]: c["status"] for c in checks
+            if c["check_id"].startswith("config.")} == status
+    assert code == (1 if "FAIL" in status.values() else 0)
+    if code:
+        assert checks[1]["computed"].startswith("OrbitCollision: axis 1: base 999996")
+    assert calls == {"orbit_labels": 0}
+
+
 @pytest.mark.parametrize("q_extra, error", [
     ("15", "NotPrime"),
     ("2", "NDoesNotDivide"),

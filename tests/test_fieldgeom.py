@@ -46,6 +46,7 @@ from blowup_rigidity.fieldgeom import (
 from blowup_rigidity.report import SweepCase, default_s, sweep
 
 from oracles import (
+    marked_coordinates,
     multiplicative_order,
     pair_scan_stabilizer,
     smallest_of_order,
@@ -268,11 +269,12 @@ def test_stabilizer_when_smallest_element_is_centroid():
 
 
 def test_stabilizer_of_full_multiplicative_group():
-    # degenerate harness: all of F_7^* is stabilized by every scaling z -> cz
-    q = 7
-    stab = affine_stabilizer_of(range(1, q), q)
-    assert len(stab) == q - 1
-    assert all(kappa == 0 for kappa, _ in stab)  # pure scalings only
+    # axis 1 holds all three scaling orbits of F_7^*, so every scaling
+    # z -> cz stabilizes it; the structure check accepts this config
+    cfg = Config(n=2, r=2, s=(3, 2), q=7, zeta=6, base=((1, 2, 3), (1, 2)))
+    stab = stabilizer_of_axis(cfg, 1)
+    assert stab == [(0, mu) for mu in range(1, 7)]
+    assert stab == pair_scan_stabilizer(range(1, 7), 7)
 
 
 def test_stabilizer_too_few_points():
@@ -360,13 +362,17 @@ def test_orbit_labels_partition_the_scaling_orbits(n, q):
 
 def test_genericity_from_base_matches_stabilizers_exhaustively():
     # every orbit-disjoint base of the first axis, beside a fixed generic
-    # second axis: the base-only test agrees with the stabilizer scans
+    # second axis: stabilizer_of_axis and the base-only test agree with
+    # pair scans of the marked coordinates
     outcomes = {}
     for (n, q), fixed in FIXED_AXIS.items():
         zeta = primitive_nth_root(q, n)
         for varied in one_axis_bases(n, q, zeta):
             cfg = Config(n=n, r=2, s=(len(varied), len(fixed)), q=q, zeta=zeta,
                          base=(varied, fixed), skip_checks=True)
+            for axis in (1, 2):
+                coords = marked_coordinates(cfg, axis)
+                assert stabilizer_of_axis(cfg, axis) == pair_scan_stabilizer(coords, q)
             generic = stabilizer_is_generic(cfg)
             assert config_is_generic(cfg) == generic, cfg
             outcomes[(n, q, varied)] = generic

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from blowup_rigidity import rigidity
+from blowup_rigidity import fieldgeom, rigidity
 from blowup_rigidity.checks import CLAIMS, CheckRecord, make_record
 from blowup_rigidity.cone import Decomposition, EffectiveCone, GeneratorSet
 from blowup_rigidity.errors import InvalidSetting, UnknownCheckId
@@ -116,6 +116,17 @@ REAL_RESUM = Decomposition.resum
 REAL_GAMMA = BlowupLattice.gamma
 REAL_COMPONENTS = rigidity.components
 REAL_CENSUS = rigidity.census
+REAL_G_ACTION = fieldgeom.g_action
+REAL_SCALING_GROUP = fieldgeom.scaling_group
+
+
+def g_action_fixing_the_last_axis(config, g, p):
+    # the points of axis r stay put under every torsion shift
+    return p if p.axis == config.r else REAL_G_ACTION(config, g, p)
+
+
+def scaling_group_without_its_last(config):
+    return REAL_SCALING_GROUP(config)[:-1]
 
 
 def halved_canonical_pullback(lattice):
@@ -186,6 +197,8 @@ def census_first_line_like_the_last(graph):
 
 
 @pytest.mark.parametrize("check_id, owner, attr, sabotage", [
+    ("config.action", fieldgeom, "g_action", g_action_fixing_the_last_axis),
+    ("config.genericity", fieldgeom, "scaling_group", scaling_group_without_its_last),
     ("lattice.canonical_degree", BlowupLattice, "ambient_canonical_pullback",
      halved_canonical_pullback),
     ("cone.generator_count", GeneratorSet, "__iter__", iter_repeating_a_gamma),
