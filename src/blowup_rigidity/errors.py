@@ -25,10 +25,6 @@ class OrbitCollision(BlowupError):
     """Two base coordinates on one axis lie in the same scaling orbit."""
 
 
-class TooFewPoints(BlowupError):
-    """An axis carries fewer than two marked coordinates."""
-
-
 class TooSmallField(BlowupError):
     """The field does not have enough scaling orbits for the requested counts."""
 

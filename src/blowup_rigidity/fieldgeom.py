@@ -8,9 +8,8 @@ scaling z -> zeta*z, all avoiding 0.  A marked point of the ambient product
 of projective lines has coordinate [1:z] at its own axis and [0:1]
 everywhere else, so it is stored as its own-axis affine coordinate z.
 
-Every map of the line used here fixes [0:1]; on the chart [1:z] it is
-z -> kappa + mu*z and is stored as the pair (kappa, mu).  Sorting pairs
-sorts the maps by their canonical matrices [[1,0],[kappa,mu]].
+The symmetries of an axis are the scalings z -> mu*z, which fix [0:1]
+and [1:0]; a scaling is stored as its factor mu.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .errors import (
     NDoesNotDivide,
     NotPrime,
     OrbitCollision,
-    TooFewPoints,
     TooSmallField,
     ZeroBase,
 )
@@ -73,11 +71,10 @@ def primitive_nth_root(q: int, n: int) -> int:
     raise NDoesNotDivide(f"no element of order {n} in F_{q}^*")  # unreachable
 
 
-def format_map(h: tuple[int, int]) -> str:
-    """The map z -> kappa + mu*z as its canonical matrix [[1,0],[kappa,mu]],
-    which acts by [u:v] -> [u : kappa*u + mu*v]."""
-    kappa, mu = h
-    return f"[[1,0],[{kappa},{mu}]]"
+def format_map(mu: int) -> str:
+    """The scaling z -> mu*z as its canonical matrix [[1,0],[0,mu]], which
+    acts by [u:v] -> [u : mu*v]."""
+    return f"[[1,0],[0,{mu}]]"
 
 
 class DeltaPoint:
@@ -221,7 +218,7 @@ class Config:
         return build_delta(self)
 
     @functools.cached_property
-    def stabilizers(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+    def stabilizers(self) -> tuple[tuple[int, ...], ...]:
         """stabilizer_of_axis for every axis, in axis order."""
         return tuple(
             tuple(stabilizer_of_axis(self, axis)) for axis in range(1, self.r + 1)
@@ -260,11 +257,6 @@ class Config:
         )
 
 
-def mu_orbit(z: int, zeta: int, n: int, q: int) -> frozenset[int]:
-    """The scaling orbit {z, zeta*z, ..., zeta^(n-1)*z} as residues mod q."""
-    return frozenset(z * pow(zeta, t, q) % q for t in range(n))
-
-
 @functools.lru_cache(maxsize=None)
 def orbit_labels(n: int, q: int, zeta: int) -> tuple[int, ...]:
     """label[z] for each residue z mod q: the number of z's scaling orbit
@@ -283,21 +275,23 @@ def orbit_labels(n: int, q: int, zeta: int) -> tuple[int, ...]:
 
 
 def build_delta(config: Config) -> tuple[DeltaPoint, ...]:
-    """All marked points in (axis, orbit, torsion) lexicographic order."""
-    q, zeta = config.q, config.zeta
+    """All marked points in (axis, orbit, torsion) lexicographic order.
+
+    Two nonzero entries b', b of an axis lie in one scaling orbit exactly
+    when (b'/b)^n = 1: zeta has exact order n, so its powers are all the
+    n-th roots of unity in F_q^*."""
+    n, q, zeta = config.n, config.q, config.zeta
     points = []
     for axis in range(1, config.r + 1):
-        seen_orbits: list[frozenset[int]] = []
-        for orbit, b in enumerate(config.base[axis - 1], start=1):
+        axis_base = config.base[axis - 1]
+        for orbit, b in enumerate(axis_base, start=1):
             if b % q == 0:
                 raise ZeroBase(f"axis {axis} orbit {orbit}: base coordinate is 0")
-            orb = mu_orbit(b, zeta, config.n, q)
-            for prev in seen_orbits:
-                if orb & prev:
-                    raise OrbitCollision(
-                        f"axis {axis}: base {b} lies in an already-used orbit"
-                    )
-            seen_orbits.append(orb)
+            b_inv = pow(b, -1, q)
+            if any(pow(prev * b_inv, n, q) == 1 for prev in axis_base[:orbit - 1]):
+                raise OrbitCollision(
+                    f"axis {axis}: base {b} lies in an already-used orbit"
+                )
             for torsion in range(config.n):
                 coord = b * pow(zeta, torsion, q) % q
                 points.append(DeltaPoint(axis, orbit, torsion, coord))
@@ -321,67 +315,44 @@ def delta_permutation(
     return {p: g_action(config, g, p) for p in delta}
 
 
-def affine_stabilizer_of(coords, q: int) -> list[tuple[int, int]]:
-    """All maps fixing [0:1] that permute the given affine coordinate set S,
-    as pairs (kappa, mu) sorted ascending.
+def stabilizer_of_axis(config: Config, axis: int) -> list[int]:
+    """The scalings mu with mu*S = S, ascending, where S is the axis's marked
+    coordinate set: all the maps fixing [0:1] that permute S.
 
-    Such a map is z -> kappa + mu*z on the [1:z] chart, with mu != 0.
-    Complete over F_q because S and [0:1] are rational and a projective-line
-    map is fixed by three rational point images.
-
-    When S is all of F_q, every such map permutes it.  Otherwise |S| < q is
-    invertible mod q, and a map permuting S fixes its centroid
-    c = sum(S)/|S|: summing kappa + mu*z over S gives |S|*kappa + mu*sum(S)
-    = sum(S).  So kappa = c*(1 - mu), and the map is fixed by the image
-    w != c in S of one point z1 != c of S: mu = (w - c)/(z1 - c).  That
-    leaves |S| - 1 or |S| candidates, each filtered against the whole set.
-
-    A union of scaling orbits, such as every axis's marked set, has
-    centroid 0, because 1 + zeta + ... + zeta^(n-1) = 0 for zeta != 1; so
-    every map in its stabilizer is a pure scaling (kappa = 0).
+    Such a map is z -> kappa + mu*z on the [1:z] chart.  Summing it over S
+    gives |S|*kappa + mu*sum(S) = sum(S).  S is a union of scaling orbits,
+    and each orbit sums to 0 because 1 + zeta + ... + zeta^(n-1) = 0, so
+    |S|*kappa = 0; and 0 < |S| < q, so kappa = 0.  A scaling mu that
+    permutes S sends the first point z1 of S to some w in S, so mu = w/z1:
+    |S| candidates, each checked against all of S.
     """
-    values = sorted({z % q for z in coords})
-    if len(values) < 2:
-        raise TooFewPoints(f"need at least 2 coordinates, got {len(values)}")
-    if len(values) == q:
-        return [(kappa, mu) for kappa in range(q) for mu in range(1, q)]
-    vset = frozenset(values)
-    c = sum(values) * pow(len(values), -1, q) % q
-    z1 = values[0] if values[0] != c else values[1]
-    dz_inv = pow(z1 - c, -1, q)
+    q = config.q
+    coords = [p.coord for p in config.delta if p.axis == axis]
+    marked = frozenset(coords)
+    z1_inv = pow(coords[0], -1, q)
     found = []
-    for w in values:
-        if w == c:
-            continue
-        mu = (w - c) * dz_inv % q
-        kappa = c * (1 - mu) % q
-        if all((kappa + mu * z) % q in vset for z in values):
-            found.append((kappa, mu))
+    for w in coords:
+        mu = w * z1_inv % q
+        if all(mu * z % q in marked for z in coords):
+            found.append(mu)
     found.sort()
     return found
 
 
-def stabilizer_of_axis(config: Config, axis: int) -> list[tuple[int, int]]:
-    """Maps fixing [0:1] and stabilizing the axis's marked coordinate set."""
-    coords = [p.coord for p in config.delta if p.axis == axis]
-    if len(coords) < 2:
-        raise TooFewPoints(f"axis {axis} has {len(coords)} marked coordinates")
-    return affine_stabilizer_of(coords, config.q)
+def scaling_group(config: Config) -> list[int]:
+    """The order-n group of scalings z -> zeta^k z, as zeta^k with k
+    ascending (torsion order)."""
+    return [pow(config.zeta, k, config.q) for k in range(config.n)]
 
 
-def scaling_group(config: Config) -> list[tuple[int, int]]:
-    """The order-n group of scalings z -> zeta^k z, as (0, zeta^k) with k
-    ascending; each fixes both [0:1] and [1:0]."""
-    return [(0, pow(config.zeta, k, config.q)) for k in range(config.n)]
-
-
-def stabilizer_excess(config: Config, stab) -> list[tuple[int, int]] | None:
+def stabilizer_excess(config: Config, stab) -> list[int] | None:
     """None when the axis stabilizer stab is exactly the scaling group (the
-    axis is generic); otherwise its maps outside that group, in stab order."""
+    axis is generic); otherwise its scalings outside that group, in stab
+    order."""
     group = scaling_group(config)
     if sorted(stab) == sorted(group):
         return None
-    return [h for h in stab if h not in group]
+    return [mu for mu in stab if mu not in group]
 
 
 class Lcg:
@@ -548,7 +519,7 @@ def config_is_generic(config: Config) -> bool:
 
     The base must be drawn as sample_base draws it: nonzero entries in
     pairwise distinct scaling orbits.  Every map in an axis stabilizer is a
-    scaling z -> mu*z (affine_stabilizer_of), and one that permutes the
+    scaling z -> mu*z (stabilizer_of_axis), and one that permutes the
     marked set sends b_0's orbit onto some b_j's.  So mu is b_j/b_0 times a
     power of zeta, and all of that coset permutes the orbits alike: the
     stabilizer exceeds the scaling group exactly when, for some j >= 1,
@@ -663,7 +634,7 @@ def validate_config(config: Config) -> list["CheckRecord"]:
         excess = stabilizer_excess(config, stab)
         if excess is not None:
             generic = False
-            extra.extend(format_map(h) for h in excess)
+            extra.extend(format_map(mu) for mu in excess)
     records.append(
         make_record(
             "config.genericity",

@@ -270,12 +270,12 @@ def axis_scalings(config: Config) -> list[list[int]]:
     for axis, stab in enumerate(config.stabilizers, start=1):
         excess = stabilizer_excess(config, stab)
         if excess is not None:
-            extra = ", ".join(format_map(h) for h in excess)
+            extra = ", ".join(format_map(mu) for mu in excess)
             raise NonGeneric(
                 f"axis {axis} stabilizer has order {len(stab)} > {config.n}; "
                 f"extra elements: [{extra}]"
             )
-    return [[mu for _, mu in scaling_group(config)] for _ in config.stabilizers]
+    return [scaling_group(config) for _ in config.stabilizers]
 
 
 def geometric_automorphisms(config: Config) -> list[tuple[int, ...]]:

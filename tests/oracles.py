@@ -93,12 +93,16 @@ def stabilizer_oracle(coords: set[int], q: int) -> list[tuple[int, ...]]:
     return sorted(keep)
 
 
+def scaling_orbit(z: int, zeta: int, n: int, q: int) -> frozenset[int]:
+    """The orbit {z, zeta*z, ..., zeta^(n-1)*z} of z mod q."""
+    return frozenset(z * pow(zeta, t, q) % q for t in range(n))
+
+
 def marked_coordinates(config: Config, axis: int) -> set[int]:
     """The axis's marked coordinates b*zeta^t straight from the base table,
     without the package's marked set."""
-    q = config.q
-    return {b * pow(config.zeta, t, q) % q
-            for b in config.base[axis - 1] for t in range(config.n)}
+    return set().union(*(scaling_orbit(b, config.zeta, config.n, config.q)
+                         for b in config.base[axis - 1]))
 
 
 def stabilizer_is_generic(config: Config) -> bool:

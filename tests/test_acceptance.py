@@ -183,7 +183,7 @@ def test_criterion_oracle_equivalences(sweep_configs, c0, c1):
             for axis in range(1, cfg.r + 1):
                 coords = {p.coord for p in delta if p.axis == axis}
                 got = stabilizer_of_axis(cfg, axis)
-                assert [(1, 0, k, m) for k, m in got] == stabilizer_oracle(coords, cfg.q)
+                assert [(1, 0, 0, mu) for mu in got] == stabilizer_oracle(coords, cfg.q)
         for cfg in (c0, c1):
             delta = build_delta(cfg)
             graph = build_graph(cfg)

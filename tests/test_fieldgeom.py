@@ -13,7 +13,6 @@ from blowup_rigidity.errors import (
     NonGeneric,
     NotPrime,
     OrbitCollision,
-    TooFewPoints,
     TooSmallField,
     ZeroBase,
 )
@@ -22,7 +21,6 @@ from blowup_rigidity.fieldgeom import (
     BARREN_PRIMES_LIMIT,
     Config,
     Lcg,
-    affine_stabilizer_of,
     build_delta,
     config_is_generic,
     format_map,
@@ -31,7 +29,6 @@ from blowup_rigidity.fieldgeom import (
     generate_config_smallest_q,
     has_exact_order,
     is_prime,
-    mu_orbit,
     orbit_labels,
     parameter_problems,
     prime_divisors,
@@ -49,6 +46,7 @@ from oracles import (
     marked_coordinates,
     multiplicative_order,
     pair_scan_stabilizer,
+    scaling_orbit,
     smallest_of_order,
     stabilizer_is_generic,
     stabilizer_oracle,
@@ -101,12 +99,12 @@ def test_multiplicative_order():
         multiplicative_order(13, 13)
 
 
-# --- maps fixing [0:1] ------------------------------------------------
+# --- scalings ---------------------------------------------------------
 
 
 def test_format_map_is_the_canonical_matrix():
-    assert format_map((0, 4)) == "[[1,0],[0,4]]"
-    assert format_map((3, 12)) == "[[1,0],[3,12]]"
+    assert format_map(4) == "[[1,0],[0,4]]"
+    assert format_map(12) == "[[1,0],[0,12]]"
 
 
 # --- the marked configuration ----------------------------------------
@@ -188,7 +186,7 @@ def test_g_action_is_group_action(c1):
 def test_stabilizer_c0_axis1_is_order_two(c0):
     stab = stabilizer_of_axis(c0, 1)
     assert len(stab) == 2
-    assert stab == sorted(scaling_group(c0)) == [(0, 1), (0, 12)]
+    assert stab == sorted(scaling_group(c0)) == [1, 12]
 
 
 def test_stabilizer_matches_pgl2_oracle(c0, c1):
@@ -197,29 +195,51 @@ def test_stabilizer_matches_pgl2_oracle(c0, c1):
         for axis in range(1, cfg.r + 1):
             coords = {p.coord for p in delta if p.axis == axis}
             stab = stabilizer_of_axis(cfg, axis)
-            assert [(1, 0, k, m) for k, m in stab] == stabilizer_oracle(coords, cfg.q)
+            assert [(1, 0, 0, mu) for mu in stab] == stabilizer_oracle(coords, cfg.q)
+
+
+def scaling_orbits(n, q, zeta):
+    """The scaling orbits of F_q^*, each a sorted tuple, in the order of
+    their smallest elements."""
+    return sorted({tuple(sorted(scaling_orbit(z, zeta, n, q))) for z in range(1, q)})
+
+
+def fields_of(primes):
+    return [(n, q) for q in primes for n in range(2, q) if (q - 1) % n == 0]
+
+
+@st.composite
+def axis_configs(draw, fields):
+    """A config whose first axis holds a random orbit-disjoint base over one
+    of the (n, q) fields, generic or not, with a random point of each
+    chosen orbit as its base entry."""
+    n, q = draw(st.sampled_from(fields), label="n, q")
+    zeta = primitive_nth_root(q, n)
+    chosen = draw(st.lists(st.sampled_from(scaling_orbits(n, q, zeta)), min_size=1,
+                           unique=True), label="orbits")
+    base = tuple(draw(st.sampled_from(orbit)) for orbit in chosen)
+    return Config(n=n, r=2, s=(len(base), 1), q=q, zeta=zeta, base=(base, (1,)),
+                  skip_checks=True)
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_affine_stabilizer_matches_pgl2_oracle_random(data):
+@given(cfg=axis_configs(fields_of([5, 7, 11, 13])))
+def test_stabilizer_of_axis_matches_pgl2_oracle_random(cfg):
     # the per-axis automorphism check rests on these stabilizers
-    q = data.draw(st.sampled_from([5, 7, 11, 13]), label="q")
-    coords = data.draw(st.sets(st.integers(0, q - 1), min_size=2, max_size=q), label="coords")
-    stab = affine_stabilizer_of(coords, q)
-    assert [(1, 0, k, m) for k, m in stab] == stabilizer_oracle(coords, q)
+    stab = stabilizer_of_axis(cfg, 1)
+    assert [(1, 0, 0, mu) for mu in stab] == stabilizer_oracle(
+        marked_coordinates(cfg, 1), cfg.q)
 
 
 PRIMES_TO_61 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_affine_stabilizer_matches_pair_scan_random(data):
-    # primes where the PGL2 oracle is too slow; sets up to all of F_q
-    q = data.draw(st.sampled_from(PRIMES_TO_61), label="q")
-    coords = data.draw(st.sets(st.integers(0, q - 1), min_size=2, max_size=q), label="coords")
-    assert affine_stabilizer_of(coords, q) == pair_scan_stabilizer(coords, q)
+@given(cfg=axis_configs(fields_of(PRIMES_TO_61)))
+def test_stabilizer_of_axis_matches_pair_scan_random(cfg):
+    # primes where the PGL2 oracle is too slow; axes up to all of F_q^*
+    stab = stabilizer_of_axis(cfg, 1)
+    assert [(0, mu) for mu in stab] == pair_scan_stabilizer(marked_coordinates(cfg, 1), cfg.q)
 
 
 def test_stabilizer_matches_pair_scan_on_sweep_configs(sweep_configs):
@@ -227,45 +247,7 @@ def test_stabilizer_matches_pair_scan_on_sweep_configs(sweep_configs):
         for axis in range(1, cfg.r + 1):
             coords = [p.coord for p in cfg.delta if p.axis == axis]
             stab = stabilizer_of_axis(cfg, axis)
-            assert stab == pair_scan_stabilizer(coords, cfg.q)
-            # a marked axis has centroid 0, so every element is a scaling
-            assert all(kappa == 0 for kappa, _ in stab)
-
-
-def test_stabilizer_of_whole_field():
-    # |S| = q is not invertible mod q; every map z -> kappa + mu*z permutes F_q
-    q = 7
-    stab = affine_stabilizer_of(range(q), q)
-    assert stab == [(kappa, mu) for kappa in range(q) for mu in range(1, q)]
-    assert stab == pair_scan_stabilizer(range(q), q)
-
-
-def test_stabilizer_with_zero_in_set():
-    q = 11
-    for coords in ({0, 3, 5}, {0, 1, 10}, {0, 2, 4, 7, 9}):
-        stab = affine_stabilizer_of(coords, q)
-        assert stab == pair_scan_stabilizer(coords, q)
-        assert [(1, 0, k, m) for k, m in stab] == stabilizer_oracle(coords, q)
-    # {0, 1, 10} is symmetric about 0: z -> -z swaps 1 and 10
-    assert affine_stabilizer_of({0, 1, 10}, q) == [(0, 1), (0, 10)]
-
-
-def test_stabilizer_with_reflection():
-    # the centroid of {1, 2, 3} in F_7 is 2, and z -> 4 - z reflects about it
-    stab = affine_stabilizer_of({1, 2, 3}, 7)
-    assert stab == [(0, 1), (4, 6)]
-    assert stab == pair_scan_stabilizer({1, 2, 3}, 7)
-
-
-def test_stabilizer_when_smallest_element_is_centroid():
-    # the first point, z1, must then be the next element: {2, 5, 12} in
-    # F_13 sums to 19 = 3 * 2, and {0, 1, 2, 5, 6} in F_7 sums to 0
-    for coords, q in (({2, 5, 12}, 13), ({0, 1, 2, 5, 6}, 7)):
-        values = sorted(coords)
-        assert sum(values) * pow(len(values), -1, q) % q == values[0]
-        stab = affine_stabilizer_of(coords, q)
-        assert stab == pair_scan_stabilizer(coords, q)
-        assert [(1, 0, k, m) for k, m in stab] == stabilizer_oracle(coords, q)
+            assert [(0, mu) for mu in stab] == pair_scan_stabilizer(coords, cfg.q)
 
 
 def test_stabilizer_of_full_multiplicative_group():
@@ -273,13 +255,8 @@ def test_stabilizer_of_full_multiplicative_group():
     # z -> cz stabilizes it; the structure check accepts this config
     cfg = Config(n=2, r=2, s=(3, 2), q=7, zeta=6, base=((1, 2, 3), (1, 2)))
     stab = stabilizer_of_axis(cfg, 1)
-    assert stab == [(0, mu) for mu in range(1, 7)]
-    assert stab == pair_scan_stabilizer(range(1, 7), 7)
-
-
-def test_stabilizer_too_few_points():
-    with pytest.raises(TooFewPoints):
-        affine_stabilizer_of([3, 16], 13)  # one residue twice
+    assert stab == list(range(1, 7))
+    assert [(0, mu) for mu in stab] == pair_scan_stabilizer(range(1, 7), 7)
 
 
 def test_scalings_contained_even_when_non_generic():
@@ -344,7 +321,7 @@ def one_axis_bases(n, q, zeta):
     """Every orbit-disjoint base of one axis: each nonempty set of scaling
     orbits, taken in the order of their smallest elements, with each choice
     of representative in each orbit."""
-    orbits = sorted({tuple(sorted(mu_orbit(z, zeta, n, q))) for z in range(1, q)})
+    orbits = scaling_orbits(n, q, zeta)
     for k in range(1, len(orbits) + 1):
         for chosen in itertools.combinations(orbits, k):
             yield from itertools.product(*chosen)
@@ -357,7 +334,7 @@ def test_orbit_labels_partition_the_scaling_orbits(n, q):
     assert len(labels) == q and labels[0] == -1
     assert sorted(set(labels[1:])) == list(range((q - 1) // n))
     for z in range(1, q):
-        assert {w for w in range(q) if labels[w] == labels[z]} == mu_orbit(z, zeta, n, q)
+        assert {w for w in range(q) if labels[w] == labels[z]} == scaling_orbit(z, zeta, n, q)
 
 
 def test_genericity_from_base_matches_stabilizers_exhaustively():
@@ -372,7 +349,8 @@ def test_genericity_from_base_matches_stabilizers_exhaustively():
                          base=(varied, fixed), skip_checks=True)
             for axis in (1, 2):
                 coords = marked_coordinates(cfg, axis)
-                assert stabilizer_of_axis(cfg, axis) == pair_scan_stabilizer(coords, q)
+                stab = stabilizer_of_axis(cfg, axis)
+                assert [(0, mu) for mu in stab] == pair_scan_stabilizer(coords, q)
             generic = stabilizer_is_generic(cfg)
             assert config_is_generic(cfg) == generic, cfg
             outcomes[(n, q, varied)] = generic
