@@ -341,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run many configurations")
     p.add_argument("--spec", required=True)
-    p.add_argument("--jobs", type=_positive_int, default=None,
-                   help="workers (default: BLOWUP_RIGIDITY_JOBS or 1)")
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes (default: 1)")
     p.add_argument("--draws", type=_positive_int, default=200)
     p.add_argument("--extra-q", action="store_true")
     p.add_argument("--out", default="-")

@@ -58,7 +58,7 @@ class NonGeneric(BlowupError):
 
 
 class InvalidSetting(BlowupError, ValueError):
-    """A run setting (draw count, worker count) is out of range."""
+    """A run setting (the draw count) is out of range."""
 
 
 class UnknownCheckId(BlowupError):

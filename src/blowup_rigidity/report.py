@@ -10,7 +10,6 @@ canonical form.
 from __future__ import annotations
 
 import json
-import os
 import time
 
 from .checks import CLAIMS, FAIL, PASS, WARN, CheckRecord
@@ -150,9 +149,6 @@ def run_all(
 # ----------------------------------------------------------------------
 # sweeps
 
-ENV_JOBS = "BLOWUP_RIGIDITY_JOBS"
-
-
 def default_s(n: int, r: int) -> tuple[int, ...]:
     """Canonical distinct orbit counts: 1..r, bumped to (2,3) when n = r = 2
     so that n*s_i >= 3 holds."""
@@ -237,23 +233,9 @@ class SweepResult:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def default_jobs() -> int:
-    """The worker count from BLOWUP_RIGIDITY_JOBS, or 1 when it is unset."""
-    env = os.environ.get(ENV_JOBS)
-    if not env:
-        return 1
-    try:
-        jobs = int(env)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise InvalidSetting(f"{ENV_JOBS} must be a positive integer, got {env!r}")
-    return jobs
-
-
 def sweep(
     cases: list[SweepCase],
-    jobs: int | None = None,
+    jobs: int = 1,
     draws: int = 200,
     extra_q: bool = False,
 ) -> SweepResult:
@@ -261,7 +243,6 @@ def sweep(
     Results are keyed and sorted, so the output is order-stable regardless
     of worker completion order.  More than one job runs the cases in forked
     workers, or serially where the process cannot fork safely."""
-    jobs = jobs if jobs is not None else default_jobs()
     work = [(case, draws, extra_q) for case in cases]
     if jobs <= 1 or len(work) <= 1:
         rows = [_sweep_worker(w) for w in work]

@@ -343,18 +343,6 @@ def test_nonpositive_counts_exit_2(argv, c0_file, tmp_path, capsys):
     assert f"expected a positive integer, got '{argv[-1]}'" in captured.err
 
 
-@pytest.mark.parametrize("value", ["junk", "0", "-3"])
-def test_bad_jobs_env_exits_2_with_one_line(value, tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("BLOWUP_RIGIDITY_JOBS", value)
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"n": [2], "r": [2], "seed": 1}))
-    assert main(["sweep", "--spec", str(spec), "--draws", "10"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "BLOWUP_RIGIDITY_JOBS must be a positive integer" in captured.err
-    assert captured.err.count("\n") == 1
-
-
 # small ints around the edge cases (zero, negative, one), primes and
 # composites for q, and values of the wrong type
 _SMALL = st.integers(-2, 8)

@@ -11,7 +11,7 @@ import pytest
 from blowup_rigidity import fieldgeom, rigidity
 from blowup_rigidity.checks import CLAIMS, CheckRecord, make_record
 from blowup_rigidity.cone import Decomposition, EffectiveCone, GeneratorSet
-from blowup_rigidity.errors import InvalidSetting, UnknownCheckId
+from blowup_rigidity.errors import UnknownCheckId
 from blowup_rigidity.fieldgeom import Config, next_valid_q
 from blowup_rigidity.lattice import BlowupLattice, DivisorClass
 from blowup_rigidity.rigidity import EXC, GAMMA, LINE, Component
@@ -397,19 +397,6 @@ def test_sweep_runs_serially_beside_a_live_thread(monkeypatch):
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert len(result.rows) == 2 and result.exit_code == 0
-
-
-def test_default_jobs_env(monkeypatch):
-    from blowup_rigidity.report import ENV_JOBS, default_jobs
-
-    monkeypatch.delenv(ENV_JOBS, raising=False)
-    assert default_jobs() == 1
-    monkeypatch.setenv(ENV_JOBS, "4")
-    assert default_jobs() == 4
-    for bad in ("junk", "0", "-1", "2.5"):
-        monkeypatch.setenv(ENV_JOBS, bad)
-        with pytest.raises(InvalidSetting, match=ENV_JOBS):
-            default_jobs()
 
 
 @pytest.mark.parametrize("draws", [0, -5])
