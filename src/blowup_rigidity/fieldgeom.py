@@ -292,7 +292,7 @@ def build_delta(config: Config) -> tuple[DeltaPoint, ...]:
                 raise OrbitCollision(
                     f"axis {axis}: base {b} lies in an already-used orbit"
                 )
-            for torsion in range(config.n):
+            for torsion in range(n):
                 coord = b * pow(zeta, torsion, q) % q
                 points.append(DeltaPoint(axis, orbit, torsion, coord))
     return tuple(points)
