@@ -188,7 +188,6 @@ def make_record(
     computed: object,
     expected: object,
     detail: str = "",
-    elapsed_ms: float | None = None,
 ) -> CheckRecord:
     if check_id not in CLAIMS:
         raise UnknownCheckId(check_id)
@@ -201,5 +200,4 @@ def make_record(
         expected=expected,
         claim=CLAIMS[check_id],
         detail=detail,
-        elapsed_ms=elapsed_ms,
     )

@@ -201,13 +201,16 @@ def cmd_vector_fields(args) -> int:
         },
     }
     if args.matrix:
+        # the rows come in assemble_system's order: points outer, axes inner
+        r = config.r
+        tags = [f"p[{p.key}]@axis{axis}" for p in config.delta for axis in range(1, r + 1)]
+        rows = [
+            {"tag": tag, "coeffs": [0] * (4 * block - 4) + list(entries) + [0] * (4 * (r - block))}
+            for tag, (block, entries) in zip(tags, kernel.rows)
+        ]
         with open(args.matrix, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"q": config.q, "columns": 4 * config.r,
-                 "rows": [{"tag": row.tag, "coeffs": list(row.coeffs(config.r))}
-                          for row in kernel.rows]},
-                fh, sort_keys=True, separators=(",", ":"),
-            )
+            json.dump({"q": config.q, "columns": 4 * r, "rows": rows},
+                      fh, sort_keys=True, separators=(",", ":"))
     _write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", args.out)
     return 1 if any(rec.status == "FAIL" for rec in records) else 0
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 
 from .errors import (
     ExhaustedRetries,
@@ -65,10 +66,11 @@ def primitive_nth_root(q: int, n: int) -> int:
     if (q - 1) % n != 0:
         raise NDoesNotDivide(f"{n} does not divide {q - 1}")
     primes = prime_divisors(n)
-    for value in range(2, q):
-        if has_exact_order(value, n, q, primes):
-            return value
-    raise NDoesNotDivide(f"no element of order {n} in F_{q}^*")  # unreachable
+    # z^((q-1)/n) has order dividing n, and exactly n when z generates F_q^*;
+    # the elements of exact order n are then its powers w^k with gcd(k, n) = 1
+    w = next(w for w in (pow(z, (q - 1) // n, q) for z in range(2, q))
+             if has_exact_order(w, n, q, primes))
+    return min(pow(w, k, q) for k in range(1, n) if math.gcd(k, n) == 1)
 
 
 def format_map(mu: int) -> str:

@@ -3,10 +3,13 @@ geometric automorphism group.
 
 Components: the exceptional divisors E_p (dimension r-1), the strict line
 transforms (dimension 1), and the strict through-point lines (dimension 1).
-A component is its index in components() order, and the adjacency is
+A component is only its index in the vertex order: the divisors by point,
+then the lines by axis, then the gammas by (axis, point).  The adjacency is
 tuples of those indices, found by offset from closed-form coordinate rules
-(stated at `build_graph`) instead of by testing every pair; the point-level
-oracle that re-derives each rule from all pairs lives in the test suite.
+(stated at `build_graph`) instead of by testing every pair, and the census
+reads each kind as an index range.  Labels are built by `vertex_labels`
+only for graph output and error messages; the point-level oracle that
+re-derives each rule from all pairs lives in the test suite.
 
 The automorphism group is checked per axis through its product structure:
 once pinning fixes the axis permutation, it is the direct product of the r
@@ -33,67 +36,27 @@ from .fieldgeom import (
     stabilizer_excess,
 )
 
-EXC = "exc"
-LINE = "line"
-GAMMA = "gamma"
 
-
-class Component:
-    """What a vertex stands for, behind its label and messages.
-    kind "exc": the divisor over `point` (axis unused).
-    kind "line": the strict axis line (point unused).
-    kind "gamma": the strict through-`point` line with free axis `axis`."""
-
-    __slots__ = ("kind", "axis", "point", "dim")
-
-    def __init__(self, kind: str, axis: int | None, point: DeltaPoint | None, dim: int):
-        self.kind = kind
-        self.axis = axis
-        self.point = point
-        self.dim = dim
-
-    @property
-    def label(self) -> str:
-        if self.kind == EXC:
-            return f"E[{self.point.key}]"
-        if self.kind == LINE:
-            return f"lt{self.axis}"
-        return f"gt[{self.point.key};{self.axis}]"
-
-    @property
-    def is_divisor(self) -> bool:
-        return self.kind == EXC
-
-    def __repr__(self):
-        return self.label
-
-
-def components(config: Config, delta: tuple[DeltaPoint, ...]) -> tuple[Component, ...]:
-    """All components in vertex order: the divisors by point, then the
-    lines by axis, then the gammas by (axis, point)."""
-    out = [Component(EXC, None, p, config.r - 1) for p in delta]
-    out += [Component(LINE, i, None, 1) for i in range(1, config.r + 1)]
-    for i in range(1, config.r + 1):
-        out += [Component(GAMMA, i, p, 1) for p in delta if p.axis != i]
-    return tuple(out)
+def vertex_labels(config: Config) -> list[str]:
+    """Each vertex's label, in vertex order: E[p] for the divisor over p,
+    lt<i> for the axis-i line, gt[p;i] for the line through p with free
+    axis i."""
+    delta, axes = config.delta, range(1, config.r + 1)
+    return ([f"E[{p.key}]" for p in delta] + [f"lt{i}" for i in axes]
+            + [f"gt[{p.key};{i}]" for i in axes for p in delta if p.axis != i])
 
 
 class IncidenceGraph:
-    """Vertex v is vertices[v], in components() order; adjacency[v] is the
-    ascending tuple of its neighbours' indices."""
+    """adjacency[v] is the ascending tuple of vertex v's neighbours.  The
+    vertices below `divisors` are the divisors and the r lines come next;
+    the gammas of axis i are the vertices blocks[i - 1] to blocks[i] - 1."""
 
-    def __init__(self, config: Config, vertices: tuple[Component, ...],
-                 adjacency: tuple[tuple[int, ...], ...]):
+    def __init__(self, config: Config, adjacency: tuple[tuple[int, ...], ...],
+                 blocks: list[int]):
         self.config = config
-        self.vertices = vertices
         self.adjacency = adjacency
-        # the indices below this are the divisors; the r lines come next
+        self.blocks = blocks
         self.divisors = len(config.delta)
-
-    def by_kind(self, rows: list) -> tuple[list, list, list]:
-        """Per-vertex rows split into the divisors', lines' and gammas' parts."""
-        d, r = self.divisors, self.config.r
-        return rows[:d], rows[d:d + r], rows[d + r:]
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -107,17 +70,17 @@ class IncidenceGraph:
         return div, len(nbrs) - div
 
     def to_adjacency_dict(self) -> dict[str, list[str]]:
-        labels = [v.label for v in self.vertices]
+        labels = vertex_labels(self.config)
         return {labels[v]: [labels[w] for w in nbrs] for v, nbrs in enumerate(self.adjacency)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_adjacency_dict(), sort_keys=True, separators=(",", ":"))
 
     def to_dot(self) -> str:
-        labels = [v.label for v in self.vertices]
+        labels = vertex_labels(self.config)
         lines = ["graph incidence {"]
-        for v, label in zip(self.vertices, labels):
-            shape = "box" if v.is_divisor else "ellipse"
+        for v, label in enumerate(labels):
+            shape = "box" if v < self.divisors else "ellipse"
             lines.append(f'  "{label}" [shape={shape}];')
         for v, w in self.edges:
             lines.append(f'  "{labels[v]}" -- "{labels[w]}";')
@@ -153,7 +116,7 @@ def build_graph(config: Config) -> IncidenceGraph:
     size = [config.n * len(b) for b in config.base]
     # the points on axis i are delta[first[i - 1]:first[i]]
     first = list(itertools.accumulate(size, initial=0))
-    # the gammas of axis i start at index block[i - 1]
+    # the gammas of axis i are the vertices block[i - 1] to block[i] - 1
     block = list(itertools.accumulate((d - m for m in size), initial=d + r))
 
     def gamma(k: int, i: int) -> int:
@@ -173,89 +136,58 @@ def build_graph(config: Config) -> IncidenceGraph:
             if p.axis != i:
                 start = gamma(first[i - 1], p.axis)
                 adjacency.append((k, *range(start, start + size[i - 1])))
-    return IncidenceGraph(config, components(config, delta), tuple(adjacency))
+    return IncidenceGraph(config, tuple(adjacency), block)
 
 
-class CensusRow:
-    def __init__(self, component: Component, divisor_neighbors: int, curve_neighbors: int):
-        self.component = component
-        self.divisor_neighbors = divisor_neighbors
-        self.curve_neighbors = curve_neighbors
-
-    @property
-    def computed_total(self) -> int:
-        return self.divisor_neighbors + self.curve_neighbors
-
-
-def census(graph: IncidenceGraph) -> list[CensusRow]:
-    """Per-vertex neighbor profile, one row per vertex of the adjacency.
+def census(graph: IncidenceGraph) -> list[tuple[int, int]]:
+    """Per-vertex (divisor neighbors, curve neighbors), in vertex order.
 
     The nominal neighbor totals are r for a divisor, n*s_i + 1 for a
     through-point curve in direction i and n*s_i for the axis-i line; the
     last is the one computed geometry exceeds, by the r-1 line-line meetings
     at the unblown common point (check rigidity.census_lines).
     """
-    return [CensusRow(graph.vertices[v], *graph.profile(v)) for v in range(len(graph.adjacency))]
+    return [graph.profile(v) for v in range(len(graph.adjacency))]
 
 
-class PinningCertificate:
-    """Why the profiles pin the components: how the divisors are singled out,
-    and each line's identifying divisor-degree."""
-
-    def __init__(self, exc_criterion: str, line_divisor_degrees: dict[int, int]):
-        self.exc_criterion = exc_criterion
-        self.line_divisor_degrees = line_divisor_degrees
-
-    def to_dict(self) -> dict:
-        return {
-            "exc_criterion": self.exc_criterion,
-            "line_divisor_degrees": {
-                str(k): v for k, v in sorted(self.line_divisor_degrees.items())
-            },
-        }
-
-
-def pin_components(graph: IncidenceGraph, rows: list[CensusRow]) -> PinningCertificate:
+def pin_components(graph: IncidenceGraph, rows: list[tuple[int, int]]) -> dict:
     """Certify from the computed profiles rows (census(graph)) that (i) the
     exceptional divisors are determined among all components and (ii) each
     strict line is determined among the curve components by its
-    divisor-neighbor count."""
-    exc_rows, line_rows, gamma_rows = graph.by_kind(rows)
+    divisor-neighbor count.  The certificate says how the divisors are
+    singled out, and gives each line's identifying divisor-degree by axis."""
+    d, r = graph.divisors, graph.config.r
 
-    if graph.config.r >= 3:
+    if r >= 3:
         exc_criterion = "maximal dimension r-1 >= 2"
     else:
-        exc_totals = {row.computed_total for row in exc_rows}
-        clash = [
-            row.component
-            for row in line_rows + gamma_rows
-            if row.computed_total in exc_totals
-        ]
+        exc_totals = {sum(row) for row in rows[:d]}
+        clash = [v for v in range(d, len(rows)) if sum(rows[v]) in exc_totals]
         if clash:
+            labels = vertex_labels(graph.config)
             raise AmbiguousProfile(
-                f"components {clash} share the divisor total degree"
+                f"components [{', '.join(labels[v] for v in clash)}] share the "
+                "divisor total degree"
             )
         exc_criterion = (
             f"unique total degree {sorted(exc_totals)} among all components"
         )
 
-    gamma_div_degrees = {row.divisor_neighbors for row in gamma_rows}
-    degrees: dict[int, int] = {}
-    for row in line_rows:
-        d = row.divisor_neighbors
-        if d in gamma_div_degrees:
+    gamma_div_degrees = {div for div, _ in rows[d + r:]}
+    degrees: dict[str, int] = {}
+    for axis, (div, _) in enumerate(rows[d:d + r], start=1):
+        if div in gamma_div_degrees:
             raise AmbiguousProfile(
-                f"{row.component} has divisor-degree {d}, same as a "
-                "through-point curve"
+                f"{vertex_labels(graph.config)[d + axis - 1]} has divisor-degree "
+                f"{div}, same as a through-point curve"
             )
-        if d in degrees.values():
-            other = next(k for k, v in degrees.items() if v == d)
+        if div in degrees.values():
+            other = next(k for k, v in degrees.items() if v == div)
             raise AmbiguousProfile(
-                f"axes {other} and {row.component.axis} have equal "
-                f"divisor-degree {d}"
+                f"axes {other} and {axis} have equal divisor-degree {div}"
             )
-        degrees[row.component.axis] = d
-    return PinningCertificate(exc_criterion, degrees)
+        degrees[str(axis)] = div
+    return {"exc_criterion": exc_criterion, "line_divisor_degrees": degrees}
 
 
 def axis_scalings(config: Config) -> list[list[int]]:
@@ -335,54 +267,45 @@ def verify_rigidity(config: Config) -> list:
     records.append(
         make_record(
             "rigidity.components",
-            PASS if len(graph.vertices) == expected_count else FAIL,
-            len(graph.vertices),
+            PASS if len(graph.adjacency) == expected_count else FAIL,
+            len(graph.adjacency),
             expected_count,
         )
     )
 
     rows = census(graph)
-    exc_rows, line_rows, gamma_rows = graph.by_kind(rows)
-    exc_ok = all(
-        (r.divisor_neighbors, r.curve_neighbors) == (0, cfg.r) for r in exc_rows
-    )
+    d, blocks = graph.divisors, graph.blocks
+    exc_rows, line_rows = rows[:d], rows[d:d + cfg.r]
     records.append(
         make_record(
             "rigidity.census_divisors",
-            PASS if exc_ok else FAIL,
-            sorted({(r.divisor_neighbors, r.curve_neighbors) for r in exc_rows}),
+            PASS if all(row == (0, cfg.r) for row in exc_rows) else FAIL,
+            sorted(set(exc_rows)),
             [(0, cfg.r)],
         )
     )
 
     gamma_ok = all(
-        (r.divisor_neighbors, r.curve_neighbors)
-        == (1, cfg.n * cfg.s[r.component.axis - 1])
-        for r in gamma_rows
+        row == (1, cfg.n * si)
+        for i, si in enumerate(cfg.s, start=1)
+        for row in rows[blocks[i - 1]:blocks[i]]
     )
     records.append(
         make_record(
             "rigidity.census_gammas",
             PASS if gamma_ok else FAIL,
-            sorted({(r.divisor_neighbors, r.curve_neighbors) for r in gamma_rows}),
+            sorted(set(rows[blocks[0]:blocks[-1]])),
             sorted({(1, cfg.n * si) for si in cfg.s}),
         )
     )
 
-    line_profile_ok = all(
-        (r.divisor_neighbors, r.curve_neighbors)
-        == (cfg.n * cfg.s[r.component.axis - 1], cfg.r - 1)
-        for r in line_rows
-    )
-    line_status = WARN if line_profile_ok else FAIL
+    nominal_lines = [(cfg.n * si, cfg.r - 1) for si in cfg.s]
     records.append(
         make_record(
             "rigidity.census_lines",
-            line_status,
-            {f"axis_{r.component.axis}": [r.divisor_neighbors, r.curve_neighbors]
-             for r in line_rows},
-            {f"axis_{i}": [cfg.n * si, cfg.r - 1]
-             for i, si in enumerate(cfg.s, start=1)},
+            WARN if line_rows == nominal_lines else FAIL,
+            {f"axis_{i}": list(row) for i, row in enumerate(line_rows, start=1)},
+            {f"axis_{i}": list(row) for i, row in enumerate(nominal_lines, start=1)},
             detail=(
                 "computed total exceeds the nominal divisor-only count by r-1: "
                 "the strict lines still meet pairwise at the all-[0:1] point, "
@@ -391,8 +314,8 @@ def verify_rigidity(config: Config) -> list:
         )
     )
 
-    handshake_lhs = sum(r.divisor_neighbors for r in line_rows + gamma_rows)
-    handshake_rhs = sum(r.curve_neighbors for r in exc_rows)
+    handshake_lhs = sum(div for div, _ in rows[d:])
+    handshake_rhs = sum(curve for _, curve in exc_rows)
     records.append(
         make_record(
             "rigidity.handshake",
@@ -403,10 +326,9 @@ def verify_rigidity(config: Config) -> list:
     )
 
     try:
-        cert = pin_components(graph, rows)
-        records.append(
-            make_record("rigidity.pinning", PASS, cert.to_dict(), "certificate")
-        )
+        records.append(make_record(
+            "rigidity.pinning", PASS, pin_components(graph, rows), "certificate"
+        ))
     except AmbiguousProfile as exc:
         records.append(
             make_record("rigidity.pinning", FAIL, str(exc), "certificate")

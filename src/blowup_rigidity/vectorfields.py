@@ -9,10 +9,11 @@ every other block.  For a valid configuration the kernel is exactly the
 r-dimensional space of scalar blocks.
 
 Each row touches one block, so the system is block-diagonal and is stored and
-reduced that way: a row is its block plus 4 entries, each block reduces its
-distinct rows on its own 4 columns, and the reduced form of the whole system
-is the blocks' forms side by side.  A row is written out as 4r coefficients
-only for `vector-fields --matrix`.
+reduced that way: a row is the pair (block, its 4 entries), each block
+reduces its distinct rows on its own 4 columns, and the reduced form of the
+whole system is the blocks' forms side by side.  Only `vector-fields
+--matrix` writes a row out as 4r coefficients, from its block offset, and
+names it by the (point, axis) it comes from.
 """
 
 from __future__ import annotations
@@ -21,41 +22,26 @@ from .checks import FAIL, PASS, CheckRecord, make_record
 from .errors import NDoesNotDivide, NotPrime, TooSmallField
 from .fieldgeom import Config, Lcg, config_seed, is_prime, primitive_nth_root, sample_base
 
-
-class ConstraintRow:
-    """One row of the system: 4 entries on block `block` (1-based), zero on
-    every other block."""
-
-    __slots__ = ("block", "entries", "tag")
-
-    def __init__(self, block: int, entries: tuple[int, int, int, int], tag: str):
-        self.block = block
-        self.entries = entries
-        self.tag = tag
-
-    def coeffs(self, r: int) -> tuple[int, ...]:
-        """The row written out as 4r coefficients."""
-        return (0,) * (4 * self.block - 4) + self.entries + (0,) * (4 * (r - self.block))
+# a row of the system: its block (1-based) and its 4 entries on that block
+Row = tuple[int, tuple[int, int, int, int]]
 
 
-def eigen_constraint_row(v: tuple[int, int], block: int, q: int, tag: str = "") -> ConstraintRow:
+def eigen_constraint_row(v: tuple[int, int], block: int, q: int) -> Row:
     """The linear condition over F_q that v = (x, y) is an eigenvector of
-    block `block` (1-based): a*xy + b*y^2 - c*x^2 - d*xy = 0."""
+    block `block` (1-based): a*xy + b*y^2 - c*x^2 - d*xy = 0, as the row
+    (block, its 4 entries)."""
     x, y = v
-    entries = (x * y % q, y * y % q, -x * x % q, -x * y % q)
-    return ConstraintRow(block, entries, tag or f"block{block}@[{x}:{y}]")
+    return block, (x * y % q, y * y % q, -x * x % q, -x * y % q)
 
 
-def assemble_system(config: Config) -> list[ConstraintRow]:
-    """One row per (marked point, axis): |Delta| * r rows, duplicates allowed."""
-    rows = []
-    for p in config.delta:
-        for axis in range(1, config.r + 1):
-            v = (1, p.coord) if axis == p.axis else (0, 1)
-            rows.append(eigen_constraint_row(
-                v, axis, config.q, tag=f"p[{p.key}]@axis{axis}"
-            ))
-    return rows
+def assemble_system(config: Config) -> list[Row]:
+    """One row per (marked point, axis), points outer and axes inner:
+    |Delta| * r rows, duplicates allowed."""
+    return [
+        eigen_constraint_row((1, p.coord) if axis == p.axis else (0, 1), axis, config.q)
+        for p in config.delta
+        for axis in range(1, config.r + 1)
+    ]
 
 
 def kernel_mod_q(
@@ -104,7 +90,7 @@ class KernelResult:
     """The kernel of the rows, which are kept for the checks that reuse them."""
 
     def __init__(
-        self, r: int, rows: list[ConstraintRow], basis: list[tuple[int, ...]], pivots: list[int]
+        self, r: int, rows: list[Row], basis: list[tuple[int, ...]], pivots: list[int]
     ):
         self.r = r
         self.rows = rows
@@ -138,13 +124,13 @@ class KernelResult:
         return None
 
 
-def kernel_of_rows(rows: list[ConstraintRow], r: int, q: int) -> KernelResult:
+def kernel_of_rows(rows: list[Row], r: int, q: int) -> KernelResult:
     """The kernel of the 4r-column system, one block at a time: block b's
     distinct rows reduce on their own 4 columns, its pivots shift by 4(b - 1)
     and its canonical basis vectors are embedded at block b."""
     by_block = [{} for _ in range(r)]
-    for row in rows:
-        by_block[row.block - 1][row.entries] = None
+    for block, entries in rows:
+        by_block[block - 1][entries] = None
     basis, pivots = [], []
     for b, entries in enumerate(by_block):
         _, block_basis, block_pivots = kernel_mod_q(list(entries), 4, q)
@@ -157,10 +143,10 @@ def derivation_kernel(config: Config) -> KernelResult:
     return kernel_of_rows(assemble_system(config), config.r, config.q)
 
 
-def scalar_tuples_satisfy(rows: list[ConstraintRow], q: int) -> bool:
+def scalar_tuples_satisfy(rows: list[Row], q: int) -> bool:
     """Scalar blocks annihilate every row: the scalar vector of block i pairs
     with a row of block i as a + d and with every other row as 0."""
-    return all((row.entries[0] + row.entries[3]) % q == 0 for row in rows)
+    return all((entries[0] + entries[3]) % q == 0 for _, entries in rows)
 
 
 def direction_counts(config: Config) -> list[int]:

@@ -20,10 +20,6 @@ from blowup_rigidity.fieldgeom import (
     delta_permutation,
 )
 from blowup_rigidity.rigidity import (
-    EXC,
-    GAMMA,
-    LINE,
-    Component,
     IncidenceGraph,
     geometric_automorphisms,
     geometric_permutation,
@@ -146,14 +142,37 @@ def full_coords(p: DeltaPoint, r: int) -> tuple[tuple[int, int], ...]:
     return tuple((1, p.coord) if i == p.axis else (0, 1) for i in range(1, r + 1))
 
 
-def curve_point_set(comp: Component, config: Config) -> frozenset[tuple]:
+# A vertex of the incidence graph as (kind, axis, point): ("exc", None, p)
+# for the divisor over p, ("line", i, None) for the axis-i line and
+# ("gamma", i, p) for the line through p with free axis i.
+Vertex = tuple[str, int | None, DeltaPoint | None]
+
+
+def oracle_vertices(config: Config) -> list[Vertex]:
+    """The vertices in the documented vertex order: the divisors by point,
+    then the lines by axis, then the gammas by (axis, point)."""
+    delta, axes = config.delta, range(1, config.r + 1)
+    return ([("exc", None, p) for p in delta] + [("line", i, None) for i in axes]
+            + [("gamma", i, p) for i in axes for p in delta if p.axis != i])
+
+
+def oracle_label(vertex: Vertex) -> str:
+    kind, axis, point = vertex
+    if kind == "exc":
+        return f"E[{point.key}]"
+    if kind == "line":
+        return f"lt{axis}"
+    return f"gt[{point.key};{axis}]"
+
+
+def curve_point_set(comp: Vertex, config: Config) -> frozenset[tuple]:
     """All F_q-rational points of a 1-dimensional component, as coordinate
     tuples of the ambient product."""
-    assert comp.kind in (LINE, GAMMA)
-    free = comp.axis
+    kind, free, point = comp
+    assert kind in ("line", "gamma")
     fixed: dict[int, tuple[int, int]] = {}
-    if comp.kind == GAMMA:
-        fixed[comp.point.axis] = (1, comp.point.coord)
+    if kind == "gamma":
+        fixed[point.axis] = (1, point.coord)
     points = set()
     for t in projective_line(config.q):
         coords = tuple(
@@ -165,8 +184,8 @@ def curve_point_set(comp: Component, config: Config) -> frozenset[tuple]:
 
 
 def incident_oracle(
-    comp1: Component,
-    comp2: Component,
+    comp1: Vertex,
+    comp2: Vertex,
     config: Config,
     delta: tuple[DeltaPoint, ...],
 ) -> bool:
@@ -180,25 +199,24 @@ def incident_oracle(
       (the strict transforms then meet on that exceptional divisor).
     """
     delta_coords = {full_coords(p, config.r): p for p in delta}
-    if comp1.kind == EXC and comp2.kind == EXC:
+    if comp1[0] == "exc" and comp2[0] == "exc":
         return False
-    if EXC in (comp1.kind, comp2.kind):
-        div, cur = (comp1, comp2) if comp1.kind == EXC else (comp2, comp1)
-        return full_coords(div.point, config.r) in curve_point_set(cur, config)
+    if "exc" in (comp1[0], comp2[0]):
+        div, cur = (comp1, comp2) if comp1[0] == "exc" else (comp2, comp1)
+        return full_coords(div[2], config.r) in curve_point_set(cur, config)
     shared = curve_point_set(comp1, config) & curve_point_set(comp2, config)
     for x in shared:
         if x not in delta_coords:
             return True
-        if comp1.axis == comp2.axis:
+        if comp1[1] == comp2[1]:
             return True
     return False
 
 
-def oracle_adjacency(
-    config: Config, delta: tuple[DeltaPoint, ...], vertices: tuple[Component, ...]
-) -> dict[Component, tuple[Component, ...]]:
-    """The incidence graph by testing every ordered pair of components with
-    incident_oracle; each neighbour tuple is in vertex order."""
+def oracle_adjacency(config: Config, delta: tuple[DeltaPoint, ...]) -> dict[Vertex, tuple]:
+    """The incidence graph by testing every ordered pair of oracle_vertices
+    with incident_oracle; each neighbour tuple is in vertex order."""
+    vertices = oracle_vertices(config)
     return {
         v: tuple(
             w for w in vertices if w != v and incident_oracle(v, w, config, delta)
@@ -312,7 +330,7 @@ def abstract_automorphism_count(graph: IncidenceGraph, cap: int = 100_000) -> in
     import networkx as nx
 
     g = nx.Graph()
-    g.add_nodes_from(range(len(graph.vertices)))
+    g.add_nodes_from(range(len(graph.adjacency)))
     g.add_edges_from(graph.edges)
     matcher = nx.algorithms.isomorphism.GraphMatcher(g, g)
     count = 0

@@ -28,7 +28,7 @@ from blowup_rigidity.rigidity import (
 )
 from blowup_rigidity.vectorfields import derivation_kernel, extra_q_vanishing
 
-from oracles import incident_oracle, stabilizer_oracle
+from oracles import incident_oracle, oracle_vertices, stabilizer_oracle
 
 
 @contextmanager
@@ -116,19 +116,17 @@ def test_criterion_census(sweep_configs):
     with criterion("incidence census on every sweep config"):
         for cfg in sweep_configs:
             rows = census(build_graph(cfg))
-            for row in rows:
-                v = row.component
-                profile = (row.divisor_neighbors, row.curve_neighbors)
-                if v.kind == "exc":
+            for (kind, axis, _), profile in zip(oracle_vertices(cfg), rows, strict=True):
+                if kind == "exc":
                     assert profile == (0, cfg.r)
-                elif v.kind == "gamma":
-                    assert profile == (1, cfg.n * cfg.s[v.axis - 1])
+                elif kind == "gamma":
+                    assert profile == (1, cfg.n * cfg.s[axis - 1])
                 else:
-                    assert profile == (cfg.n * cfg.s[v.axis - 1], cfg.r - 1)
+                    assert profile == (cfg.n * cfg.s[axis - 1], cfg.r - 1)
                     # the divergence from the nominal divisor-only count n*s_i
                     # is exactly the r-1 line-line meetings; recorded as WARN
-                    nominal = cfg.n * cfg.s[v.axis - 1]
-                    assert row.computed_total == nominal + cfg.r - 1
+                    nominal = cfg.n * cfg.s[axis - 1]
+                    assert sum(profile) == nominal + cfg.r - 1
 
 
 def test_criterion_rigidity(c0, c1):
@@ -186,9 +184,8 @@ def test_criterion_oracle_equivalences(sweep_configs, c0, c1):
                 assert [(1, 0, 0, mu) for mu in got] == stabilizer_oracle(coords, cfg.q)
         for cfg in (c0, c1):
             delta = build_delta(cfg)
-            graph = build_graph(cfg)
-            adj, comps = graph.adjacency, graph.vertices
-            for (a, ca), (b, cb) in itertools.combinations(enumerate(comps), 2):
+            adj = build_graph(cfg).adjacency
+            for (a, ca), (b, cb) in itertools.combinations(enumerate(oracle_vertices(cfg)), 2):
                 assert (b in adj[a]) == incident_oracle(ca, cb, cfg, delta)
 
 

@@ -9,8 +9,6 @@ from blowup_rigidity.cone import Decomposition, Generator
 from blowup_rigidity.fieldgeom import Config, DeltaPoint
 from blowup_rigidity.lattice import CurveClass, DivisorClass
 from blowup_rigidity.report import SweepCase
-from blowup_rigidity.rigidity import GAMMA, Component
-from blowup_rigidity.vectorfields import ConstraintRow
 
 C0_FIELDS = dict(n=2, r=2, s=(2, 3), q=13, zeta=12, base=((1, 2), (3, 4, 5)))
 
@@ -21,14 +19,11 @@ VALUES = {
     "CurveClass": lambda v, lat: CurveClass((1, v), (0, 1), lat),
     "Generator": lambda v, lat: Generator("lt1", "line", CurveClass((1, 0), (0,), lat), 7 + v),
     "Decomposition": lambda v, lat: Decomposition((("lt1", 1 + v),)),
-    "Component": lambda v, lat: Component(GAMMA, 2, DeltaPoint(1, 1, v, 5), 1),
-    "ConstraintRow": lambda v, lat: ConstraintRow(1, (0, 1, v, 0), "t"),
     "SweepCase": lambda v, lat: SweepCase(2, 3, (1, 2, 3), seed=v),
     "Config": lambda v, lat: Config(**C0_FIELDS, seed=v),
 }
 
-# marked points key dicts, and check_same compares configs; a graph vertex
-# is known by its index, so Component is only checked for its slots
+# marked points key dicts, and check_same compares configs
 COMPARED = ["Config", "DeltaPoint"]
 
 

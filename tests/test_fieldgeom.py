@@ -59,11 +59,22 @@ from oracles import (
 def test_primitive_nth_root_examples():
     assert primitive_nth_root(13, 2) == 12
     assert primitive_nth_root(7, 3) == 2
-    # oracle: exhaustive smallest-of-exact-order scan
-    for q, n in [(13, 2), (13, 3), (13, 4), (7, 3), (31, 5), (11, 2)]:
-        assert primitive_nth_root(q, n) == smallest_of_order(q, n)
-    # the scan tests exact order with a few powers, so a large field is cheap
     assert primitive_nth_root(10007, 2) == 10006
+
+
+def test_primitive_nth_root_matches_the_scan_oracle():
+    # oracle: exhaustive smallest-of-exact-order scan, every n dividing q - 1
+    for q in (q for q in range(3, 500) if is_prime(q)):
+        for n in (n for n in range(2, q) if (q - 1) % n == 0):
+            assert primitive_nth_root(q, n) == smallest_of_order(q, n), (q, n)
+
+
+def test_primitive_nth_root_does_not_scan_the_field(count_calls):
+    # for n = 2 the smallest root is q - 1, which a scan of 2, 3, ... reaches
+    # after q - 2 exact-order tests; a candidate z^((q-1)/n) is -1 half the time
+    calls = count_calls("has_exact_order")
+    assert primitive_nth_root(1000003, 2) == 1000002
+    assert 0 < calls["has_exact_order"] < 100
 
 
 def test_primitive_nth_root_errors():

@@ -8,13 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from blowup_rigidity import fieldgeom, rigidity
+from blowup_rigidity import fieldgeom, rigidity, vectorfields
 from blowup_rigidity.checks import CLAIMS, CheckRecord, make_record
 from blowup_rigidity.cone import Decomposition, EffectiveCone, GeneratorSet
 from blowup_rigidity.errors import UnknownCheckId
 from blowup_rigidity.fieldgeom import Config, next_valid_q
 from blowup_rigidity.lattice import BlowupLattice, DivisorClass
-from blowup_rigidity.rigidity import EXC, GAMMA, LINE, Component
+from blowup_rigidity.rigidity import IncidenceGraph
 from blowup_rigidity.report import (
     CHECK_ORDER,
     SweepCase,
@@ -114,10 +114,12 @@ def test_run_all_tests_one_generator_per_orbit(c1, count_calls):
 REAL_PHI = GeneratorSet.phi
 REAL_RESUM = Decomposition.resum
 REAL_GAMMA = BlowupLattice.gamma
-REAL_COMPONENTS = rigidity.components
+REAL_BUILD_GRAPH = rigidity.build_graph
 REAL_CENSUS = rigidity.census
 REAL_G_ACTION = fieldgeom.g_action
 REAL_SCALING_GROUP = fieldgeom.scaling_group
+REAL_DIRECTION_COUNTS = vectorfields.direction_counts
+REAL_ASSEMBLE_SYSTEM = vectorfields.assemble_system
 
 
 def g_action_fixing_the_last_axis(config, g, p):
@@ -161,39 +163,49 @@ def resum_of_positive_parts(dec, genset):
                       genset)
 
 
-def components_with_a_second_last_line(config, delta):
-    # one vertex too many: a copy of the axis-r line after the gammas
-    return REAL_COMPONENTS(config, delta) + (Component(LINE, config.r, None, 1),)
-
-
-def first_row(rows, kind):
-    return next(row for row in rows if row.component.kind == kind)
+def build_graph_with_an_isolated_vertex(config):
+    # one vertex too many, after the gammas and with no neighbours
+    graph = REAL_BUILD_GRAPH(config)
+    return IncidenceGraph(config, graph.adjacency + ((),), graph.blocks)
 
 
 def census_one_more_curve_on_a_divisor(graph):
     rows = REAL_CENSUS(graph)
-    first_row(rows, EXC).curve_neighbors += 1
+    div, curve = rows[0]
+    rows[0] = (div, curve + 1)
     return rows
 
 
 def census_one_more_divisor_on_a_gamma(graph):
-    rows = REAL_CENSUS(graph)
-    first_row(rows, GAMMA).divisor_neighbors += 1
+    rows, v = REAL_CENSUS(graph), graph.blocks[0]
+    div, curve = rows[v]
+    rows[v] = (div + 1, curve)
     return rows
 
 
 def census_one_more_curve_on_a_line(graph):
-    rows = REAL_CENSUS(graph)
-    first_row(rows, LINE).curve_neighbors += 1
+    rows, v = REAL_CENSUS(graph), graph.divisors
+    div, curve = rows[v]
+    rows[v] = (div, curve + 1)
     return rows
 
 
 def census_first_line_like_the_last(graph):
     # the axis-1 line gets the axis-r line's divisor-degree
-    rows = REAL_CENSUS(graph)
-    lines = [row for row in rows if row.component.kind == LINE]
-    lines[0].divisor_neighbors = lines[-1].divisor_neighbors
+    rows, v = REAL_CENSUS(graph), graph.divisors
+    rows[v] = (rows[v + graph.config.r - 1][0], rows[v][1])
     return rows
+
+
+def direction_counts_without_the_last_axis_coords(config):
+    # the last axis keeps only the shared [0:1]
+    return REAL_DIRECTION_COUNTS(config)[:-1] + [1]
+
+
+def assemble_system_without_the_last_axis_own_rows(config):
+    # block r keeps only the [0:1] rows (b = 0) of the other axes' points
+    return [(block, entries) for block, entries in REAL_ASSEMBLE_SYSTEM(config)
+            if block != config.r or entries == (0, 1, 0, 0)]
 
 
 @pytest.mark.parametrize("check_id, owner, attr, sabotage", [
@@ -209,18 +221,23 @@ def census_first_line_like_the_last(graph):
     ("lattice.gamma_pairings", BlowupLattice, "gamma", gamma_of_the_next_point),
     ("cone.generator_count", BlowupLattice, "gamma", gamma_of_the_next_point),
     ("cone.case3_identity", BlowupLattice, "gamma", gamma_of_the_next_point),
-    ("rigidity.components", rigidity, "components", components_with_a_second_last_line),
+    ("rigidity.components", rigidity, "build_graph", build_graph_with_an_isolated_vertex),
     ("rigidity.census_divisors", rigidity, "census", census_one_more_curve_on_a_divisor),
     ("rigidity.census_gammas", rigidity, "census", census_one_more_divisor_on_a_gamma),
     ("rigidity.census_lines", rigidity, "census", census_one_more_curve_on_a_line),
     ("rigidity.handshake", rigidity, "census", census_one_more_divisor_on_a_gamma),
     ("rigidity.pinning", rigidity, "census", census_first_line_like_the_last),
+    ("vectorfields.directions", vectorfields, "direction_counts",
+     direction_counts_without_the_last_axis_coords),
+    ("vectorfields.kernel_extra", vectorfields, "assemble_system",
+     assemble_system_without_the_last_axis_own_rows),
 ])
 @pytest.mark.parametrize("config", ["c0", "c1"])
 def test_sabotaged_input_fails_its_check(config, check_id, owner, attr, sabotage,
                                          request, monkeypatch):
     monkeypatch.setattr(owner, attr, sabotage)
-    report = run_all(request.getfixturevalue(config), draws=200)
+    cfg = request.getfixturevalue(config)
+    report = run_all(cfg, draws=200, extra_q=next_valid_q(cfg.n, cfg.s, cfg.q))
     assert next(rec.status for rec in report.records if rec.check_id == check_id) == "FAIL"
     assert report.exit_code == 1
 

@@ -5,16 +5,13 @@ import pytest
 from blowup_rigidity.errors import AmbiguousProfile, NonGeneric
 from blowup_rigidity.fieldgeom import Config, build_delta, delta_permutation
 from blowup_rigidity.rigidity import (
-    EXC,
-    GAMMA,
-    LINE,
     build_graph,
     census,
-    components,
     geometric_automorphisms,
     geometric_permutation,
     pin_components,
     verify_rigidity,
+    vertex_labels,
 )
 
 from blowup_rigidity.report import SweepCase, default_s, resolve_case, run_all
@@ -24,41 +21,38 @@ from oracles import (
     full_group_fields,
     incident_oracle,
     oracle_adjacency,
+    oracle_label,
+    oracle_vertices,
 )
 
 
 def test_component_counts(c0, c1):
-    assert len(components(c0, build_delta(c0))) == 22
-    assert len(components(c1, build_delta(c1))) == 57
+    assert len(oracle_vertices(c0)) == len(build_graph(c0).adjacency) == 22
+    assert len(oracle_vertices(c1)) == len(build_graph(c1).adjacency) == 57
 
 
-def test_component_dims_and_labels(c0, delta0):
-    comps = components(c0, delta0)
-    by_kind = {}
-    for comp in comps:
-        by_kind.setdefault(comp.kind, []).append(comp)
-    assert all(c.dim == 1 for c in by_kind[LINE] + by_kind[GAMMA])
-    assert all(c.dim == c0.r - 1 for c in by_kind[EXC])
-    assert by_kind[LINE][0].label == "lt1"
-    assert by_kind[EXC][0].label == "E[1.1.0]"
-    assert by_kind[GAMMA][0].label.startswith("gt[")
+def test_vertex_labels_match_the_oracle(c0, c1):
+    for cfg in (c0, c1):
+        assert vertex_labels(cfg) == [oracle_label(v) for v in oracle_vertices(cfg)]
+    labels = vertex_labels(c0)
+    assert labels[0] == "E[1.1.0]"
+    assert labels[len(c0.delta)] == "lt1"
+    assert labels[len(c0.delta) + c0.r].startswith("gt[")
 
 
-def index_of(comps, **fields):
-    """The index of the one component with those field values."""
-    (k,) = [k for k, c in enumerate(comps)
-            if all(getattr(c, name) == value for name, value in fields.items())]
-    return k
+def index_of(cfg, kind, axis=None, point=None):
+    """The index of the one oracle vertex (kind, axis, point)."""
+    return oracle_vertices(cfg).index((kind, axis, point))
 
 
 def test_incident_spot_rules(c0):
-    graph = build_graph(c0)
-    adj, comps = graph.adjacency, graph.vertices
-    line1 = index_of(comps, kind=LINE, axis=1)
-    line2 = index_of(comps, kind=LINE, axis=2)
-    p_on_1 = next(k for k, c in enumerate(comps) if c.kind == EXC and c.point.axis == 1)
-    p_on_2 = next(k for k, c in enumerate(comps) if c.kind == EXC and c.point.axis == 2)
-    gamma_p1 = index_of(comps, kind=GAMMA, axis=1, point=comps[p_on_2].point)
+    adj = build_graph(c0).adjacency
+    line1 = index_of(c0, "line", 1)
+    line2 = index_of(c0, "line", 2)
+    p1 = next(p for p in c0.delta if p.axis == 1)
+    p2 = next(p for p in c0.delta if p.axis == 2)
+    p_on_1, p_on_2 = index_of(c0, "exc", point=p1), index_of(c0, "exc", point=p2)
+    gamma_p1 = index_of(c0, "gamma", 1, p2)
     assert p_on_1 in adj[line1]
     assert p_on_2 not in adj[line1]
     assert p_on_2 in adj[gamma_p1]          # its own point
@@ -66,30 +60,27 @@ def test_incident_spot_rules(c0):
     assert line2 in adj[line1]              # both contain the all-[0:1] point
     assert line1 not in adj[gamma_p1]
     assert line2 not in adj[gamma_p1]
-    assert all(v not in adj[v] for v in range(len(comps)))  # irreflexive
+    assert all(v not in adj[v] for v in range(len(adj)))  # irreflexive
 
 
 def test_incident_gamma_gamma_same_point_r3(c1):
     delta = build_delta(c1)
-    graph = build_graph(c1)
-    adj, comps = graph.adjacency, graph.vertices
+    adj = build_graph(c1).adjacency
     p = next(pt for pt in delta if pt.axis == 3)
-    free_axes = [1, 2]
-    g1 = index_of(comps, kind=GAMMA, point=p, axis=free_axes[0])
-    g2 = index_of(comps, kind=GAMMA, point=p, axis=free_axes[1])
+    g1 = index_of(c1, "gamma", 1, p)
+    g2 = index_of(c1, "gamma", 2, p)
     # same marked point, different directions: separated on the blow-up
     assert g2 not in adj[g1]
     # gamma(p, 1) meets gamma(q, 3) for every q on axis 1
     for q in delta:
         if q.axis == 1:
-            gq = index_of(comps, kind=GAMMA, point=q, axis=3)
+            gq = index_of(c1, "gamma", 3, q)
             assert gq in adj[g1] and g1 in adj[gq]
 
 
 def test_incident_matches_point_oracle_c0(c0, delta0):
-    graph = build_graph(c0)
-    adj, comps = graph.adjacency, graph.vertices
-    for (a, ca), (b, cb) in itertools.combinations(enumerate(comps), 2):
+    adj = build_graph(c0).adjacency
+    for (a, ca), (b, cb) in itertools.combinations(enumerate(oracle_vertices(c0)), 2):
         assert (b in adj[a]) == incident_oracle(ca, cb, c0, delta0), (ca, cb)
 
 
@@ -107,10 +98,11 @@ def test_graph_equals_all_pairs_oracle(name, c0, c1):
     )
     delta = build_delta(cfg)
     graph = build_graph(cfg)
-    want = oracle_adjacency(cfg, delta, graph.vertices)
-    # same neighbours in the same order, and the same vertex order
-    index = {v: k for k, v in enumerate(graph.vertices)}
-    assert list(want) == list(graph.vertices)
+    want = oracle_adjacency(cfg, delta)
+    # the oracle's own vertex order and labels, and the same neighbours in
+    # the same order
+    index = {v: k for k, v in enumerate(want)}
+    assert vertex_labels(cfg) == [oracle_label(v) for v in want]
     assert graph.adjacency == tuple(tuple(index[w] for w in want[v]) for v in want)
 
 
@@ -127,18 +119,17 @@ def test_graph_census_and_pinning_hash_no_marked_point(count_calls):
 
 def test_graph_counts(c0, c1):
     g0 = build_graph(c0)
-    assert len(g0.vertices) == 22
+    assert len(g0.adjacency) == 22
     assert len(g0.edges) == 45
     g1 = build_graph(c1)
-    assert len(g1.vertices) == 57
+    assert len(g1.adjacency) == 57
 
 
 def test_graph_empty_delta_harness():
     cfg = Config(n=2, r=3, s=(0, 0, 0), q=13, zeta=12, base=((), (), ()),
                  skip_checks=True)
     g = build_graph(cfg)
-    assert len(g.vertices) == 3
-    assert all(c.kind == LINE for c in g.vertices)
+    assert vertex_labels(cfg) == ["lt1", "lt2", "lt3"]
     assert len(g.edges) == 3  # complete graph on the lines
 
 
@@ -146,60 +137,79 @@ def nominal_total(cfg, v) -> int:
     """The nominal neighbor total of `census`'s docstring: r for a divisor,
     n*s_i + 1 for a through-point curve in direction i, n*s_i for the
     axis-i line."""
-    if v.kind == EXC:
+    kind, axis, _ = v
+    if kind == "exc":
         return cfg.r
-    return cfg.n * cfg.s[v.axis - 1] + (1 if v.kind == GAMMA else 0)
+    return cfg.n * cfg.s[axis - 1] + (1 if kind == "gamma" else 0)
 
 
 def test_census_profiles(c0):
-    graph = build_graph(c0)
-    rows = census(graph)
-    for row in rows:
-        v = row.component
-        profile = (row.divisor_neighbors, row.curve_neighbors)
+    rows = census(build_graph(c0))
+    for v, profile in zip(oracle_vertices(c0), rows, strict=True):
+        kind, axis, _ = v
         nominal = nominal_total(c0, v)
-        if v.kind == EXC:
+        if kind == "exc":
             assert profile == (0, 2)
-            assert row.computed_total == nominal  # nominal r == computed
-        elif v.kind == GAMMA:
-            assert profile == (1, c0.n * c0.s[v.axis - 1])
-            assert row.computed_total == nominal  # nominal n*s_i + 1 == computed
+            assert sum(profile) == nominal  # nominal r == computed
+        elif kind == "gamma":
+            assert profile == (1, c0.n * c0.s[axis - 1])
+            assert sum(profile) == nominal  # nominal n*s_i + 1 == computed
         else:
-            assert profile == (c0.n * c0.s[v.axis - 1], 1)
+            assert profile == (c0.n * c0.s[axis - 1], 1)
             # nominal n*s_i, computed n*s_i + r - 1
-            assert row.computed_total != nominal
-            assert row.computed_total == nominal + c0.r - 1
+            assert sum(profile) != nominal
+            assert sum(profile) == nominal + c0.r - 1
 
 
 def test_census_handshake(c0, c1):
     for cfg in (c0, c1):
         rows = census(build_graph(cfg))
-        curve_side = sum(
-            r.divisor_neighbors for r in rows if not r.component.is_divisor
-        )
-        divisor_side = sum(
-            r.curve_neighbors for r in rows if r.component.is_divisor
-        )
+        kinds = [kind for kind, _, _ in oracle_vertices(cfg)]
+        curve_side = sum(div for kind, (div, _) in zip(kinds, rows) if kind != "exc")
+        divisor_side = sum(cur for kind, (_, cur) in zip(kinds, rows) if kind == "exc")
         assert curve_side == divisor_side
 
 
 def test_pinning_certificates(c0, c1):
     graph0 = build_graph(c0)
     cert0 = pin_components(graph0, census(graph0))
-    assert cert0.line_divisor_degrees == {1: 4, 2: 6}
-    assert "total degree" in cert0.exc_criterion
+    assert cert0["line_divisor_degrees"] == {"1": 4, "2": 6}
+    assert "total degree" in cert0["exc_criterion"]
     graph1 = build_graph(c1)
     cert1 = pin_components(graph1, census(graph1))
-    assert cert1.line_divisor_degrees == {1: 3, 2: 6, 3: 9}
-    assert "dimension" in cert1.exc_criterion
+    assert cert1["line_divisor_degrees"] == {"1": 3, "2": 6, "3": 9}
+    assert "dimension" in cert1["exc_criterion"]
 
 
 def test_pinning_ambiguous_on_equal_s():
     cfg = Config(n=2, r=2, s=(2, 2), q=13, zeta=12, base=((1, 2), (3, 4)),
                  skip_checks=True)
     graph = build_graph(cfg)
-    with pytest.raises(AmbiguousProfile):
+    with pytest.raises(AmbiguousProfile, match=r"^axes 1 and 2 have equal divisor-degree 4$"):
         pin_components(graph, census(graph))
+
+
+@pytest.mark.parametrize("n, s, base, text", [
+    # with n = 1 the axis-1 line and the axis-1 gammas share the divisors'
+    # total degree r, and through-point curves have divisor-degree 1
+    (1, (1, 2), ((1,), (3, 4)),
+     "components [lt1, gt[2.1.0;1], gt[2.2.0;1]] share the divisor total degree"),
+    (1, (1, 2, 3), ((1,), (3, 4), (5, 6, 7)),
+     "lt1 has divisor-degree 1, same as a through-point curve"),
+])
+def test_pinning_ambiguous_texts(n, s, base, text):
+    cfg = Config(n=n, r=len(s), s=s, q=13, zeta=1, base=base, skip_checks=True)
+    graph = build_graph(cfg)
+    with pytest.raises(AmbiguousProfile) as err:
+        pin_components(graph, census(graph))
+    assert str(err.value) == text
+
+
+def test_run_all_builds_no_vertex_label(c1, count_calls):
+    # labels are only for graph output and pinning messages
+    calls = count_calls("rigidity.vertex_labels")
+    assert run_all(c1, draws=20).exit_code == 0
+    assert calls == {"rigidity.vertex_labels": 0}
 
 
 def test_geometric_automorphisms_orders(c0, c1):

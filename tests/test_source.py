@@ -2,6 +2,9 @@
 
 import ast
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -98,3 +101,33 @@ def test_trace_targets_resolve(monkeypatch):
                           ("vectorfields", "extra_q_vanishing")]:
         module = importlib.import_module(f"blowup_rigidity.{modname}")
         assert getattr(report, name) is getattr(module, name)
+
+
+# the work counters each traced subcommand must report on C0
+TRACE_COUNTERS = {
+    "verify": {"cone.generators", "vectorfields.kernel_rows", "vectorfields.kernel_rank"},
+    "rigidity": {"rigidity.group_elements"},
+    "vector-fields": {"vectorfields.kernel_rows", "vectorfields.kernel_rank"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(TRACE_COUNTERS))
+def test_traced_run_finds_every_target_and_counter(command, tmp_path):
+    # a counter reads attributes of a traced call's arguments or result, so
+    # a renamed attribute would crash a traced run that only resolving the
+    # targets does not reach; -B leaves no bytecode cache under perfbench/
+    config = tmp_path / "c0.json"
+    config.write_text(json.dumps({"n": 2, "r": 2, "s": [2, 3], "q": 13,
+                                  "base": [[1, 2], [3, 4, 5]]}))
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                      os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-B", str(ROOT / "perfbench" / "trace.py"), str(spans), "C0", "cli",
+         command, "--config", str(config), "--out", str(tmp_path / "out.json")],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(spans.read_text())
+    assert trace["missing"] == []
+    assert TRACE_COUNTERS[command] <= set(trace["counts"])

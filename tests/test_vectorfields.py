@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from blowup_rigidity.fieldgeom import Config, Lcg
 from blowup_rigidity.vectorfields import (
-    ConstraintRow,
     assemble_system,
     derivation_kernel,
     direction_counts,
@@ -21,16 +20,22 @@ from blowup_rigidity.vectorfields import (
 NON_GENERIC = Config(n=3, r=2, s=(2, 3), q=13, zeta=3, base=((1, 4), (1, 2, 4)))
 
 
+def coeffs(row, r):
+    """The row (block, entries) written out as 4r coefficients."""
+    block, entries = row
+    return (0,) * (4 * block - 4) + entries + (0,) * (4 * (r - block))
+
+
 def test_constraint_row_examples():
     q = 13
     row = eigen_constraint_row((0, 1), 1, q=q)
-    assert row.coeffs(2) == (0, 1, 0, 0, 0, 0, 0, 0)  # b = 0
+    assert coeffs(row, 2) == (0, 1, 0, 0, 0, 0, 0, 0)  # b = 0
     row = eigen_constraint_row((1, 1), 1, q=q)
-    assert row.coeffs(2)[:4] == (1, 1, q - 1, q - 1)  # a + b - c - d = 0
+    assert coeffs(row, 2)[:4] == (1, 1, q - 1, q - 1)  # a + b - c - d = 0
     z = 5
     row = eigen_constraint_row((1, z), 2, q=q)
-    assert row.coeffs(2)[:4] == (0, 0, 0, 0)
-    assert row.coeffs(2)[4:] == (z, z * z % q, q - 1, (q - z) % q)
+    assert row == (2, (z, z * z % q, q - 1, (q - z) % q))
+    assert coeffs(row, 2)[:4] == (0, 0, 0, 0)
 
 
 def test_system_sizes(c0, c1):
@@ -82,14 +87,14 @@ def test_three_directions_force_scalars():
     for q in (5, 7):
         points = [(1, z) for z in range(q)] + [(0, 1)]
         for triple in itertools.combinations(points, 3):
-            rows = [eigen_constraint_row(v, 1, q=q).entries for v in triple]
+            rows = [eigen_constraint_row(v, 1, q=q)[1] for v in triple]
             dim, basis, _ = kernel_mod_q(list(rows), 4, q)
             assert dim == 1
             assert basis == [(1, 0, 0, 1)]
 
 
 def test_kernel_row_order_invariance(c0):
-    rows = [row.coeffs(c0.r) for row in assemble_system(c0)]
+    rows = [coeffs(row, c0.r) for row in assemble_system(c0)]
     dim0, basis0, _ = kernel_mod_q(rows, 4 * c0.r, c0.q)
     rng = Lcg(17)
     shuffled = list(rows)
@@ -144,7 +149,7 @@ def test_rank_is_three_per_block(sweep_configs):
 
 def dense_kernel(rows, r, q):
     """kernel_mod_q over the rows written out as 4r coefficients."""
-    return kernel_mod_q([row.coeffs(r) for row in rows], 4 * r, q)
+    return kernel_mod_q([coeffs(row, r) for row in rows], 4 * r, q)
 
 
 def test_block_kernel_matches_dense(c0, c1):
@@ -169,7 +174,7 @@ blocks_and_entries = st.tuples(
 def test_block_kernel_matches_dense_on_random_systems(r, q, picks, repeats):
     # random blocks and entries: zero rows, repeated rows and blocks that
     # get no row at all all occur
-    rows = [ConstraintRow((b - 1) % r + 1, entries, "t") for b, entries in picks]
+    rows = [((b - 1) % r + 1, entries) for b, entries in picks]
     rows += [rows[i] for i in repeats if i < len(rows)]
     res = kernel_of_rows(rows, r, q)
     assert (res.dimension, res.basis, res.pivots) == dense_kernel(rows, r, q)
@@ -179,8 +184,7 @@ def test_block_kernel_matches_dense_on_random_systems(r, q, picks, repeats):
 def test_rows_moved_off_the_last_block_fail_the_kernel(c1):
     # block r is left without rows, so its whole 4-space joins the kernel
     rows = [
-        ConstraintRow(1 if row.block == c1.r else row.block, row.entries, row.tag)
-        for row in assemble_system(c1)
+        (1 if block == c1.r else block, entries) for block, entries in assemble_system(c1)
     ]
     records = vanishing_records(c1, kernel_of_rows(rows, c1.r, c1.q))
     kern = records[1]
@@ -192,7 +196,7 @@ def test_rows_moved_off_the_last_block_fail_the_kernel(c1):
 def test_row_not_killed_by_scalars_fails_containment(c0):
     rows = assemble_system(c0)
     assert scalar_tuples_satisfy(rows, c0.q)
-    bad = ConstraintRow(2, (1, 0, 0, 0), "bad")  # a + d = 1 on block 2
+    bad = (2, (1, 0, 0, 0))  # a + d = 1 on block 2
     assert not scalar_tuples_satisfy(rows + [bad], c0.q)
     records = vanishing_records(c0, kernel_of_rows(rows + [bad], c0.r, c0.q))
     assert records[1].computed["scalars_contained"] is False
