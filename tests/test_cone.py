@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from blowup_rigidity.cone import EffectiveCone, GeneratorSet, cone_checks, generators_extremal
@@ -203,7 +205,9 @@ def test_unsound_decomposition_raises(cone0, lat0, monkeypatch):
     from blowup_rigidity.cone import Decomposition
 
     monkeypatch.setattr(Decomposition, "resum", lambda self, genset: zero_curve(lat0))
-    with pytest.raises(RuntimeError, match="unsound decomposition"):
+    # the message names the generators by label
+    with pytest.raises(RuntimeError,
+                       match=re.escape("unsound decomposition lt1 of C(l=[1, 0]")):
         cone0.member(lat0.line(1))
 
 

@@ -96,8 +96,9 @@ GENERATED = {
     "n2r5": SweepCase(2, 5, default_s(2, 5), seed=1),
 }
 
-# sha256 of `graph` stdout, of the file written by `graph --dot` and of
-# `rigidity` stdout, per generated configuration
+# sha256 of `graph` stdout, of the file written by `graph --dot`, and of
+# `rigidity`, `extremal` and `extremal --json` stdout, per generated
+# configuration
 GOLDEN_GENERATED = {
     ("n3r4q19", "graph"): "b26e085e094b9a710b57594ec7468e91a12cdac793b26816e2e2601e6208a1cc",
     ("n3r4q19", "dot"): "7687404e16063b4548d4a68b318f4437b63d715f5812b1839efee0daa0c3178d",
@@ -105,6 +106,11 @@ GOLDEN_GENERATED = {
     ("n2r5", "graph"): "1f6af91304bed3d3e6eff69f9a566074d10a8fa42f2214b6ed55fec352390aa2",
     ("n2r5", "dot"): "6302eab1f807968750ed0f4f77c12ee75cd58d1aa10c32c74b7e31e3e7529001",
     ("n2r5", "rigidity"): "622e04a03ffc1625ebbdded4944eaa1f96d515cef121531bfa5df61aeb962de4",
+    ("n3r4q19", "extremal"): "209a9453866da65943c86ad0632d998d8ed2f987c7a66821cf6e7d21b53b3729",
+    ("n3r4q19", "extremal-json"):
+        "a16b1d729524d0d2bb453365c4c7a4417c5dadf930c89872ec932fcb39bdd926",
+    ("n2r5", "extremal"): "3643a138467e2185ba13e8ab86170507919ce72fa30d9a65e05d249acf1189d2",
+    ("n2r5", "extremal-json"): "d9583c09970f7d1f23dae69fb9d020da042e5722e6d5ac3c5a8a3473cf1be0ed",
 }
 
 
@@ -150,7 +156,8 @@ def test_generated_graph_and_rigidity_sha256(name, output, tmp_path, capsys):
     path.write_text(resolve_case(GENERATED[name]).canonical_json())
     dot = tmp_path / f"{name}.dot"
     argv = {"graph": ["graph"], "dot": ["graph", "--dot", str(dot)],
-            "rigidity": ["rigidity"]}[output]
+            "rigidity": ["rigidity"], "extremal": ["extremal"],
+            "extremal-json": ["extremal", "--json"]}[output]
     assert main([argv[0], "--config", str(path), *argv[1:]]) == 0
     out = capsys.readouterr().out
     data = dot.read_bytes() if output == "dot" else out.encode()

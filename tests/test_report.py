@@ -215,6 +215,7 @@ def assemble_system_without_the_last_axis_own_rows(config):
      halved_canonical_pullback),
     ("cone.generator_count", GeneratorSet, "__iter__", iter_repeating_a_gamma),
     ("cone.phi_positive", GeneratorSet, "phi", phi_minus_one),
+    ("cone.generators_extremal", EffectiveCone, "is_extremal", lambda cone, c: False),
     ("cone.sample_splits", EffectiveCone, "two_part_decompositions", lambda cone, c: []),
     ("cone.case2_membership", EffectiveCone, "member", lambda cone, c: None),
     ("cone.case3_identity", Decomposition, "resum", resum_of_positive_parts),
