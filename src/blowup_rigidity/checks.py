@@ -139,7 +139,8 @@ CLAIMS: dict[str, str] = {
 
 class CheckRecord:
     """One verified claim: id, status, computed vs expected, free-form detail,
-    and the time run_all measured for it (elapsed_ms)."""
+    and the time run_all measured for it (elapsed_ms, set after the stage
+    ran; None until then)."""
 
     __slots__ = ("check_id", "status", "computed", "expected", "claim", "detail",
                  "elapsed_ms")
@@ -152,7 +153,6 @@ class CheckRecord:
         expected: object,
         claim: str = "",
         detail: str = "",
-        elapsed_ms: float | None = None,
     ):
         self.check_id = check_id
         self.status = status
@@ -160,7 +160,7 @@ class CheckRecord:
         self.expected = expected
         self.claim = claim
         self.detail = detail
-        self.elapsed_ms = elapsed_ms
+        self.elapsed_ms: float | None = None
 
     def __repr__(self):
         return (f"CheckRecord(check_id={self.check_id!r}, status={self.status!r}, "

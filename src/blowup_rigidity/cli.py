@@ -11,7 +11,7 @@ import io
 import json
 import sys
 
-from .cone import EffectiveCone
+from .cone import EffectiveCone, generator_labels
 from .errors import BlowupError
 from .fieldgeom import Config, generate_config, structural_problems
 from .lattice import BlowupLattice
@@ -148,12 +148,13 @@ def cmd_extremal(args) -> int:
         _write(cone.genset.to_json() + "\n", args.out)
         return 0
     lines = [f"{'label':<16} {'phi':>4} {'extremal':>9} {'splits':>7}  class"]
-    for gen in cone.genset:
-        splits = cone.two_part_decompositions(gen.cls)
+    genset = cone.genset
+    for label, phi, cls in zip(generator_labels(lattice), genset.phis, genset.classes):
+        splits = cone.two_part_decompositions(cls)
         lines.append(
-            f"{gen.label:<16} {gen.phi:>4} "
+            f"{label:<16} {phi:>4} "
             f"{'yes' if not splits else 'no':>9} {len(splits):>7}  "
-            f"{gen.cls.to_array()}"
+            f"{cls.to_array()}"
         )
     _write("\n".join(lines) + "\n", args.out)
     return 0

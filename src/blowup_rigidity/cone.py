@@ -7,7 +7,11 @@ generator, so decompositions of a fixed class form a finite set and the
 bounded depth-first search below is exhaustive.
 
 Canonical generator order: strict lines by axis, then through-point curves
-grouped by free axis and then by point, then exceptional lines by point.
+grouped by free axis and then by point, then exceptional lines by point.  A
+generator is its index in that order: lt_i is i - 1, the gammas of free
+axis i are `blocks[i - 1]` to `blocks[i] - 1`, and e_p is `blocks[r]` plus
+p's index.  Labels (lt<i>, gt[p;i], e[p]) are built by `generator_labels`
+only for `extremal` output and for FAIL and error text.
 The search branches in this order, taking larger multiplicities first, so
 `member` returns the first decomposition in that order; every emitted
 decomposition is re-summed against its target before it is returned.
@@ -35,45 +39,40 @@ from .fieldgeom import DeltaPoint, Lcg, config_seed
 from .lattice import BlowupLattice, CurveClass
 
 
-class Generator:
-    """One generator: its label, kind, class and phi."""
-
-    __slots__ = ("label", "kind", "cls", "phi")
-
-    def __init__(self, label: str, kind: str, cls: CurveClass, phi: int):
-        self.label = label
-        self.kind = kind  # "line" | "gamma" | "exc"
-        self.cls = cls
-        self.phi = phi
+def generator_labels(lattice: BlowupLattice) -> list[str]:
+    """Each generator's label, in canonical order: lt<i> for the axis-i
+    line, gt[p;i] for the line through p with free axis i, e[p] for the
+    exceptional line over p."""
+    points, axes = lattice.points, range(1, lattice.config.r + 1)
+    return ([f"lt{i}" for i in axes]
+            + [f"gt[{p.key};{i}]" for i in axes for p in points if p.axis != i]
+            + [f"e[{p.key}]" for p in points])
 
 
 class GeneratorSet:
-    """The generators in canonical order, with their classes by label."""
+    """The generators in canonical order.  Generator g is position g of
+    `classes`, `phis` and `supports`, the last holding the nonzero
+    (coordinate, coefficient) pairs of its class over (lt, e).  `blocks`
+    holds the r + 1 offsets of the module docstring: the gamma blocks start
+    at blocks[0] = r, and the exceptional lines at blocks[r]."""
 
     def __init__(self, lattice: BlowupLattice):
         self.lattice = lattice
         cfg = lattice.config
         self.N = 1 + lattice.size
         self._axis_sizes = tuple(lattice.axis_of.count(i) for i in range(1, cfg.r + 1))
-        gens: list[Generator] = []
+        classes = [lattice.line(i) for i in range(1, cfg.r + 1)]
+        self.blocks = [cfg.r]
         for i in range(1, cfg.r + 1):
-            c = lattice.line(i)
-            gens.append(Generator(f"lt{i}", "line", c, self.phi(c)))
-        for i in range(1, cfg.r + 1):
-            for p in lattice.points:
-                if p.axis != i:
-                    c = lattice.gamma(p, i)
-                    gens.append(Generator(f"gt[{p.key};{i}]", "gamma", c, self.phi(c)))
-        for p in lattice.points:
-            c = lattice.exc_curve(p)
-            gens.append(Generator(f"e[{p.key}]", "exc", c, self.phi(c)))
-        self.generators = tuple(gens)
-        # by label, the nonzero (coordinate, coefficient) pairs of each class
-        # over (lt, e)
-        self.support = {}
-        for g in gens:
-            arr = g.cls.l + g.cls.e
-            self.support[g.label] = tuple(itertools.compress(enumerate(arr), arr))
+            classes += [lattice.gamma(p, i) for p in lattice.points if p.axis != i]
+            self.blocks.append(len(classes))
+        classes += [lattice.exc_curve(p) for p in lattice.points]
+        self.classes = tuple(classes)
+        self.phis = tuple(map(self.phi, classes))
+        self.supports = tuple(
+            tuple(itertools.compress(enumerate(arr), arr))
+            for arr in (c.l + c.e for c in classes)
+        )
 
     def orbits(self) -> list[list[int]]:
         """The generator indices, in canonical order, grouped into orbits
@@ -83,12 +82,12 @@ class GeneratorSet:
         A swap exchanges the e-coordinates of the two points.  It fixes
         every generator whose coefficients there are equal, and each other
         generator must map onto a generator, looked up by its sparse support
-        as `support` holds it now.  A swap that passes joins each moved
+        as `supports` holds it now.  A swap that passes joins each moved
         generator to its image; a swap that fails is not used.  The orbits
         come ordered by their first member.
         """
         r = self.lattice.config.r
-        supports = [self.support[g.label] for g in self.generators]
+        supports = self.supports
         index = {supp: g for g, supp in enumerate(supports)}
         # by point index, the coefficient there of every generator that has one
         at: list[dict[int, int]] = [{} for _ in range(self.lattice.size)]
@@ -142,17 +141,20 @@ class GeneratorSet:
         return cfg.r + d + sum(d - cfg.n * si for si in cfg.s)
 
     def __len__(self):
-        return len(self.generators)
+        return len(self.classes)
 
     def __iter__(self):
-        return iter(self.generators)
+        return iter(self.classes)
 
     def to_json(self) -> str:
+        labels = generator_labels(self.lattice)
+        first_gamma, first_exc = self.blocks[0], self.blocks[-1]
         return json.dumps(
             [
-                {"label": g.label, "kind": g.kind, "phi": g.phi,
-                 "class": g.cls.to_array()}
-                for g in self.generators
+                {"label": labels[g],
+                 "kind": "line" if g < first_gamma else "gamma" if g < first_exc else "exc",
+                 "phi": self.phis[g], "class": c.to_array()}
+                for g, c in enumerate(self.classes)
             ],
             sort_keys=True,
             separators=(",", ":"),
@@ -160,11 +162,11 @@ class GeneratorSet:
 
 
 class Decomposition:
-    """A multiset of generator labels with positive multiplicities."""
+    """A multiset of generator indices with positive multiplicities."""
 
     __slots__ = ("parts",)
 
-    def __init__(self, parts: tuple[tuple[str, int], ...]):
+    def __init__(self, parts: tuple[tuple[int, int], ...]):
         self.parts = parts
 
     @property
@@ -174,15 +176,10 @@ class Decomposition:
     def resum(self, genset: GeneratorSet) -> CurveClass:
         lat = genset.lattice
         total = [0] * (lat.config.r + lat.size)
-        for label, mult in self.parts:
-            for k, x in genset.support[label]:
+        for g, mult in self.parts:
+            for k, x in genset.supports[g]:
                 total[k] += mult * x
         return lat.curve_from_array(total)
-
-    def __repr__(self):
-        return " + ".join(
-            label if m == 1 else f"{m}*{label}" for label, m in self.parts
-        ) or "0"
 
 
 class EffectiveCone:
@@ -200,24 +197,20 @@ class EffectiveCone:
 
     def __init__(self, lattice: BlowupLattice):
         self.lattice = lattice
-        self.genset = GeneratorSet(lattice)
+        self.genset = genset = GeneratorSet(lattice)
         r = lattice.config.r
-        gens = self.genset.generators
-        self._lines = [g for g in gens if g.kind == "line"]
-        # block i: one (label, point index) row per gamma with strict-line
-        # part lt_{i+1}, in canonical order; gt[p;i] has e = -1 only at p
-        self._gamma_blocks: list[list[tuple[str, int]]] = [[] for _ in range(r)]
-        for g in gens:
-            if g.kind == "gamma":
-                self._gamma_blocks[g.cls.l.index(1)].append(
-                    (g.label, g.cls.e.index(-1))
-                )
-        self._exc = [g for g in gens if g.kind == "exc"]
-        # by point index, its gamma labels by free axis (None on its own axis)
-        self._gamma_labels: list[list[str | None]] = [[None] * r for _ in lattice.points]
+        # block i: one (generator index, point index) row per gamma with
+        # strict-line part lt_{i+1}, in canonical order, both read off the
+        # held class; gt[p;i] has e = -1 only at p
+        self._gamma_blocks: list[list[tuple[int, int]]] = [[] for _ in range(r)]
+        for g in range(genset.blocks[0], genset.blocks[-1]):
+            cls = genset.classes[g]
+            self._gamma_blocks[cls.l.index(1)].append((g, cls.e.index(-1)))
+        # by point index, its gamma indices by free axis (None on its own axis)
+        self._gamma_at: list[list[int | None]] = [[None] * r for _ in lattice.points]
         for bi, block in enumerate(self._gamma_blocks):
-            for label, k in block:
-                self._gamma_labels[k][bi] = label
+            for g, k in block:
+                self._gamma_at[k][bi] = g
 
     def phi(self, c: CurveClass) -> int:
         return self.genset.phi(c)
@@ -241,20 +234,22 @@ class EffectiveCone:
             return solutions
         r = self.lattice.config.r
         axis_of = self.lattice.axis_of
+        phis = self.genset.phis
+        first_exc = self.genset.blocks[-1]
 
-        def emit(parts: list[tuple[str, int]], rem_e: list[int]) -> bool:
-            full = list(parts)
-            for gen, needed in zip(self._exc, rem_e):
-                if needed:
-                    full.append((gen.label, needed))
+        def emit(parts: list[tuple[int, int]], rem_e: list[int]) -> bool:
+            full = parts + [(first_exc + k, needed) for k, needed in enumerate(rem_e) if needed]
             dec = Decomposition(tuple(full))
             check = dec.resum(self.genset)
             if (check.l, check.e) != (target.l, target.e):
-                raise RuntimeError(f"unsound decomposition {dec!r} of {target!r}")
+                labels = generator_labels(self.lattice)
+                text = " + ".join(labels[g] if m == 1 else f"{m}*{labels[g]}"
+                                  for g, m in full) or "0"
+                raise RuntimeError(f"unsound decomposition {text} of {target!r}")
             solutions.append(dec)
             return first_only
 
-        def blocks_step(totals: list[int], parts: list[tuple[str, int]]) -> bool:
+        def blocks_step(totals: list[int], parts: list[tuple[int, int]]) -> bool:
             if not any(totals):
                 # no gamma to place: each e_q is its exceptional line's part
                 return min(target.e) >= 0 and emit(parts, target.e)
@@ -273,13 +268,13 @@ class EffectiveCone:
                         return emit(parts, [-x for x in short])
                     gi, rem = 0, totals[bi]
                 block = self._gamma_blocks[bi]
-                for g in range(gi, len(block)):
-                    label, k = block[g]
+                for row in range(gi, len(block)):
+                    g, k = block[row]
                     s = short[k]
                     for m in range(rem, 0, -1):
                         short[k] = s - m
-                        parts.append((label, m))
-                        found = gamma_step(bi, g + 1, rem - m,
+                        parts.append((g, m))
+                        found = gamma_step(bi, row + 1, rem - m,
                                            pos - min(m, s) if s > 0 else pos)
                         parts.pop()
                         if found:
@@ -292,13 +287,12 @@ class EffectiveCone:
         def line_step(i, rem_l, rem_phi, parts) -> bool:
             if i == r:
                 return blocks_step(rem_l, parts)
-            gen = self._lines[i]
-            maxm = min(rem_l[i], rem_phi // gen.phi)
+            maxm = min(rem_l[i], rem_phi // phis[i])
             for m in range(maxm, -1, -1):
                 new_l = rem_l.copy()
                 new_l[i] -= m
-                new_parts = parts + [(gen.label, m)] if m else parts
-                if line_step(i + 1, new_l, rem_phi - m * gen.phi, new_parts):
+                new_parts = parts + [(i, m)] if m else parts
+                if line_step(i + 1, new_l, rem_phi - m * phis[i], new_parts):
                     return True
             return False
 
@@ -324,17 +318,15 @@ class EffectiveCone:
             raise NotEffective(f"{c!r} is not in the effective semigroup")
         found: dict[tuple, tuple[Decomposition, Decomposition]] = {}
         for dec in decs:
-            labels = [label for label, _ in dec.parts]
+            gens = [g for g, _ in dec.parts]
             mults = [m for _, m in dec.parts]
             for choice in itertools.product(*(range(m + 1) for m in mults)):
                 total = sum(choice)
                 if total == 0 or total == dec.size:
                     continue
-                left = tuple(
-                    (lab, m) for lab, m in zip(labels, choice) if m
-                )
+                left = tuple((g, m) for g, m in zip(gens, choice) if m)
                 right = tuple(
-                    (lab, m - c_) for lab, m, c_ in zip(labels, mults, choice) if m - c_
+                    (g, m - c_) for g, m, c_ in zip(gens, mults, choice) if m - c_
                 )
                 d1, d2 = Decomposition(left), Decomposition(right)
                 c1, c2 = d1.resum(self.genset), d2.resum(self.genset)
@@ -364,15 +356,15 @@ class EffectiveCone:
         if any(x < 0 for x in a):
             raise ValueError("multidegree must be nonnegative")
         k0 = lat.point_index[q0]
-        gamma_terms = [(label, x) for label, x in zip(self._gamma_labels[k0], a) if x]
+        gamma_terms = [(g, x) for g, x in zip(self._gamma_at[k0], a) if x]
         # a generator set without some gamma(q0, i) cannot give the identity
-        if any(label is None for label, _ in gamma_terms):
+        if any(g is None for g, _ in gamma_terms):
             return False
         eps = [0] * lat.size
         eps[k0] = eps_q
         lhs = lat.expand_in_basis(tuple(a), tuple(eps))
         # the right-hand side adds the generators' own sparse classes; a_j = 0
-        terms = [(self._exc[k0].label, sum(a) - eps_q)] + gamma_terms
+        terms = [(self.genset.blocks[-1] + k0, sum(a) - eps_q)] + gamma_terms
         rhs = Decomposition(tuple(terms)).resum(self.genset)
         return (lhs.l, lhs.e) == (rhs.l, rhs.e)
 
@@ -388,17 +380,18 @@ def generators_extremal(cone: EffectiveCone) -> CheckRecord:
     on the list, which is then in canonical order, the same list as a test
     of every generator gives.
     """
-    gens = cone.genset.generators
+    classes = cone.genset.classes
     non_extremal_at: list[int] = []
     for orbit in cone.genset.orbits():
-        if not cone.is_extremal(gens[orbit[0]].cls):
+        if not cone.is_extremal(classes[orbit[0]]):
             non_extremal_at += orbit
-    non_extremal = [gens[g].label for g in sorted(non_extremal_at)]
+    labels = generator_labels(cone.lattice) if non_extremal_at else []
+    non_extremal = [labels[g] for g in sorted(non_extremal_at)]
     return make_record(
         "cone.generators_extremal",
         PASS if not non_extremal else FAIL,
-        {"generators": len(gens), "non_extremal": non_extremal},
-        {"generators": len(gens), "non_extremal": []},
+        {"generators": len(classes), "non_extremal": non_extremal},
+        {"generators": len(classes), "non_extremal": []},
     )
 
 
@@ -407,7 +400,7 @@ def cone_checks(cone: EffectiveCone, draws: int = 1000) -> list[CheckRecord]:
     cfg = lattice.config
     records = []
 
-    distinct = len({(g.cls.l, g.cls.e) for g in cone.genset})
+    distinct = len({(c.l, c.e) for c in cone.genset})
     records.append(
         make_record(
             "cone.generator_count",
@@ -417,7 +410,7 @@ def cone_checks(cone: EffectiveCone, draws: int = 1000) -> list[CheckRecord]:
         )
     )
 
-    phis = [g.phi for g in cone.genset]
+    phis = cone.genset.phis
     records.append(
         make_record(
             "cone.phi_positive",

@@ -277,14 +277,31 @@ def pointwise_phi(lattice, curve) -> int:
     return total
 
 
+def oracle_generators(lattice) -> list[Vertex]:
+    """The generators in the documented canonical order, as (kind, axis,
+    point): the lines by axis, then the gammas by (free axis, point), then
+    the exceptional lines by point."""
+    points, axes = lattice.config.delta, range(1, lattice.config.r + 1)
+    return ([("line", i, None) for i in axes]
+            + [("gamma", i, p) for i in axes for p in points if p.axis != i]
+            + [("exc", None, p) for p in points])
+
+
+def oracle_generator_labels(lattice) -> list[str]:
+    labels = {"line": "lt{axis}", "gamma": "gt[{key};{axis}]", "exc": "e[{key}]"}
+    return [labels[kind].format(axis=axis, key=point and point.key)
+            for kind, axis, point in oracle_generators(lattice)]
+
+
 def naive_decompositions(genset, target, bound: int) -> set[frozenset]:
     """Unstructured bounded search for all generator multisets summing to the
     target: plain depth-first over the generator list with the additive
     degree bound, cutting a branch only when a coordinate that no later
     generator touches is left nonzero.  Returns each decomposition as a
-    frozenset of (label, multiplicity) pairs."""
-    gens = list(genset.generators)
-    vecs = [tuple(g.cls.l) + tuple(g.cls.e) for g in gens]
+    frozenset of (label, multiplicity) pairs, each label paired with the
+    generator set's class at its position."""
+    gens = list(zip(oracle_generator_labels(genset.lattice), genset.phis))
+    vecs = [tuple(c.l) + tuple(c.e) for c in genset.classes]
     last_touch = {c: idx for idx, v in enumerate(vecs) for c, x in enumerate(v) if x}
     dies_at = [[] for _ in gens]
     for c, idx in last_touch.items():
@@ -296,16 +313,16 @@ def naive_decompositions(genset, target, bound: int) -> set[frozenset]:
             if not any(rem):
                 found.add(frozenset(parts))
             return
-        gen = gens[idx]
-        for mult in range(budget // gen.phi, -1, -1):
+        label, phi = gens[idx]
+        for mult in range(budget // phi, -1, -1):
             new = tuple(x - mult * y for x, y in zip(rem, vecs[idx]))
             if any(new[c] for c in dies_at[idx]):
                 continue
             dfs(
                 idx + 1,
                 new,
-                budget - mult * gen.phi,
-                parts + [(gen.label, mult)] if mult else parts,
+                budget - mult * phi,
+                parts + [(label, mult)] if mult else parts,
             )
 
     start = tuple(target.l) + tuple(target.e)
@@ -317,7 +334,9 @@ def naive_decompositions(genset, target, bound: int) -> set[frozenset]:
 def full_extremal_scan(cone) -> list[str]:
     """The labels of the generators that split, from one is_extremal test
     per generator in canonical order, with no use of symmetry."""
-    return [g.label for g in cone.genset if not cone.is_extremal(g.cls)]
+    labels = oracle_generator_labels(cone.lattice)
+    return [label for label, c in zip(labels, cone.genset.classes)
+            if not cone.is_extremal(c)]
 
 
 def abstract_automorphism_count(graph: IncidenceGraph, cap: int = 100_000) -> int:

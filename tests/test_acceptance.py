@@ -102,8 +102,8 @@ def test_criterion_extremality_c0(c0, lat0, cone0):
     with criterion("extremality on C0 (22 generators, < 60 s)"):
         t0 = time.perf_counter()
         assert len(cone0.genset) == 22
-        for g in cone0.genset:
-            assert cone0.is_extremal(g.cls)
+        for c in cone0.genset:
+            assert cone0.is_extremal(c)
         p = lat0.points[0]
         assert not cone0.is_extremal(lat0.line(1) + lat0.exc_curve(p))
         assert not cone0.is_extremal(lat0.exc_curve(p).scale(2))

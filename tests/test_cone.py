@@ -2,17 +2,35 @@ import re
 
 import pytest
 
-from blowup_rigidity.cone import EffectiveCone, GeneratorSet, cone_checks, generators_extremal
+from blowup_rigidity.cone import (
+    EffectiveCone,
+    GeneratorSet,
+    cone_checks,
+    generator_labels,
+    generators_extremal,
+)
 from blowup_rigidity.errors import NotEffective
 from blowup_rigidity.fieldgeom import Lcg
 from blowup_rigidity.lattice import BlowupLattice, CurveClass
-from blowup_rigidity.report import SweepCase, default_s, resolve_case
+from blowup_rigidity.report import SweepCase, default_s, resolve_case, run_all
 
-from oracles import full_extremal_scan, naive_decompositions, pointwise_phi
+from oracles import (
+    full_extremal_scan,
+    naive_decompositions,
+    oracle_generator_labels,
+    oracle_generators,
+    pointwise_phi,
+)
 
 
 def zero_curve(lat):
     return CurveClass((0,) * lat.config.r, (0,) * lat.size, lat)
+
+
+def _labelled(lat, dec):
+    """A decomposition's parts with each generator named by the oracle."""
+    labels = oracle_generator_labels(lat)
+    return tuple((labels[g], m) for g, m in dec.parts)
 
 
 def test_generator_counts(lat0, lat1):
@@ -22,14 +40,28 @@ def test_generator_counts(lat0, lat1):
     assert GeneratorSet(lat1).expected_count == 57
 
 
-def test_generator_order_and_labels(cone0):
-    labels = [g.label for g in cone0.genset]
+def test_generator_order_and_labels(lat0, request):
+    labels = generator_labels(lat0)
     assert labels[0] == "lt1"
     assert labels[1] == "lt2"
     assert labels[2].startswith("gt[2.")  # axis-1 gammas sit at axis-2 points
     assert labels[-1] == "e[2.3.1]"
-    kinds = [g.kind for g in cone0.genset]
-    assert kinds == ["line"] * 2 + ["gamma"] * 10 + ["exc"] * 10
+    assert GeneratorSet(lat0).blocks == [2, 8, 12]  # 6 points off axis 1, 4 off axis 2
+    for which in ("c0", "c1", "n3r4q19"):
+        lat = BlowupLattice(_named_config(which, request))
+        genset = GeneratorSet(lat)
+        assert generator_labels(lat) == oracle_generator_labels(lat)
+        # each position holds the class of the oracle's generator there, and
+        # the gammas of free axis i sit from blocks[i - 1] to blocks[i] - 1
+        gens = oracle_generators(lat)
+        make = {"line": lambda i, p: lat.line(i), "gamma": lambda i, p: lat.gamma(p, i),
+                "exc": lambda i, p: lat.exc_curve(p)}
+        assert [(c.l, c.e) for c in genset] == [
+            (c.l, c.e) for c in (make[kind](i, p) for kind, i, p in gens)]
+        blocks, r = genset.blocks, lat.config.r
+        assert blocks[0] == r and len(genset) - blocks[r] == lat.size
+        for i in range(1, r + 1):
+            assert {gen[:2] for gen in gens[blocks[i - 1]:blocks[i]]} == {("gamma", i)}
 
 
 def test_phi_values_c0(cone0, lat0):
@@ -38,10 +70,9 @@ def test_phi_values_c0(cone0, lat0):
     assert cone0.phi(lat0.line(1)) == 7
     assert cone0.phi(lat0.line(2)) == 5
     assert cone0.phi(lat0.exc_curve(lat0.points[0])) == 1
-    for g in cone0.genset:
-        if g.kind == "gamma":
-            assert g.phi == 10
-        assert g.phi >= 1
+    phis, blocks = cone0.genset.phis, cone0.genset.blocks
+    assert phis[blocks[0]:blocks[-1]] == (10,) * 10  # the gammas
+    assert min(phis) >= 1
 
 
 def test_phi_additive(cone0, lat0):
@@ -54,10 +85,10 @@ def test_phi_additive(cone0, lat0):
 
 
 def test_member_generator_is_singleton(cone0):
-    for g in cone0.genset:
-        dec = cone0.member(g.cls)
+    for g, c in enumerate(cone0.genset):
+        dec = cone0.member(c)
         assert dec is not None
-        assert dec.parts == ((g.label, 1),)
+        assert dec.parts == ((g, 1),)
 
 
 def test_member_gamma_combination(cone0, lat0):
@@ -70,7 +101,7 @@ def test_member_gamma_combination(cone0, lat0):
             target = target + lat0.exc_curve(q)
     dec = cone0.member(target)
     assert dec is not None
-    assert dec.parts == ((f"gt[{p.key};1]", 1),)
+    assert _labelled(lat0, dec) == ((f"gt[{p.key};1]", 1),)
 
 
 def test_member_absent(cone0, lat0):
@@ -94,10 +125,10 @@ def test_two_part_examples(cone0, lat0):
     double = cone0.two_part_decompositions(e.scale(2))
     assert len(double) == 1
     d1, d2 = double[0]
-    assert d1.parts == d2.parts == ((f"e[{p.key}]", 1),)
+    assert _labelled(lat0, d1) == _labelled(lat0, d2) == ((f"e[{p.key}]", 1),)
     mixed = cone0.two_part_decompositions(lat0.line(1) + e)
     assert any(
-        {d1.parts, d2.parts} == {(("lt1", 1),), ((f"e[{p.key}]", 1),)}
+        {_labelled(lat0, d1), _labelled(lat0, d2)} == {(("lt1", 1),), ((f"e[{p.key}]", 1),)}
         for d1, d2 in mixed
     )
     with pytest.raises(NotEffective):
@@ -105,8 +136,8 @@ def test_two_part_examples(cone0, lat0):
 
 
 def test_extremality_c0(cone0, lat0):
-    for g in cone0.genset:
-        assert cone0.is_extremal(g.cls)
+    for c in cone0.genset:
+        assert cone0.is_extremal(c)
     p = lat0.points[0]
     assert not cone0.is_extremal(lat0.line(1) + lat0.exc_curve(p))
     assert not cone0.is_extremal(lat0.exc_curve(p).scale(2))
@@ -129,7 +160,7 @@ def test_decompositions_match_naive_oracle(cone0, lat0):
     ]
     for target in targets:
         fast = {
-            frozenset(dec.parts) for dec in cone0.all_decompositions(target)
+            frozenset(_labelled(lat0, dec)) for dec in cone0.all_decompositions(target)
         }
         slow = naive_decompositions(cone0.genset, target, cone0.phi(target))
         assert fast == slow
@@ -180,9 +211,11 @@ def test_case3_identity_fails_on_wrong_generator_support(lat0):
     # one wrong entry in gt[q0;1] must break the identity wherever it is used
     cone = EffectiveCone(lat0)
     q0 = next(p for p in lat0.points if p.axis == 2)
-    label = f"gt[{q0.key};1]"
-    (k, x), *rest = cone.genset.support[label]
-    cone.genset.support[label] = ((k, x + 1), *rest)
+    g = oracle_generator_labels(lat0).index(f"gt[{q0.key};1]")
+    supports = list(cone.genset.supports)
+    (k, x), *rest = supports[g]
+    supports[g] = ((k, x + 1), *rest)
+    cone.genset.supports = tuple(supports)
     assert not cone.case3_identity(q0, (1, 0), 0)
     assert not cone.case3_identity(q0, (3, 0), 2)
     assert cone.case3_identity(q0, (0, 0), 1)  # gt[q0;1] takes no part
@@ -211,11 +244,10 @@ def test_unsound_decomposition_raises(cone0, lat0, monkeypatch):
         cone0.member(lat0.line(1))
 
 
-def test_decomposition_repr_and_resum(cone0, lat0):
+def test_decomposition_size_and_resum(cone0, lat0):
     dec = cone0.member(lat0.line(1) + lat0.exc_curve(lat0.points[0]))
     assert dec.size == 2
-    text = repr(dec)
-    assert "lt1" in text and "e[1.1.0]" in text
+    assert _labelled(lat0, dec) == (("lt1", 1), ("e[1.1.0]", 1))
     back = dec.resum(cone0.genset)
     want = lat0.line(1) + lat0.exc_curve(lat0.points[0])
     assert (back.l, back.e) == (want.l, want.e)
@@ -232,7 +264,7 @@ def test_generator_set_json(cone0):
 
 def _mult_vector(cone, dec):
     mults = dict(dec.parts)
-    return [mults.get(g.label, 0) for g in cone.genset]
+    return [mults.get(g, 0) for g in range(len(cone.genset))]
 
 
 def _rich_targets(lat):
@@ -279,7 +311,7 @@ def test_decompositions_match_naive_oracle_c1(lat1):
     single = lat1.gamma(p, 1).scale(2) + lat1.gamma(p2, 1)
     for target in [single] + _rich_targets(lat1):
         decs = cone1.all_decompositions(target)
-        fast = {frozenset(dec.parts) for dec in decs}
+        fast = {frozenset(_labelled(lat1, dec)) for dec in decs}
         assert len(fast) == len(decs)
         assert fast == naive_decompositions(cone1.genset, target, cone1.phi(target))
 
@@ -289,21 +321,24 @@ def test_cone_search_depth_n7_r7():
     # gamma hit Python's recursion limit here
     cfg = resolve_case(SweepCase(7, 7, default_s(7, 7), q=71, seed=1))
     cone = EffectiveCone(BlowupLattice(cfg))
-    assert len(cone.genset) == 1379
-    first_gamma = next(g for g in cone.genset if g.kind == "gamma")
-    assert cone.is_extremal(first_gamma.cls)
-    assert cone.genset.generators[-1].kind == "exc"
-    assert cone.is_extremal(cone.genset.generators[-1].cls)
+    genset = cone.genset
+    assert len(genset) == 1379
+    assert cone.is_extremal(genset.classes[genset.blocks[0]])  # the first gamma
+    assert cone.is_extremal(genset.classes[-1])  # the last exceptional line
 
 
-def _orbit_key(g):
-    """(kind, free axis, point axis) read off a generator's class."""
-    lat = g.cls.lattice
-    free = g.cls.l.index(1) + 1 if any(g.cls.l) else None
-    point = None
-    if g.kind != "line":
-        point = lat.axis_of[g.cls.e.index(1 if g.kind == "exc" else -1)]
-    return g.kind, free, point
+def _orbit_keys(genset):
+    """(kind, free axis, point axis) of each generator: the kind from the
+    oracle's enumeration, the axes read off the generator's class."""
+    lat = genset.lattice
+    keys = []
+    for (kind, _, _), c in zip(oracle_generators(lat), genset.classes):
+        free = c.l.index(1) + 1 if any(c.l) else None
+        point = None
+        if kind != "line":
+            point = lat.axis_of[c.e.index(1 if kind == "exc" else -1)]
+        keys.append((kind, free, point))
+    return keys
 
 
 def _named_config(which, request):
@@ -324,10 +359,10 @@ def test_extremal_record_matches_full_scan(which, request):
     orbits = cone.genset.orbits()
     r = cfg.r
     assert len(orbits) == r * (r + 1)
-    gens = cone.genset.generators
-    keys = [{_orbit_key(gens[g]) for g in orbit} for orbit in orbits]
+    keys_at = _orbit_keys(cone.genset)
+    keys = [{keys_at[g] for g in orbit} for orbit in orbits]
     assert all(len(k) == 1 for k in keys)
-    assert sorted(g for orbit in orbits for g in orbit) == list(range(len(gens)))
+    assert sorted(g for orbit in orbits for g in orbit) == list(range(len(cone.genset)))
 
 
 @pytest.mark.parametrize("which", ["c0", "c1", "n3r4q19"])
@@ -337,10 +372,10 @@ def test_phi_and_support_match_pointwise_oracles(which, request):
     cfg = _named_config(which, request)
     cone = EffectiveCone(BlowupLattice(cfg))
     lat = cone.lattice
-    for g in cone.genset:
-        assert g.phi == pointwise_phi(lat, g.cls)
-        assert cone.genset.support[g.label] == tuple(
-            (k, x) for k, x in enumerate(g.cls.to_array()) if x)
+    for g, c in enumerate(cone.genset):
+        assert cone.genset.phis[g] == pointwise_phi(lat, c)
+        assert cone.genset.supports[g] == tuple(
+            (k, x) for k, x in enumerate(c.to_array()) if x)
     rng = Lcg(17)
     bounds = (15,) * (cfg.r + lat.size)
     for _ in range(100):
@@ -352,7 +387,8 @@ def test_phi_and_support_match_pointwise_oracles(which, request):
 def _lopsided_cone(config, monkeypatch):
     """A cone whose gamma gt[p;3], p the second point on axis 2, also carries
     e_x for the third point x on axis 2: no swap on axis 2 that moves p or
-    x maps it onto a generator.  Returns the cone and that generator."""
+    x maps it onto a generator.  Returns the cone and that generator's
+    index."""
     honest = BlowupLattice.gamma
     lat = BlowupLattice(config)
     p, _, x = [q for q in lat.points if q.axis == 2][1:4]
@@ -363,8 +399,7 @@ def _lopsided_cone(config, monkeypatch):
 
     monkeypatch.setattr(BlowupLattice, "gamma", lopsided)
     cone = EffectiveCone(lat)
-    bad = next(g for g in cone.genset if g.label == f"gt[{p.key};3]")
-    return cone, bad
+    return cone, oracle_generator_labels(lat).index(f"gt[{p.key};3]")
 
 
 def _spy_extremal(monkeypatch, answers):
@@ -387,10 +422,11 @@ def test_asymmetric_gamma_is_tested_itself(c1, monkeypatch):
     # the search assumes the true gamma shape, so the spy answers for the
     # lopsided class, which is gt[p;3] + e_x and so splits
     cone, bad = _lopsided_cone(c1, monkeypatch)
-    key = (bad.cls.l, bad.cls.e)
+    cls = cone.genset.classes[bad]
+    key = (cls.l, cls.e)
     asked = _spy_extremal(monkeypatch, {key: False})
     want = full_extremal_scan(cone)
-    assert want == [bad.label]
+    assert want == [oracle_generator_labels(cone.lattice)[bad]]
     asked.clear()
     rec = generators_extremal(cone)
     assert key in asked
@@ -404,16 +440,43 @@ def test_non_extremal_representative_lists_its_orbit(c1, lopsided, monkeypatch):
     # representative's answer must list its whole orbit; the lopsided gamma
     # is in no orbit with them, stays extremal and must not be listed
     plain = EffectiveCone(BlowupLattice(c1))
-    orbit = [g for g in plain.genset if _orbit_key(g) == ("gamma", 3, 2)]
-    answers = {(g.cls.l, g.cls.e): False for g in orbit}
+    orbit = [g for g, key in enumerate(_orbit_keys(plain.genset)) if key == ("gamma", 3, 2)]
+    answers = {(c.l, c.e): False for c in map(plain.genset.classes.__getitem__, orbit)}
     cone, bad = _lopsided_cone(c1, monkeypatch) if lopsided else (plain, None)
     if bad is not None:
-        answers[(bad.cls.l, bad.cls.e)] = True
+        cls = cone.genset.classes[bad]
+        answers[(cls.l, cls.e)] = True
     asked = _spy_extremal(monkeypatch, answers)
     want = full_extremal_scan(cone)
-    assert want == [g.label for g in orbit if bad is None or g.label != bad.label]
+    labels = oracle_generator_labels(plain.lattice)
+    assert want == [labels[g] for g in orbit if g != bad]
     asked.clear()
     rec = generators_extremal(cone)
     assert rec.status == "FAIL"
     assert rec.computed["non_extremal"] == want
     assert len(asked) == len(cone.genset.orbits()) < len(cone.genset)
+
+
+def test_run_all_builds_no_generator_label(c1, count_calls):
+    # labels are only for extremal output and for FAIL and error text
+    calls = count_calls("cone.generator_labels")
+    assert run_all(c1, draws=20).exit_code == 0
+    assert calls == {"cone.generator_labels": 0}
+
+
+def test_misplaced_gamma_is_missing_not_misread(c0, monkeypatch):
+    # the first point off axis 1 gets the second one's gamma class; the
+    # search reads each gamma's point off its class, so the first point has
+    # no gamma and its true gamma is no member, where a point read off the
+    # offsets would emit a decomposition that re-sums to the wrong class
+    honest = BlowupLattice.gamma
+    lat = BlowupLattice(c0)
+    p1, p2 = [p for p in lat.points if p.axis != 1][:2]
+    target = honest(lat, p1, 1)
+    monkeypatch.setattr(BlowupLattice, "gamma",
+                        lambda self, p, i: honest(self, p2 if (p, i) == (p1, 1) else p, i))
+    cone = EffectiveCone(lat)
+    assert cone.member(target) is None
+    assert len(cone.all_decompositions(lat.gamma(p2, 1))) == 2  # held twice
+    by_id = {rec.check_id: rec.status for rec in cone_checks(cone, draws=50)}
+    assert by_id["cone.generator_count"] == by_id["cone.case3_identity"] == "FAIL"
