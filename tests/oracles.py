@@ -288,9 +288,15 @@ def oracle_generators(lattice) -> list[Vertex]:
 
 
 def oracle_generator_labels(lattice) -> list[str]:
-    labels = {"line": "lt{axis}", "gamma": "gt[{key};{axis}]", "exc": "e[{key}]"}
-    return [labels[kind].format(axis=axis, key=point and point.key)
-            for kind, axis, point in oracle_generators(lattice)]
+    labels = []
+    for kind, axis, point in oracle_generators(lattice):
+        if kind == "line":
+            labels.append(f"lt{axis}")
+        elif kind == "gamma":
+            labels.append(f"gt[{point.key};{axis}]")
+        else:
+            labels.append(f"e[{point.key}]")
+    return labels
 
 
 def naive_decompositions(genset, target, bound: int) -> set[frozenset]:

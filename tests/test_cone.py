@@ -54,10 +54,10 @@ def test_generator_order_and_labels(lat0, request):
         # each position holds the class of the oracle's generator there, and
         # the gammas of free axis i sit from blocks[i - 1] to blocks[i] - 1
         gens = oracle_generators(lat)
-        make = {"line": lambda i, p: lat.line(i), "gamma": lambda i, p: lat.gamma(p, i),
-                "exc": lambda i, p: lat.exc_curve(p)}
-        assert [(c.l, c.e) for c in genset] == [
-            (c.l, c.e) for c in (make[kind](i, p) for kind, i, p in gens)]
+        want = [lat.line(i) if kind == "line" else
+                lat.gamma(p, i) if kind == "gamma" else lat.exc_curve(p)
+                for kind, i, p in gens]
+        assert [(c.l, c.e) for c in genset] == [(c.l, c.e) for c in want]
         blocks, r = genset.blocks, lat.config.r
         assert blocks[0] == r and len(genset) - blocks[r] == lat.size
         for i in range(1, r + 1):
@@ -441,7 +441,8 @@ def test_non_extremal_representative_lists_its_orbit(c1, lopsided, monkeypatch):
     # is in no orbit with them, stays extremal and must not be listed
     plain = EffectiveCone(BlowupLattice(c1))
     orbit = [g for g, key in enumerate(_orbit_keys(plain.genset)) if key == ("gamma", 3, 2)]
-    answers = {(c.l, c.e): False for c in map(plain.genset.classes.__getitem__, orbit)}
+    classes = plain.genset.classes
+    answers = {(classes[g].l, classes[g].e): False for g in orbit}
     cone, bad = _lopsided_cone(c1, monkeypatch) if lopsided else (plain, None)
     if bad is not None:
         cls = cone.genset.classes[bad]
