@@ -284,8 +284,20 @@ def test_off_by_one_pairing_row_fails_checks(c0, monkeypatch):
         assert got[check_id] == FAIL, check_id
 
 
-@pytest.mark.parametrize("which", ["exc_divisor", "pullback_h"])
+# the lattice.pairing_blocks FAIL text on C0 when every class that the
+# named method builds gains E at the first point
+PAIRING_BLOCKS_MISMATCHES = {
+    "exc_divisor": ["e[1.1.0].E[1.1.0]"] + [f"lt1.E[{key}]" for key in (
+        "1.1.0", "1.1.1", "1.2.0", "1.2.1", "2.1.0", "2.1.1", "2.2.0", "2.2.1",
+        "2.3.0", "2.3.1")],
+    "pullback_h": ["lt1.piH1", "lt1.piH2", "e[1.1.0].piH1", "e[1.1.0].piH2"],
+}
+
+
+@pytest.mark.parametrize("which", sorted(PAIRING_BLOCKS_MISMATCHES))
 def test_wrong_basis_divisor_fails_pairing_blocks(c0, which, monkeypatch):
+    # the FAIL text names each mismatching (curve, divisor) pair, in the
+    # order the check meets it
     honest = getattr(BlowupLattice, which)
 
     def wrong(self, arg):
@@ -294,7 +306,10 @@ def test_wrong_basis_divisor_fails_pairing_blocks(c0, which, monkeypatch):
         return DivisorClass(d.h, tuple(a + b for a, b in zip(d.m, bump)), self)
 
     monkeypatch.setattr(BlowupLattice, which, wrong)
-    assert statuses(BlowupLattice(c0))["lattice.pairing_blocks"] == FAIL
+    rec = next(rec for rec in lattice_checks(BlowupLattice(c0), draws=20)
+               if rec.check_id == "lattice.pairing_blocks")
+    assert rec.status == FAIL
+    assert rec.computed == PAIRING_BLOCKS_MISMATCHES[which]
 
 
 def test_basis_classes_built_once(lat0):
