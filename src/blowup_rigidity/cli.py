@@ -240,6 +240,7 @@ def _cases_from_spec(raw) -> list[SweepCase]:
             raise UsageError("sweep spec: 'cases' must be a list")
         if not raw["cases"]:
             raise UsageError("sweep spec: 'cases' is empty, so no case would run")
+        first: dict[str, int] = {}  # rows are keyed by case: one row per key
         out = []
         for idx, case in enumerate(raw["cases"]):
             where = f"case {idx}"
@@ -255,6 +256,9 @@ def _cases_from_spec(raw) -> list[SweepCase]:
                     seed=_spec_value(where, case, "seed", _is_int, seed),
                 )
             )
+            seen = first.setdefault(out[-1].key, idx)
+            if seen != idx:
+                raise UsageError(f"sweep spec: {where} repeats case {seen}")
         return out
     if "n" in raw and "r" in raw:
         ns = _spec_value("the spec", raw, "n", _is_int_list)

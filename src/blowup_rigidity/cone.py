@@ -8,11 +8,13 @@ bounded depth-first search below is exhaustive.
 
 Canonical generator order: strict lines by axis, then through-point curves
 grouped by free axis and then by point, then exceptional lines by point.  A
-generator is its index in that order: lt_i is i - 1, the gammas of free
-axis i are `blocks[i - 1]` to `blocks[i] - 1`, and e_p is `blocks[r]` plus
-p's index.  Labels (lt<i>, gt[p;i], e[p]) are built by `generator_labels`
-only for `extremal` output and for FAIL and error text.
-The search branches in this order, taking larger multiplicities first, so
+marked point is its position in the lattice, and a generator its index in
+canonical order: lt_i is i - 1, the gammas of free axis i (the lattice's
+gamma block i) are `blocks[i - 1]` to `blocks[i] - 1`, and e_p is
+`blocks[r]` plus p's position.  Labels (lt<i>, gt[p;i], e[p]) are built by
+`generator_labels` only for `extremal` output and for FAIL and error text.
+A decomposition is its tuple of (generator, multiplicity) pairs, and the
+search branches in canonical order, taking larger multiplicities first, so
 `member` returns the first decomposition in that order; every emitted
 decomposition is re-summed against its target before it is returned.
 
@@ -35,8 +37,11 @@ import operator
 
 from .checks import FAIL, PASS, CheckRecord, make_record
 from .errors import NotEffective
-from .fieldgeom import DeltaPoint, Lcg, config_seed
+from .fieldgeom import Lcg, config_seed
 from .lattice import BlowupLattice, CurveClass
+
+# a decomposition: its (generator index, multiplicity) pairs
+Parts = tuple[tuple[int, int], ...]
 
 
 def generator_labels(lattice: BlowupLattice) -> list[str]:
@@ -64,9 +69,9 @@ class GeneratorSet:
         classes = [lattice.line(i) for i in range(1, cfg.r + 1)]
         self.blocks = [cfg.r]
         for i in range(1, cfg.r + 1):
-            classes += [lattice.gamma(p, i) for p in lattice.points if p.axis != i]
+            classes += lattice.gammas(i)
             self.blocks.append(len(classes))
-        classes += [lattice.exc_curve(p) for p in lattice.points]
+        classes += map(lattice.exc_curve, range(lattice.size))
         self.classes = tuple(classes)
         self.phis = tuple(map(self.phi, classes))
         self.supports = tuple(
@@ -134,6 +139,16 @@ class GeneratorSet:
         return (self.N * sum(l) - sum(map(operator.mul, l, self._axis_sizes))
                 + sum(c.e))
 
+    def resum(self, parts: Parts) -> CurveClass:
+        """The class of a decomposition: the sum of m times generator g over
+        its (g, m) parts, added from the sparse supports."""
+        lat = self.lattice
+        total = [0] * (lat.config.r + lat.size)
+        for g, mult in parts:
+            for k, x in self.supports[g]:
+                total[k] += mult * x
+        return lat.curve_from_array(total)
+
     @property
     def expected_count(self) -> int:
         cfg = self.lattice.config
@@ -159,27 +174,6 @@ class GeneratorSet:
             sort_keys=True,
             separators=(",", ":"),
         )
-
-
-class Decomposition:
-    """A multiset of generator indices with positive multiplicities."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple[tuple[int, int], ...]):
-        self.parts = parts
-
-    @property
-    def size(self) -> int:
-        return sum(m for _, m in self.parts)
-
-    def resum(self, genset: GeneratorSet) -> CurveClass:
-        lat = genset.lattice
-        total = [0] * (lat.config.r + lat.size)
-        for g, mult in self.parts:
-            for k, x in genset.supports[g]:
-                total[k] += mult * x
-        return lat.curve_from_array(total)
 
 
 class EffectiveCone:
@@ -212,10 +206,7 @@ class EffectiveCone:
             for g, k in block:
                 self._gamma_at[k][bi] = g
 
-    def phi(self, c: CurveClass) -> int:
-        return self.genset.phi(c)
-
-    def _search(self, target: CurveClass, first_only: bool) -> list[Decomposition]:
+    def _search(self, target: CurveClass, first_only: bool) -> list[Parts]:
         """Every decomposition of target, in canonical order.
 
         The strict lines branch by axis, larger multiplicity first, bounded
@@ -228,8 +219,8 @@ class EffectiveCone:
         exactly one point, so a branch is cut when its positive shortfalls
         add up to more than the block totals still to place.
         """
-        phi_t = self.phi(target)
-        solutions: list[Decomposition] = []
+        phi_t = self.genset.phi(target)
+        solutions: list[Parts] = []
         if phi_t < 0:
             return solutions
         r = self.lattice.config.r
@@ -238,13 +229,13 @@ class EffectiveCone:
         first_exc = self.genset.blocks[-1]
 
         def emit(parts: list[tuple[int, int]], rem_e: list[int]) -> bool:
-            full = parts + [(first_exc + k, needed) for k, needed in enumerate(rem_e) if needed]
-            dec = Decomposition(tuple(full))
-            check = dec.resum(self.genset)
+            dec = tuple(parts + [(first_exc + k, needed)
+                                 for k, needed in enumerate(rem_e) if needed])
+            check = self.genset.resum(dec)
             if (check.l, check.e) != (target.l, target.e):
                 labels = generator_labels(self.lattice)
                 text = " + ".join(labels[g] if m == 1 else f"{m}*{labels[g]}"
-                                  for g, m in full) or "0"
+                                  for g, m in dec) or "0"
                 raise RuntimeError(f"unsound decomposition {text} of {target!r}")
             solutions.append(dec)
             return first_only
@@ -299,37 +290,37 @@ class EffectiveCone:
         line_step(0, list(target.l), phi_t, [])
         return solutions
 
-    def member(self, c: CurveClass) -> Decomposition | None:
+    def member(self, c: CurveClass) -> Parts | None:
         """First decomposition in canonical order, or None."""
         found = self._search(c, first_only=True)
         return found[0] if found else None
 
-    def all_decompositions(self, c: CurveClass) -> list[Decomposition]:
+    def all_decompositions(self, c: CurveClass) -> list[Parts]:
         return self._search(c, first_only=False)
 
     def two_part_decompositions(
         self, c: CurveClass
-    ) -> list[tuple[Decomposition, Decomposition]]:
+    ) -> list[tuple[Parts, Parts]]:
         """All unordered pairs of nonzero effective classes summing to c,
         each witnessed by one decomposition per side; deduplicated at the
         class level."""
         decs = self.all_decompositions(c)
         if not decs:
             raise NotEffective(f"{c!r} is not in the effective semigroup")
-        found: dict[tuple, tuple[Decomposition, Decomposition]] = {}
+        found: dict[tuple, tuple[Parts, Parts]] = {}
         for dec in decs:
-            gens = [g for g, _ in dec.parts]
-            mults = [m for _, m in dec.parts]
+            gens = [g for g, _ in dec]
+            mults = [m for _, m in dec]
+            size = sum(mults)
             for choice in itertools.product(*(range(m + 1) for m in mults)):
                 total = sum(choice)
-                if total == 0 or total == dec.size:
+                if total == 0 or total == size:
                     continue
-                left = tuple((g, m) for g, m in zip(gens, choice) if m)
-                right = tuple(
+                d1 = tuple((g, m) for g, m in zip(gens, choice) if m)
+                d2 = tuple(
                     (g, m - c_) for g, m, c_ in zip(gens, mults, choice) if m - c_
                 )
-                d1, d2 = Decomposition(left), Decomposition(right)
-                c1, c2 = d1.resum(self.genset), d2.resum(self.genset)
+                c1, c2 = self.genset.resum(d1), self.genset.resum(d2)
                 v1 = (c1.l, c1.e)
                 v2 = (c2.l, c2.e)
                 key = (min(v1, v2), max(v1, v2))
@@ -341,23 +332,23 @@ class EffectiveCone:
         """True when c admits no splitting into two nonzero effective classes."""
         return not self.two_part_decompositions(c)
 
-    def case3_identity(self, q0: DeltaPoint, a: tuple[int, ...], eps_q: int) -> bool:
-        """Exact vector identity for a class with zero multidegree at q0's axis
-        and prescribed excess at q0: the expansion equals
-        (-eps_q + sum_{i != j} a_i) * e_{q0} + sum_{i != j} a_i * gamma(q0, i).
+    def case3_identity(self, k0: int, a: tuple[int, ...], eps_q: int) -> bool:
+        """Exact vector identity for a class with zero multidegree at the axis
+        j of the point q0 at position k0 and prescribed excess at q0: the
+        expansion equals
+        (-eps_q + sum_{i != j} a_i) * e_{q0} + sum_{i != j} a_i * gt[q0;i].
         """
         lat = self.lattice
         cfg = lat.config
-        j = q0.axis
+        j = lat.axis_of[k0]
         if len(a) != cfg.r:
             raise ValueError("multidegree length mismatch")
         if a[j - 1] != 0:
             raise ValueError(f"a_{j} must be 0 for a point on axis {j}")
         if any(x < 0 for x in a):
             raise ValueError("multidegree must be nonnegative")
-        k0 = lat.point_index[q0]
         gamma_terms = [(g, x) for g, x in zip(self._gamma_at[k0], a) if x]
-        # a generator set without some gamma(q0, i) cannot give the identity
+        # a generator set without some gt[q0;i] cannot give the identity
         if any(g is None for g, _ in gamma_terms):
             return False
         eps = [0] * lat.size
@@ -365,7 +356,7 @@ class EffectiveCone:
         lhs = lat.expand_in_basis(tuple(a), tuple(eps))
         # the right-hand side adds the generators' own sparse classes; a_j = 0
         terms = [(self.genset.blocks[-1] + k0, sum(a) - eps_q)] + gamma_terms
-        rhs = Decomposition(tuple(terms)).resum(self.genset)
+        rhs = self.genset.resum(terms)
         return (lhs.l, lhs.e) == (rhs.l, rhs.e)
 
 
@@ -422,10 +413,10 @@ def cone_checks(cone: EffectiveCone, draws: int = 1000) -> list[CheckRecord]:
 
     records.append(generators_extremal(cone))
 
-    p0 = lattice.points[0]
+    e0 = lattice.exc_curve(0)
     samples = {
-        "lt1+e": lattice.line(1) + lattice.exc_curve(p0),
-        "2e": lattice.exc_curve(p0).scale(2),
+        "lt1+e": lattice.line(1) + e0,
+        "2e": e0.scale(2),
         "lt1+lt2": lattice.line(1) + lattice.line(2),
     }
     split_counts = {
@@ -452,7 +443,7 @@ def cone_checks(cone: EffectiveCone, draws: int = 1000) -> list[CheckRecord]:
         if dec is None:
             case2_ok = False
             break
-        resum = dec.resum(cone.genset)
+        resum = cone.genset.resum(dec)
         if (resum.l, resum.e) != (target.l, target.e):
             case2_ok = False
             break
@@ -472,9 +463,8 @@ def cone_checks(cone: EffectiveCone, draws: int = 1000) -> list[CheckRecord]:
     bounds = (lattice.size,) + (4,) * cfg.r
     for _ in range(draws):
         k, *rest, eps_q = rng.take(bounds)
-        q0 = lattice.points[k]
-        rest.insert(q0.axis - 1, 0)
-        if not cone.case3_identity(q0, tuple(rest), eps_q):
+        rest.insert(lattice.axis_of[k] - 1, 0)
+        if not cone.case3_identity(k, tuple(rest), eps_q):
             case3_ok = False
             break
     records.append(

@@ -41,10 +41,6 @@ class AxisOutOfRange(BlowupError):
     """An axis index is outside 1..r."""
 
 
-class SameAxis(BlowupError):
-    """A through-point curve was requested along the point's own axis."""
-
-
 class NotEffective(BlowupError):
     """A curve class is not a nonnegative combination of the generators."""
 

@@ -3,7 +3,8 @@
 Divisor classes are integer vectors over (pullback hyperplanes pi*(H_1..H_r),
 exceptional divisors E_p); curve classes over (strict line transforms
 lt_1..lt_r, exceptional lines e_p).  The marked points are ordered by
-(axis, orbit, torsion), and all coefficients are exact Python integers.
+(axis, orbit, torsion), a point is its position k in that order, and all
+coefficients are exact Python integers.
 
 Pairing rules, extended bilinearly:
 
@@ -15,6 +16,9 @@ of c, its pairings with every E_p in point order, is one pass over the
 points (`BlowupLattice.exc_pairings`).  A divisor class records the indices
 of its nonzero E-coefficients when it is built, and `intersect` walks only
 those, so pairing with a basis divisor or a pullback costs O(r).
+The gt[p;i] of the points p off axis i form axis i's gamma block.  Basis
+classes and blocks are built once per lattice and shared with the cone;
+labels are built only for output and FAIL text.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from __future__ import annotations
 import itertools
 
 from .checks import FAIL, PASS, CheckRecord, make_record
-from .errors import AxisOutOfRange, ConfigMismatch, SameAxis
-from .fieldgeom import Config, DeltaPoint, Lcg, config_seed
+from .errors import AxisOutOfRange, ConfigMismatch
+from .fieldgeom import Config, Lcg, config_seed
 
 
 class DivisorClass:
@@ -79,13 +83,12 @@ class BlowupLattice:
     def __init__(self, config: Config):
         self.config = config
         self.points = config.delta
-        self.point_index = {p: i for i, p in enumerate(self.points)}
         self.axis_of = tuple(p.axis for p in self.points)
         self._axis_index = tuple(axis - 1 for axis in self.axis_of)
         self.size = len(self.points)
-        # the basis classes, strict transforms and axis membership rows,
-        # each built on first use
-        self._basis: dict[tuple[str, int], DivisorClass | CurveClass | tuple[int, ...]] = {}
+        # the basis classes, strict transforms and gamma blocks, each built
+        # on first use
+        self._basis: dict[tuple[str, int], DivisorClass | CurveClass | tuple] = {}
 
     def check_same(self, other: "BlowupLattice") -> None:
         if other is self:
@@ -100,9 +103,6 @@ class BlowupLattice:
     def _unit(self, length: int, idx: int) -> tuple[int, ...]:
         return tuple(1 if j == idx else 0 for j in range(length))
 
-    def _zeros(self, length: int) -> tuple[int, ...]:
-        return (0,) * length
-
     # divisor side -----------------------------------------------------
 
     def pullback_h(self, i: int) -> DivisorClass:
@@ -111,16 +111,16 @@ class BlowupLattice:
         if key not in self._basis:
             self._check_axis(i)
             self._basis[key] = DivisorClass(
-                self._unit(self.config.r, i - 1), self._zeros(self.size), self
+                self._unit(self.config.r, i - 1), (0,) * self.size, self
             )
         return self._basis[key]
 
-    def exc_divisor(self, p: DeltaPoint) -> DivisorClass:
-        """E_p."""
-        key = ("E", self.point_index[p])
+    def exc_divisor(self, k: int) -> DivisorClass:
+        """E_p for the point p at position k."""
+        key = ("E", k)
         if key not in self._basis:
             self._basis[key] = DivisorClass(
-                self._zeros(self.config.r), self._unit(self.size, key[1]), self
+                (0,) * self.config.r, self._unit(self.size, k), self
             )
         return self._basis[key]
 
@@ -136,7 +136,7 @@ class BlowupLattice:
 
     def ambient_canonical_pullback(self) -> DivisorClass:
         """pi*(-2 H_1 - ... - 2 H_r)."""
-        return DivisorClass((-2,) * self.config.r, self._zeros(self.size), self)
+        return DivisorClass((-2,) * self.config.r, (0,) * self.size, self)
 
     # curve side -------------------------------------------------------
 
@@ -146,36 +146,36 @@ class BlowupLattice:
         if key not in self._basis:
             self._check_axis(i)
             self._basis[key] = CurveClass(
-                self._unit(self.config.r, i - 1), self._zeros(self.size), self
+                self._unit(self.config.r, i - 1), (0,) * self.size, self
             )
         return self._basis[key]
 
-    def exc_curve(self, p: DeltaPoint) -> CurveClass:
-        """A line e_p inside the exceptional divisor over p."""
-        key = ("e", self.point_index[p])
+    def exc_curve(self, k: int) -> CurveClass:
+        """A line e_p inside the exceptional divisor over the point p at
+        position k."""
+        key = ("e", k)
         if key not in self._basis:
             self._basis[key] = CurveClass(
-                self._zeros(self.config.r), self._unit(self.size, key[1]), self
+                (0,) * self.config.r, self._unit(self.size, k), self
             )
         return self._basis[key]
 
-    def _on_axis(self, i: int) -> tuple[int, ...]:
-        """The membership row of axis i: 1 at each point on axis i, else 0."""
-        key = ("on", i)
+    def gammas(self, i: int) -> tuple[CurveClass, ...]:
+        """Axis i's gamma block: the strict transform gt[p;i] of the line
+        through p in direction i, lt_i + (the e_q of every q on axis i) - e_p,
+        for each p off axis i in point order, from one membership row."""
+        key = ("gt", i)
         if key not in self._basis:
-            self._check_axis(i)
-            self._basis[key] = tuple([1 if axis == i else 0 for axis in self.axis_of])
+            l = self.line(i).l
+            e = [1 if axis == i else 0 for axis in self.axis_of]
+            block = []
+            for k, axis in enumerate(self.axis_of):
+                if axis != i:
+                    e[k] = -1
+                    block.append(CurveClass(l, tuple(e), self))
+                    e[k] = 0
+            self._basis[key] = tuple(block)
         return self._basis[key]
-
-    def gamma(self, p: DeltaPoint, i: int) -> CurveClass:
-        """Strict transform of the line through p in direction i:
-        lt_i + sum of e_q over q marked on axis i, minus e_p."""
-        line = self.line(i)
-        if p.axis == i:
-            raise SameAxis(f"point {p.key} lies on axis {i}")
-        e = list(self._on_axis(i))
-        e[self.point_index[p]] -= 1
-        return CurveClass(line.l, tuple(e), self)
 
     # pairing ----------------------------------------------------------
 
@@ -222,7 +222,6 @@ class BlowupLattice:
     def canonical_pullback_check(self, i: int) -> int:
         """Pairing of the strict line on axis i with the pulled-back ambient
         canonical class; contract: -2."""
-        self._check_axis(i)
         return self.intersect(self.line(i), self.ambient_canonical_pullback())
 
     # serialization ------------------------------------------------------
@@ -245,7 +244,7 @@ class BlowupLattice:
 
     def curve_basis(self) -> list[CurveClass]:
         return [self.line(i) for i in range(1, self.config.r + 1)] + [
-            self.exc_curve(p) for p in self.points
+            self.exc_curve(k) for k in range(self.size)
         ]
 
     def write_pairing_table(self, fileobj) -> None:
@@ -261,40 +260,43 @@ class BlowupLattice:
 def lattice_checks(lattice: BlowupLattice, draws: int = 1000) -> list[CheckRecord]:
     cfg = lattice.config
     r = cfg.r
+    axis_of = lattice.axis_of
     records = []
 
     # each basis curve's pushforward and pairing row; each E_p also goes
     # through intersect, against its own exceptional line and every strict
-    # line, so a wrong exc_divisor class fails here as well
-    names = lattice.divisor_labels()
+    # line, so a wrong exc_divisor class fails here as well.  A mismatch is
+    # a (curve, divisor) pair of basis positions, labelled only for FAIL text
+    bad = []
 
-    def row_mismatches(label, c, want):
+    def row_mismatches(row, c, want):
         got = lattice.pushforward(c) + lattice.exc_pairings(c)
-        return [f"{label}.{name}" for name, x, y in zip(names, got, want) if x != y]
+        bad.extend((row, col) for col, (x, y) in enumerate(zip(got, want)) if x != y)
 
     # the expected rows with one nonzero E-pairing are slices of one zero row
     zeros = (0,) * lattice.size
-    bad = []
     for i in range(1, r + 1):
         want = [1 if j == i else 0 for j in range(1, r + 1)]
-        want += [1 if p.axis == i else 0 for p in lattice.points]
-        bad += row_mismatches(f"lt{i}", lattice.line(i), want)
-    for k, p in enumerate(lattice.points):
+        want += [1 if axis == i else 0 for axis in axis_of]
+        row_mismatches(i - 1, lattice.line(i), want)
+    for k in range(lattice.size):
         want = (0,) * r + zeros[:k] + (-1,) + zeros[k + 1:]
-        bad += row_mismatches(f"e[{p.key}]", lattice.exc_curve(p), want)
-    for p in lattice.points:
-        ed = lattice.exc_divisor(p)
-        if lattice.intersect(lattice.exc_curve(p), ed) != -1:
-            bad.append(f"e[{p.key}].E[{p.key}]")
+        row_mismatches(r + k, lattice.exc_curve(k), want)
+    for k, axis in enumerate(axis_of):
+        ed = lattice.exc_divisor(k)
+        if lattice.intersect(lattice.exc_curve(k), ed) != -1:
+            bad.append((r + k, r + k))
         for i in range(1, r + 1):
-            if lattice.intersect(lattice.line(i), ed) != (1 if p.axis == i else 0):
-                bad.append(f"lt{i}.E[{p.key}]")
-    ok = not bad
+            if lattice.intersect(lattice.line(i), ed) != (1 if axis == i else 0):
+                bad.append((i - 1, r + k))
+    if bad:
+        curves, divisors = lattice.curve_labels(), lattice.divisor_labels()
+        bad = [f"{curves[row]}.{divisors[col]}" for row, col in bad]
     records.append(
         make_record(
             "lattice.pairing_blocks",
-            PASS if ok else FAIL,
-            "all basis pairings as stated" if ok else bad,
+            FAIL if bad else PASS,
+            bad or "all basis pairings as stated",
             "identity / minus-identity diagonal blocks, membership rectangle",
         )
     )
@@ -330,9 +332,9 @@ def lattice_checks(lattice: BlowupLattice, draws: int = 1000) -> list[CheckRecor
     )
 
     exc_ok = all(
-        lattice.intersect(lattice.exc_curve(p), lattice.strict_h(i))
-        == (0 if p.axis == i else 1)
-        for p in lattice.points
+        lattice.intersect(lattice.exc_curve(k), lattice.strict_h(i))
+        == (0 if axis == i else 1)
+        for k, axis in enumerate(axis_of)
         for i in range(1, r + 1)
     )
     records.append(
@@ -348,11 +350,11 @@ def lattice_checks(lattice: BlowupLattice, draws: int = 1000) -> list[CheckRecor
     pairs = 0
     for i in range(1, r + 1):
         unit = tuple(1 if j == i else 0 for j in range(1, r + 1))
-        for k, p in enumerate(lattice.points):
-            if p.axis == i:
-                continue
-            pairs += 1
-            g = lattice.gamma(p, i)
+        off_axis = [k for k, axis in enumerate(axis_of) if axis != i]
+        block = lattice.gammas(i)
+        pairs += len(off_axis)
+        gamma_ok &= len(block) == len(off_axis)
+        for k, g in zip(off_axis, block):
             want = zeros[:k] + (1,) + zeros[k + 1:]
             if lattice.exc_pairings(g) != want or lattice.pushforward(g) != unit:
                 gamma_ok = False

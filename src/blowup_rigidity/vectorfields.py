@@ -112,11 +112,9 @@ class KernelResult:
     def blocks(self, vec: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
         return [tuple(vec[4 * i: 4 * i + 4]) for i in range(self.r)]
 
-    def basis_is_scalar(self) -> bool:
-        """True when every basis vector has b = c = 0 and a = d per block."""
-        return self.nonscalar_witness() is None
-
     def nonscalar_witness(self) -> tuple[int, ...] | None:
+        """A basis vector with b != 0, c != 0 or a != d in some block, or
+        None when the basis is scalar."""
         for vec in self.basis:
             for a, b, c, d in self.blocks(vec):
                 if b or c or a != d:
@@ -222,11 +220,12 @@ def extra_q_vanishing(config: Config, q2: int) -> CheckRecord:
         base = sample_base(config.n, config.s, q2, zeta2, rng)
     cfg2 = Config(n=config.n, r=config.r, s=config.s, q=q2, zeta=zeta2, base=base)
     result = derivation_kernel(cfg2)
-    ok = result.dimension == cfg2.r and result.basis_is_scalar()
+    scalar = result.nonscalar_witness() is None
+    ok = result.dimension == cfg2.r and scalar
     return make_record(
         "vectorfields.kernel_extra",
         PASS if ok else FAIL,
         {"q": q2, "rank": result.rank, "dimension": result.dimension,
-         "scalar_basis": result.basis_is_scalar()},
+         "scalar_basis": scalar},
         {"q": q2, "rank": 3 * cfg2.r, "dimension": cfg2.r, "scalar_basis": True},
     )

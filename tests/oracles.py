@@ -287,6 +287,14 @@ def oracle_generators(lattice) -> list[Vertex]:
             + [("exc", None, p) for p in points])
 
 
+def oracle_gamma(lattice, k: int, i: int):
+    """gt[p;i] for the point p at position k, from its definition as a
+    coefficient array: lt_i, plus e_q for every q on axis i, minus e_p."""
+    arr = [1 if j == i else 0 for j in range(1, lattice.config.r + 1)]
+    arr += [(q.axis == i) - (j == k) for j, q in enumerate(lattice.points)]
+    return lattice.curve_from_array(arr)
+
+
 def oracle_generator_labels(lattice) -> list[str]:
     labels = []
     for kind, axis, point in oracle_generators(lattice):

@@ -5,7 +5,6 @@ import pickle
 
 import pytest
 
-from blowup_rigidity.cone import Decomposition
 from blowup_rigidity.fieldgeom import Config, DeltaPoint
 from blowup_rigidity.lattice import CurveClass, DivisorClass
 from blowup_rigidity.report import SweepCase
@@ -17,7 +16,6 @@ VALUES = {
     "DeltaPoint": lambda v, lat: DeltaPoint(1, 1, v, 5),
     "DivisorClass": lambda v, lat: DivisorClass((1, 0), (0, v, -1), lat),
     "CurveClass": lambda v, lat: CurveClass((1, v), (0, 1), lat),
-    "Decomposition": lambda v, lat: Decomposition(((0, 1 + v),)),
     "SweepCase": lambda v, lat: SweepCase(2, 3, (1, 2, 3), seed=v),
     "Config": lambda v, lat: Config(**C0_FIELDS, seed=v),
 }

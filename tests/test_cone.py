@@ -17,6 +17,7 @@ from blowup_rigidity.report import SweepCase, default_s, resolve_case, run_all
 from oracles import (
     full_extremal_scan,
     naive_decompositions,
+    oracle_gamma,
     oracle_generator_labels,
     oracle_generators,
     pointwise_phi,
@@ -30,7 +31,7 @@ def zero_curve(lat):
 def _labelled(lat, dec):
     """A decomposition's parts with each generator named by the oracle."""
     labels = oracle_generator_labels(lat)
-    return tuple((labels[g], m) for g, m in dec.parts)
+    return tuple((labels[g], m) for g, m in dec)
 
 
 def test_generator_counts(lat0, lat1):
@@ -54,8 +55,10 @@ def test_generator_order_and_labels(lat0, request):
         # each position holds the class of the oracle's generator there, and
         # the gammas of free axis i sit from blocks[i - 1] to blocks[i] - 1
         gens = oracle_generators(lat)
+        position = {p: k for k, p in enumerate(lat.points)}
         want = [lat.line(i) if kind == "line" else
-                lat.gamma(p, i) if kind == "gamma" else lat.exc_curve(p)
+                oracle_gamma(lat, position[p], i) if kind == "gamma" else
+                lat.exc_curve(position[p])
                 for kind, i, p in gens]
         assert [(c.l, c.e) for c in genset] == [(c.l, c.e) for c in want]
         blocks, r = genset.blocks, lat.config.r
@@ -67,9 +70,10 @@ def test_generator_order_and_labels(lat0, request):
 def test_phi_values_c0(cone0, lat0):
     # N = 1 + 10 = 11
     assert cone0.genset.N == 11
-    assert cone0.phi(lat0.line(1)) == 7
-    assert cone0.phi(lat0.line(2)) == 5
-    assert cone0.phi(lat0.exc_curve(lat0.points[0])) == 1
+    phi = cone0.genset.phi
+    assert phi(lat0.line(1)) == 7
+    assert phi(lat0.line(2)) == 5
+    assert phi(lat0.exc_curve(0)) == 1
     phis, blocks = cone0.genset.phis, cone0.genset.blocks
     assert phis[blocks[0]:blocks[-1]] == (10,) * 10  # the gammas
     assert min(phis) >= 1
@@ -78,49 +82,50 @@ def test_phi_values_c0(cone0, lat0):
 def test_phi_additive(cone0, lat0):
     rng = Lcg(3)
     basis = lat0.curve_basis()
+    phi = cone0.genset.phi
     for _ in range(50):
         c1 = basis[rng.below(len(basis))].scale(rng.below(7) - 3)
         c2 = basis[rng.below(len(basis))].scale(rng.below(7) - 3)
-        assert cone0.phi(c1 + c2) == cone0.phi(c1) + cone0.phi(c2)
+        assert phi(c1 + c2) == phi(c1) + phi(c2)
 
 
 def test_member_generator_is_singleton(cone0):
     for g, c in enumerate(cone0.genset):
         dec = cone0.member(c)
         assert dec is not None
-        assert dec.parts == ((g, 1),)
+        assert dec == ((g, 1),)
 
 
 def test_member_gamma_combination(cone0, lat0):
     # the explicit combination lt_i + sum of axis-i e_q minus e_p is the
     # through-p class itself
-    p = next(pt for pt in lat0.points if pt.axis == 2)
-    target = lat0.line(1) + lat0.exc_curve(p).scale(-1)
-    for q in lat0.points:
-        if q.axis == 1:
+    k = lat0.axis_of.index(2)
+    target = lat0.line(1) + lat0.exc_curve(k).scale(-1)
+    for q, axis in enumerate(lat0.axis_of):
+        if axis == 1:
             target = target + lat0.exc_curve(q)
     dec = cone0.member(target)
     assert dec is not None
-    assert _labelled(lat0, dec) == ((f"gt[{p.key};1]", 1),)
+    assert _labelled(lat0, dec) == ((f"gt[{lat0.points[k].key};1]", 1),)
 
 
 def test_member_absent(cone0, lat0):
-    neg = lat0.exc_curve(lat0.points[0]).scale(-1)
-    assert cone0.phi(neg) == -1
+    neg = lat0.exc_curve(0).scale(-1)
+    assert cone0.genset.phi(neg) == -1
     assert cone0.member(neg) is None
     # positive phi but impossible coordinates
-    off = lat0.line(1) + lat0.exc_curve(lat0.points[5]).scale(-3)
+    off = lat0.line(1) + lat0.exc_curve(5).scale(-3)
     assert cone0.member(off) is None
 
 
 def test_member_zero_class(cone0, lat0):
     dec = cone0.member(zero_curve(lat0))
-    assert dec is not None and dec.parts == ()
+    assert dec == ()
 
 
 def test_two_part_examples(cone0, lat0):
     p = lat0.points[0]
-    e = lat0.exc_curve(p)
+    e = lat0.exc_curve(0)
     assert cone0.two_part_decompositions(e) == []
     double = cone0.two_part_decompositions(e.scale(2))
     assert len(double) == 1
@@ -138,22 +143,21 @@ def test_two_part_examples(cone0, lat0):
 def test_extremality_c0(cone0, lat0):
     for c in cone0.genset:
         assert cone0.is_extremal(c)
-    p = lat0.points[0]
-    assert not cone0.is_extremal(lat0.line(1) + lat0.exc_curve(p))
-    assert not cone0.is_extremal(lat0.exc_curve(p).scale(2))
+    assert not cone0.is_extremal(lat0.line(1) + lat0.exc_curve(0))
+    assert not cone0.is_extremal(lat0.exc_curve(0).scale(2))
     assert not cone0.is_extremal(lat0.line(1) + lat0.line(2))
 
 
 def test_decompositions_match_naive_oracle(cone0, lat0):
     # unstructured bounded search over the same generator list must find
     # exactly the same decompositions
-    p = lat0.points[0]
+    e = lat0.exc_curve(0)
     targets = [
-        lat0.exc_curve(p),
-        lat0.exc_curve(p).scale(2),
+        e,
+        e.scale(2),
         lat0.line(2),
-        lat0.line(2) + lat0.exc_curve(p),
-        lat0.gamma(lat0.points[4], 1),
+        lat0.line(2) + e,
+        oracle_gamma(lat0, 4, 1),
         lat0.line(1) + lat0.line(2),
         # zero multidegree, so every gamma block total is 0, and e_p = -1
         CurveClass((0, 0), (-1, 2) + (0,) * (lat0.size - 2), lat0),
@@ -162,9 +166,9 @@ def test_decompositions_match_naive_oracle(cone0, lat0):
         fast = {
             frozenset(_labelled(lat0, dec)) for dec in cone0.all_decompositions(target)
         }
-        slow = naive_decompositions(cone0.genset, target, cone0.phi(target))
+        slow = naive_decompositions(cone0.genset, target, cone0.genset.phi(target))
         assert fast == slow
-    assert cone0.phi(targets[-1]) == 1
+    assert cone0.genset.phi(targets[-1]) == 1
     assert cone0.member(targets[-1]) is None
 
 
@@ -172,72 +176,69 @@ def test_case2_random_membership(cone0, lat0):
     rng = Lcg(99)
     for _ in range(60):
         a = tuple(rng.below(3) for _ in range(2))
-        eps = tuple(rng.below(a[p.axis - 1] + 1) for p in lat0.points)
+        eps = tuple(rng.below(a[axis - 1] + 1) for axis in lat0.axis_of)
         target = lat0.expand_in_basis(a, eps)
         dec = cone0.member(target)
         assert dec is not None
-        resum = dec.resum(cone0.genset)
+        resum = cone0.genset.resum(dec)
         assert (resum.l, resum.e) == (target.l, target.e)
 
 
 def test_case3_identity(cone0, lat0, lat1, c1):
-    q0 = next(p for p in lat0.points if p.axis == 2)
-    assert cone0.case3_identity(q0, (0, 0), 0)
-    assert cone0.case3_identity(q0, (1, 0), 0)
-    assert cone0.case3_identity(q0, (3, 0), 2)
+    k0 = lat0.axis_of.index(2)  # the first point on axis 2
+    assert cone0.case3_identity(k0, (0, 0), 0)
+    assert cone0.case3_identity(k0, (1, 0), 0)
+    assert cone0.case3_identity(k0, (3, 0), 2)
     cone1 = EffectiveCone(lat1)
-    q3 = next(p for p in lat1.points if p.axis == 3)
-    assert cone1.case3_identity(q3, (2, 1, 0), 1)
+    assert cone1.case3_identity(lat1.axis_of.index(3), (2, 1, 0), 1)
     with pytest.raises(ValueError):
-        cone0.case3_identity(q0, (0, 1), 0)  # nonzero at the point's own axis
+        cone0.case3_identity(k0, (0, 1), 0)  # nonzero at the point's own axis
     with pytest.raises(ValueError):
-        cone0.case3_identity(q0, (-1, 0), 0)
+        cone0.case3_identity(k0, (-1, 0), 0)
 
 
 def test_case3_identity_random(lat1):
     cone1 = EffectiveCone(lat1)
     rng = Lcg(123)
     for _ in range(200):
-        q0 = lat1.points[rng.below(lat1.size)]
+        k0 = rng.below(lat1.size)
         a = tuple(
-            0 if axis == q0.axis else rng.below(4)
+            0 if axis == lat1.axis_of[k0] else rng.below(4)
             for axis in range(1, lat1.config.r + 1)
         )
-        assert cone1.case3_identity(q0, a, rng.below(4))
+        assert cone1.case3_identity(k0, a, rng.below(4))
 
 
 def test_case3_identity_fails_on_wrong_generator_support(lat0):
     # the right-hand side is summed from the cone's own generator table, so
     # one wrong entry in gt[q0;1] must break the identity wherever it is used
     cone = EffectiveCone(lat0)
-    q0 = next(p for p in lat0.points if p.axis == 2)
-    g = oracle_generator_labels(lat0).index(f"gt[{q0.key};1]")
+    k0 = lat0.axis_of.index(2)
+    g = oracle_generator_labels(lat0).index(f"gt[{lat0.points[k0].key};1]")
     supports = list(cone.genset.supports)
     (k, x), *rest = supports[g]
     supports[g] = ((k, x + 1), *rest)
     cone.genset.supports = tuple(supports)
-    assert not cone.case3_identity(q0, (1, 0), 0)
-    assert not cone.case3_identity(q0, (3, 0), 2)
-    assert cone.case3_identity(q0, (0, 0), 1)  # gt[q0;1] takes no part
+    assert not cone.case3_identity(k0, (1, 0), 0)
+    assert not cone.case3_identity(k0, (3, 0), 2)
+    assert cone.case3_identity(k0, (0, 0), 1)  # gt[q0;1] takes no part
     with pytest.raises(RuntimeError):  # the search's re-sum guard agrees
-        cone.member(lat0.gamma(q0, 1))
+        cone.member(oracle_gamma(lat0, k0, 1))
 
 
 def test_member_has_no_degree_cap(cone0, lat0):
     # phi 121 is above the 10 * N = 110 that once capped the search; the
     # search ends anyway because phi >= 1 on every generator
     target = lat0.expand_in_basis((6, 5), (0,) * lat0.size)
-    assert cone0.phi(target) == 121
+    assert cone0.genset.phi(target) == 121
     dec = cone0.member(target)
     assert dec is not None
-    back = dec.resum(cone0.genset)
+    back = cone0.genset.resum(dec)
     assert (back.l, back.e) == (target.l, target.e)
 
 
 def test_unsound_decomposition_raises(cone0, lat0, monkeypatch):
-    from blowup_rigidity.cone import Decomposition
-
-    monkeypatch.setattr(Decomposition, "resum", lambda self, genset: zero_curve(lat0))
+    monkeypatch.setattr(GeneratorSet, "resum", lambda self, parts: zero_curve(lat0))
     # the message names the generators by label
     with pytest.raises(RuntimeError,
                        match=re.escape("unsound decomposition lt1 of C(l=[1, 0]")):
@@ -245,11 +246,11 @@ def test_unsound_decomposition_raises(cone0, lat0, monkeypatch):
 
 
 def test_decomposition_size_and_resum(cone0, lat0):
-    dec = cone0.member(lat0.line(1) + lat0.exc_curve(lat0.points[0]))
-    assert dec.size == 2
+    want = lat0.line(1) + lat0.exc_curve(0)
+    dec = cone0.member(want)
+    assert sum(m for _, m in dec) == 2
     assert _labelled(lat0, dec) == (("lt1", 1), ("e[1.1.0]", 1))
-    back = dec.resum(cone0.genset)
-    want = lat0.line(1) + lat0.exc_curve(lat0.points[0])
+    back = cone0.genset.resum(dec)
     assert (back.l, back.e) == (want.l, want.e)
 
 
@@ -263,7 +264,7 @@ def test_generator_set_json(cone0):
 
 
 def _mult_vector(cone, dec):
-    mults = dict(dec.parts)
+    mults = dict(dec)
     return [mults.get(g, 0) for g in range(len(cone.genset))]
 
 
@@ -271,24 +272,25 @@ def _rich_targets(lat):
     """Sums with many decompositions: lt_i plus every e_q on axis i equals
     gt[p;i] + e_p for each p off axis i, so these mix lines, repeated and
     distinct gammas of one block, and exceptional lines."""
-    p, p2 = [pt for pt in lat.points if pt.axis != 1][:2]
-    q = next(pt for pt in lat.points if pt.axis == 1)
+    p, p2 = [k for k, axis in enumerate(lat.axis_of) if axis != 1][:2]
+    q = lat.axis_of.index(1)
+    e = lat.exc_curve
 
     def closed(i):
         c = lat.line(i)
-        for pt in lat.points:
-            if pt.axis == i:
-                c = c + lat.exc_curve(pt)
+        for k, axis in enumerate(lat.axis_of):
+            if axis == i:
+                c = c + e(k)
         return c
 
     every = zero_curve(lat)
     for i in range(1, lat.config.r + 1):
         every = every + closed(i)
     return [
-        lat.gamma(p, 1).scale(2) + lat.gamma(p2, 1) + lat.exc_curve(p) + lat.exc_curve(q),
-        closed(1).scale(2) + lat.exc_curve(p) + lat.exc_curve(p2),
+        oracle_gamma(lat, p, 1).scale(2) + oracle_gamma(lat, p2, 1) + e(p) + e(q),
+        closed(1).scale(2) + e(p) + e(p2),
         every,
-        every + lat.exc_curve(q) + lat.exc_curve(p2).scale(2),
+        every + e(q) + e(p2).scale(2),
     ]
 
 
@@ -302,18 +304,18 @@ def test_decompositions_in_canonical_order(cone0, lat1):
             assert len(decs) >= 2
             vectors = [_mult_vector(cone, dec) for dec in decs]
             assert all(a > b for a, b in zip(vectors, vectors[1:]))
-            assert cone.member(target).parts == decs[0].parts
+            assert cone.member(target) == decs[0]
 
 
 def test_decompositions_match_naive_oracle_c1(lat1):
     cone1 = EffectiveCone(lat1)
-    p, p2 = [pt for pt in lat1.points if pt.axis != 1][:2]
-    single = lat1.gamma(p, 1).scale(2) + lat1.gamma(p2, 1)
+    p, p2 = [k for k, axis in enumerate(lat1.axis_of) if axis != 1][:2]
+    single = oracle_gamma(lat1, p, 1).scale(2) + oracle_gamma(lat1, p2, 1)
     for target in [single] + _rich_targets(lat1):
         decs = cone1.all_decompositions(target)
         fast = {frozenset(_labelled(lat1, dec)) for dec in decs}
         assert len(fast) == len(decs)
-        assert fast == naive_decompositions(cone1.genset, target, cone1.phi(target))
+        assert fast == naive_decompositions(cone1.genset, target, cone1.genset.phi(target))
 
 
 def test_cone_search_depth_n7_r7():
@@ -381,25 +383,28 @@ def test_phi_and_support_match_pointwise_oracles(which, request):
     for _ in range(100):
         vec = [x - 5 for x in rng.take(bounds)]
         c = lat.expand_in_basis(tuple(vec[:cfg.r]), tuple(vec[cfg.r:]))
-        assert cone.phi(c) == pointwise_phi(lat, c)
+        assert cone.genset.phi(c) == pointwise_phi(lat, c)
 
 
 def _lopsided_cone(config, monkeypatch):
     """A cone whose gamma gt[p;3], p the second point on axis 2, also carries
-    e_x for the third point x on axis 2: no swap on axis 2 that moves p or
+    e_x for the fourth point x on axis 2: no swap on axis 2 that moves p or
     x maps it onto a generator.  Returns the cone and that generator's
     index."""
-    honest = BlowupLattice.gamma
+    honest = BlowupLattice.gammas
     lat = BlowupLattice(config)
-    p, _, x = [q for q in lat.points if q.axis == 2][1:4]
+    p, _, x = [k for k, axis in enumerate(lat.axis_of) if axis == 2][1:4]
+    row = [k for k, axis in enumerate(lat.axis_of) if axis != 3].index(p)
 
-    def lopsided(self, q, i):
-        c = honest(self, q, i)
-        return c + self.exc_curve(x) if (q, i) == (p, 3) else c
+    def lopsided(self, i):
+        block = honest(self, i)
+        if i != 3:
+            return block
+        return block[:row] + (block[row] + self.exc_curve(x),) + block[row + 1:]
 
-    monkeypatch.setattr(BlowupLattice, "gamma", lopsided)
+    monkeypatch.setattr(BlowupLattice, "gammas", lopsided)
     cone = EffectiveCone(lat)
-    return cone, oracle_generator_labels(lat).index(f"gt[{p.key};3]")
+    return cone, oracle_generator_labels(lat).index(f"gt[{lat.points[p].key};3]")
 
 
 def _spy_extremal(monkeypatch, answers):
@@ -465,19 +470,50 @@ def test_run_all_builds_no_generator_label(c1, count_calls):
     assert calls == {"cone.generator_labels": 0}
 
 
+def test_run_all_builds_each_gamma_block_once(c1, monkeypatch):
+    # lattice_checks and GeneratorSet each ask for every axis's block, and
+    # both get the one cached object, whose classes the generator set holds
+    honest_gammas, honest_init = BlowupLattice.gammas, GeneratorSet.__init__
+    blocks: dict[int, list] = {}
+    gensets = []
+
+    def gammas(self, i):
+        block = honest_gammas(self, i)
+        blocks.setdefault(i, []).append(block)
+        return block
+
+    def init(self, lattice):
+        honest_init(self, lattice)
+        gensets.append(self)
+
+    monkeypatch.setattr(BlowupLattice, "gammas", gammas)
+    monkeypatch.setattr(GeneratorSet, "__init__", init)
+    assert run_all(c1, draws=20).exit_code == 0
+    (genset,) = gensets
+    assert sorted(blocks) == [1, 2, 3]
+    for i, (first, second) in blocks.items():
+        assert first is second
+        held = genset.classes[genset.blocks[i - 1]:genset.blocks[i]]
+        assert len(held) == len(first)
+        assert all(c is g for c, g in zip(held, first))
+
+
 def test_misplaced_gamma_is_missing_not_misread(c0, monkeypatch):
     # the first point off axis 1 gets the second one's gamma class; the
     # search reads each gamma's point off its class, so the first point has
     # no gamma and its true gamma is no member, where a point read off the
     # offsets would emit a decomposition that re-sums to the wrong class
-    honest = BlowupLattice.gamma
+    honest = BlowupLattice.gammas
     lat = BlowupLattice(c0)
-    p1, p2 = [p for p in lat.points if p.axis != 1][:2]
-    target = honest(lat, p1, 1)
-    monkeypatch.setattr(BlowupLattice, "gamma",
-                        lambda self, p, i: honest(self, p2 if (p, i) == (p1, 1) else p, i))
+    p1, p2 = [k for k, axis in enumerate(lat.axis_of) if axis != 1][:2]
+
+    def misplaced(self, i):
+        block = honest(self, i)
+        return block[1:2] + block[1:] if i == 1 else block
+
+    monkeypatch.setattr(BlowupLattice, "gammas", misplaced)
     cone = EffectiveCone(lat)
-    assert cone.member(target) is None
-    assert len(cone.all_decompositions(lat.gamma(p2, 1))) == 2  # held twice
+    assert cone.member(oracle_gamma(lat, p1, 1)) is None
+    assert len(cone.all_decompositions(oracle_gamma(lat, p2, 1))) == 2  # held twice
     by_id = {rec.check_id: rec.status for rec in cone_checks(cone, draws=50)}
     assert by_id["cone.generator_count"] == by_id["cone.case3_identity"] == "FAIL"

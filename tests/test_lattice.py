@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blowup_rigidity.checks import FAIL
-from blowup_rigidity.errors import AxisOutOfRange, ConfigMismatch, SameAxis
+from blowup_rigidity.errors import AxisOutOfRange, ConfigMismatch
 from blowup_rigidity.fieldgeom import Config, Lcg
 from blowup_rigidity.lattice import BlowupLattice, CurveClass, DivisorClass, lattice_checks
+from blowup_rigidity.report import run_all
 
-from oracles import dense_pairing
+from oracles import dense_pairing, oracle_gamma
 
 
 def divisor_from_array(lat, arr):
@@ -34,7 +35,7 @@ def zero_curve(lat):
 
 def divisor_basis(lat):
     return [lat.pullback_h(i) for i in range(1, lat.config.r + 1)] + [
-        lat.exc_divisor(p) for p in lat.points
+        lat.exc_divisor(k) for k in range(lat.size)
     ]
 
 
@@ -45,8 +46,7 @@ def blowup_canonical(lat):
 
 
 def test_basis_pairing_examples(lat0):
-    p = lat0.points[0]
-    assert lat0.intersect(lat0.exc_curve(p), lat0.exc_divisor(p)) == -1
+    assert lat0.intersect(lat0.exc_curve(0), lat0.exc_divisor(0)) == -1
     assert lat0.intersect(lat0.line(1), lat0.strict_h(1)) == 1
     # C0: n=2, s_2=3, so the cross pairing is -6
     assert lat0.intersect(lat0.line(2), lat0.strict_h(1)) == -6
@@ -59,14 +59,14 @@ def test_gram_blocks(lat0):
         li = lat0.line(i)
         for j in range(1, r + 1):
             assert lat0.intersect(li, lat0.pullback_h(j)) == (1 if i == j else 0)
-        for p in lat0.points:
-            assert lat0.intersect(li, lat0.exc_divisor(p)) == (1 if p.axis == i else 0)
-    for p in lat0.points:
-        ep = lat0.exc_curve(p)
+        for k, p in enumerate(lat0.points):
+            assert lat0.intersect(li, lat0.exc_divisor(k)) == (1 if p.axis == i else 0)
+    for k in range(lat0.size):
+        ep = lat0.exc_curve(k)
         for j in range(1, r + 1):
             assert lat0.intersect(ep, lat0.pullback_h(j)) == 0
-        for p2 in lat0.points:
-            assert lat0.intersect(ep, lat0.exc_divisor(p2)) == (-1 if p2 == p else 0)
+        for k2 in range(lat0.size):
+            assert lat0.intersect(ep, lat0.exc_divisor(k2)) == (-1 if k2 == k else 0)
 
 
 def test_strict_h_expansion(lat0):
@@ -90,10 +90,10 @@ def test_strict_h_empty_other_axis():
 
 def test_strict_h_exc_membership(lat0, lat1):
     for lat in (lat0, lat1):
-        for p in lat.points:
+        for k, p in enumerate(lat.points):
             for i in range(1, lat.config.r + 1):
                 want = 0 if p.axis == i else 1
-                assert lat.intersect(lat.exc_curve(p), lat.strict_h(i)) == want
+                assert lat.intersect(lat.exc_curve(k), lat.strict_h(i)) == want
 
 
 def test_all_strict_h_identities(lat0, lat1):
@@ -106,28 +106,28 @@ def test_all_strict_h_identities(lat0, lat1):
 
 
 def test_gamma_class_identities(lat0, lat1):
+    # block i holds gt[p;i] for each p off axis i, in point order
     for lat in (lat0, lat1):
         cfg = lat.config
         for i in range(1, cfg.r + 1):
             unit = tuple(1 if k == i else 0 for k in range(1, cfg.r + 1))
-            for p in lat.points:
-                if p.axis == i:
-                    with pytest.raises(SameAxis):
-                        lat.gamma(p, i)
-                    continue
-                g = lat.gamma(p, i)
-                assert lat.intersect(g, lat.exc_divisor(p)) == 1
-                for p2 in lat.points:
-                    if p2 != p:
-                        assert lat.intersect(g, lat.exc_divisor(p2)) == 0
+            off_axis = [k for k, p in enumerate(lat.points) if p.axis != i]
+            block = lat.gammas(i)
+            assert len(block) == len(off_axis)
+            for k, g in zip(off_axis, block):
+                want = oracle_gamma(lat, k, i)
+                assert (g.l, g.e) == (want.l, want.e)
+                for k2 in range(lat.size):
+                    assert lat.intersect(g, lat.exc_divisor(k2)) == (k2 == k)
                 assert lat.pushforward(g) == unit
+    with pytest.raises(AxisOutOfRange):
+        lat0.gammas(3)
 
 
 def test_pushforward(lat0):
-    p = lat0.points[3]
     assert lat0.pushforward(lat0.line(1)) == (1, 0)
-    assert lat0.pushforward(lat0.exc_curve(p)) == (0, 0)
-    combo = lat0.line(1) + lat0.line(2).scale(2) + lat0.exc_curve(p).scale(-5)
+    assert lat0.pushforward(lat0.exc_curve(3)) == (0, 0)
+    combo = lat0.line(1) + lat0.line(2).scale(2) + lat0.exc_curve(3).scale(-5)
     assert lat0.pushforward(combo) == (1, 2)
 
 
@@ -135,13 +135,12 @@ def test_expand_in_basis(lat0):
     zero = lat0.expand_in_basis((0, 0), (0,) * lat0.size)
     assert (zero.l, zero.e) == ((0, 0), (0,) * lat0.size)
     # excess 1 at one axis-1 point: the expansion drops that point's term
-    p = lat0.points[1]
-    eps = tuple(1 if pt == p else 0 for pt in lat0.points)
+    eps = tuple(1 if k == 1 else 0 for k in range(lat0.size))
     got = lat0.expand_in_basis((1, 0), eps)
     want = lat0.line(1)
-    for q in lat0.points:
-        if q.axis == 1 and q != p:
-            want = want + lat0.exc_curve(q)
+    for k, q in enumerate(lat0.points):
+        if q.axis == 1 and k != 1:
+            want = want + lat0.exc_curve(k)
     assert (got.l, got.e) == (want.l, want.e)
 
 
@@ -153,8 +152,8 @@ def test_expand_in_basis_random_recovery(lat1):
         c = lat1.expand_in_basis(a, eps)
         assert lat1.pushforward(c) == a
         assert all(
-            lat1.intersect(c, lat1.exc_divisor(p)) == ep
-            for p, ep in zip(lat1.points, eps)
+            lat1.intersect(c, lat1.exc_divisor(k)) == ep
+            for k, ep in enumerate(eps)
         )
 
 
@@ -176,8 +175,8 @@ def test_blowup_canonical_value(lat0, lat1):
     # standard blow-up formula: pairing with any exceptional line is -(r-1)
     for lat in (lat0, lat1):
         ky = blowup_canonical(lat)
-        for p in lat.points:
-            assert lat.intersect(lat.exc_curve(p), ky) == -(lat.config.r - 1)
+        for k in range(lat.size):
+            assert lat.intersect(lat.exc_curve(k), ky) == -(lat.config.r - 1)
 
 
 def test_bilinearity_random(lat0):
@@ -197,7 +196,7 @@ def test_bilinearity_random(lat0):
 
 
 def test_array_round_trip(lat0):
-    c = lat0.gamma(lat0.points[5], 1)
+    c = lat0.gammas(1)[1]  # the second point off axis 1, at position 5
     back = lat0.curve_from_array(c.to_array())
     assert (back.l, back.e) == (c.l, c.e)
     d = lat0.strict_h(2)
@@ -228,9 +227,8 @@ def test_config_mismatch(lat0, lat1):
 
 
 def test_exc_pairings_row(lat0, lat1):
-    p = lat0.points[3]
-    assert lat0.exc_pairings(lat0.exc_curve(p)) == tuple(
-        -1 if q == p else 0 for q in lat0.points
+    assert lat0.exc_pairings(lat0.exc_curve(3)) == tuple(
+        -1 if k == 3 else 0 for k in range(lat0.size)
     )
     assert lat0.exc_pairings(lat0.line(2)) == tuple(
         1 if q.axis == 2 else 0 for q in lat0.points
@@ -242,7 +240,7 @@ def test_exc_pairings_row(lat0, lat1):
 
 def test_divisor_support(lat0):
     assert lat0.pullback_h(1).support == ()
-    assert lat0.exc_divisor(lat0.points[4]).support == (4,)
+    assert lat0.exc_divisor(4).support == (4,)
     h1 = lat0.strict_h(1)
     assert h1.support == tuple(k for k, p in enumerate(lat0.points) if p.axis != 1)
     assert divisor_sum(lat0, (1, h1), (-1, h1)).support == ()
@@ -260,9 +258,9 @@ def test_intersect_matches_dense_reference(lat0, lat1, data):
         d = divisor_from_array(lat, data.draw(st.lists(coefficients, min_size=width, max_size=width)))
         assert lat.intersect(c, d) == dense_pairing(lat, c, d)
         row = lat.exc_pairings(c)
-        for k, p in enumerate(lat.points):
-            assert row[k] == lat.intersect(c, lat.exc_divisor(p))
-            assert row[k] == dense_pairing(lat, c, lat.exc_divisor(p))
+        for k in range(lat.size):
+            assert row[k] == lat.intersect(c, lat.exc_divisor(k))
+            assert row[k] == dense_pairing(lat, c, lat.exc_divisor(k))
 
 
 def statuses(lat, draws=20):
@@ -313,10 +311,18 @@ def test_wrong_basis_divisor_fails_pairing_blocks(c0, which, monkeypatch):
 
 
 def test_basis_classes_built_once(lat0):
-    p = lat0.points[3]
-    for build, arg in ((lat0.line, 1), (lat0.exc_curve, p), (lat0.strict_h, 2),
-                       (lat0.pullback_h, 1), (lat0.exc_divisor, p)):
+    for build, arg in ((lat0.line, 1), (lat0.exc_curve, 3), (lat0.strict_h, 2),
+                       (lat0.pullback_h, 1), (lat0.exc_divisor, 3), (lat0.gammas, 2)):
         assert build(arg) is build(arg)
+
+
+def test_run_all_builds_no_basis_label(c1, count_calls):
+    # pairing labels are only for pairing-table output and for FAIL text
+    calls = count_calls("lattice.BlowupLattice.divisor_labels",
+                        "lattice.BlowupLattice.curve_labels")
+    assert run_all(c1, draws=20).exit_code == 0
+    assert calls == {"lattice.BlowupLattice.divisor_labels": 0,
+                     "lattice.BlowupLattice.curve_labels": 0}
 
 
 @pytest.mark.parametrize("which, check_ids", [

@@ -10,7 +10,7 @@ import pytest
 
 from blowup_rigidity import fieldgeom, rigidity, vectorfields
 from blowup_rigidity.checks import CLAIMS, CheckRecord, make_record
-from blowup_rigidity.cone import Decomposition, EffectiveCone, GeneratorSet
+from blowup_rigidity.cone import EffectiveCone, GeneratorSet
 from blowup_rigidity.errors import UnknownCheckId
 from blowup_rigidity.fieldgeom import Config, next_valid_q
 from blowup_rigidity.lattice import BlowupLattice, DivisorClass
@@ -112,8 +112,8 @@ def test_run_all_tests_one_generator_per_orbit(c1, count_calls):
 
 # Each sabotage breaks one input of one check and never its expected value.
 REAL_PHI = GeneratorSet.phi
-REAL_RESUM = Decomposition.resum
-REAL_GAMMA = BlowupLattice.gamma
+REAL_RESUM = GeneratorSet.resum
+REAL_GAMMAS = BlowupLattice.gammas
 REAL_BUILD_GRAPH = rigidity.build_graph
 REAL_CENSUS = rigidity.census
 REAL_G_ACTION = fieldgeom.g_action
@@ -144,22 +144,20 @@ def iter_repeating_a_gamma(genset):
     return iter(classes)
 
 
-def gamma_of_the_next_point(lattice, p, i):
+def gamma_of_the_next_point(lattice, i):
     # the first point off axis i gets the gamma of the second one, so the
     # generator set holds that gamma twice and the first point's not at all
-    eligible = [x for x in lattice.points if x.axis != i]
-    if p == eligible[0]:
-        p = eligible[1]
-    return REAL_GAMMA(lattice, p, i)
+    block = REAL_GAMMAS(lattice, i)
+    return block[1:2] + block[1:]
 
 
 def phi_minus_one(genset, c):
     return REAL_PHI(genset, c) - 1
 
 
-def resum_of_positive_parts(dec, genset):
+def resum_of_positive_parts(genset, parts):
     # drops the parts of non-positive multiplicity, which no search emits
-    return REAL_RESUM(Decomposition(tuple((g, m) for g, m in dec.parts if m > 0)), genset)
+    return REAL_RESUM(genset, tuple((g, m) for g, m in parts if m > 0))
 
 
 def build_graph_with_an_isolated_vertex(config):
@@ -217,10 +215,10 @@ def assemble_system_without_the_last_axis_own_rows(config):
     ("cone.generators_extremal", EffectiveCone, "is_extremal", lambda cone, c: False),
     ("cone.sample_splits", EffectiveCone, "two_part_decompositions", lambda cone, c: []),
     ("cone.case2_membership", EffectiveCone, "member", lambda cone, c: None),
-    ("cone.case3_identity", Decomposition, "resum", resum_of_positive_parts),
-    ("lattice.gamma_pairings", BlowupLattice, "gamma", gamma_of_the_next_point),
-    ("cone.generator_count", BlowupLattice, "gamma", gamma_of_the_next_point),
-    ("cone.case3_identity", BlowupLattice, "gamma", gamma_of_the_next_point),
+    ("cone.case3_identity", GeneratorSet, "resum", resum_of_positive_parts),
+    ("lattice.gamma_pairings", BlowupLattice, "gammas", gamma_of_the_next_point),
+    ("cone.generator_count", BlowupLattice, "gammas", gamma_of_the_next_point),
+    ("cone.case3_identity", BlowupLattice, "gammas", gamma_of_the_next_point),
     ("rigidity.components", rigidity, "build_graph", build_graph_with_an_isolated_vertex),
     ("rigidity.census_divisors", rigidity, "census", census_one_more_curve_on_a_divisor),
     ("rigidity.census_gammas", rigidity, "census", census_one_more_divisor_on_a_gamma),

@@ -4,6 +4,7 @@ import ast
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +55,70 @@ def test_asserts_detects_an_assert():
 def test_no_assert_in_package(module):
     # `python -O` strips assert, so no verdict or guard may rest on one
     assert asserts((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def unreferenced_definitions(defining: dict[str, str], reading: list[str]) -> list[str]:
+    """The non-dunder functions and classes defined in the `defining`
+    sources (file name -> text) that no source in `defining` or `reading`
+    names outside their own definition, as "<file name>:<name>".
+
+    A name counts where the code reads it, as a name or an attribute, and
+    inside any string that is not a docstring, such as a trace target; a
+    definition's calls to itself do not count."""
+    used: set[str] = set()
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+    def visit(node, inside: frozenset, docstring=None) -> None:
+        if isinstance(node, scopes):
+            if node.body and isinstance(node.body[0], ast.Expr):
+                docstring = node.body[0].value
+            if not isinstance(node, ast.Module):
+                inside = inside | {node.name}
+        name = None
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node is not docstring:
+                used.update(re.findall(r"\w+", node.value))
+        if name is not None and name not in inside:
+            used.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside, docstring)
+
+    defined = []
+    for source, text in defining.items():
+        tree = ast.parse(text)
+        defined += [(source, node.name) for node in ast.walk(tree)
+                    if isinstance(node, scopes[1:])
+                    and not (node.name.startswith("__") and node.name.endswith("__"))]
+        visit(tree, frozenset())
+    for text in reading:
+        visit(ast.parse(text), frozenset())
+    return [f"{source}:{name}" for source, name in defined if name not in used]
+
+
+def test_unreferenced_definitions_detects_a_leftover():
+    defining = {"m.py": (
+        "class Kept:\n"
+        "    def read(self):\n"
+        "        'helper and traced named in a docstring'\n"
+        "        return 1\n\n"
+        "def helper(n):\n"
+        "    return helper(n - 1) if n else Kept().read()\n\n"
+        "def traced():\n"
+        "    return 0\n")}
+    assert unreferenced_definitions(defining, []) == ["m.py:helper", "m.py:traced"]
+    assert unreferenced_definitions(defining, ["TARGETS = ['m.traced']\nhelper(2)\n"]) == []
+
+
+def test_every_package_definition_is_named_in_the_program():
+    # a function or class that only the tests use belongs in the tests
+    defining = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    reading = [path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unreferenced_definitions(defining, reading) == []
 
 
 def record_ids(source: str) -> list[str | None]:

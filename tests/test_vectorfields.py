@@ -47,7 +47,6 @@ def test_kernel_c0(c0):
     res = derivation_kernel(c0)
     assert res.dimension == 2
     assert res.rank == 6
-    assert res.basis_is_scalar()
     assert res.nonscalar_witness() is None
     # the basis is exactly {(I, 0), (0, I)}
     assert sorted(res.basis) == sorted(
@@ -59,7 +58,7 @@ def test_kernel_c1(c1):
     res = derivation_kernel(c1)
     assert res.dimension == 3
     assert res.rank == 9
-    assert res.basis_is_scalar()
+    assert res.nonscalar_witness() is None
 
 
 def test_kernel_degenerate_single_direction():
@@ -71,7 +70,6 @@ def test_kernel_degenerate_single_direction():
     ]
     res = kernel_of_rows(rows, r=2, q=q)
     assert res.dimension == 6
-    assert not res.basis_is_scalar()
     assert res.nonscalar_witness() is not None
 
 
@@ -141,7 +139,7 @@ def test_rank_is_three_per_block(sweep_configs):
         res = derivation_kernel(cfg)
         assert res.rank == 3 * cfg.r
         assert res.dimension == cfg.r
-        assert res.basis_is_scalar()
+        assert res.nonscalar_witness() is None
 
 
 # --- the block reduction against the dense oracle ----------------------
