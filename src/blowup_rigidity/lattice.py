@@ -101,6 +101,9 @@ class BlowupLattice:
             raise AxisOutOfRange(f"axis {i} outside 1..{self.config.r}")
 
     def _unit(self, length: int, idx: int) -> tuple[int, ...]:
+        # a position outside the basis would give a zero class, and cache it
+        if not 0 <= idx < length:
+            raise IndexError(f"position {idx} outside 0..{length - 1}")
         return tuple(1 if j == idx else 0 for j in range(length))
 
     # divisor side -----------------------------------------------------

@@ -310,6 +310,20 @@ def test_wrong_basis_divisor_fails_pairing_blocks(c0, which, monkeypatch):
     assert rec.computed == PAIRING_BLOCKS_MISMATCHES[which]
 
 
+def test_point_position_out_of_range(lat0):
+    for build in (lat0.exc_curve, lat0.exc_divisor):
+        for k in (-1, lat0.size):
+            with pytest.raises(IndexError):
+                build(k)
+
+
+def test_short_gamma_block_fails_gamma_pairings(c0, monkeypatch):
+    # every class left is right, so only the block's length can tell
+    honest = BlowupLattice.gammas
+    monkeypatch.setattr(BlowupLattice, "gammas", lambda self, i: honest(self, i)[:-1])
+    assert statuses(BlowupLattice(c0))["lattice.gamma_pairings"] == FAIL
+
+
 def test_basis_classes_built_once(lat0):
     for build, arg in ((lat0.line, 1), (lat0.exc_curve, 3), (lat0.strict_h, 2),
                        (lat0.pullback_h, 1), (lat0.exc_divisor, 3), (lat0.gammas, 2)):
