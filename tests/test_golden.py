@@ -63,6 +63,18 @@ GOLDEN = [
      "8c80335dd34a76f7c5a75c4ec0748c10e4445a2c746755a76b8944538a170411"),
 ]
 
+# `verify` stdout for base tables that the marked set refuses: each stops at
+# a config.delta FAIL record and exits 1.  12 = zeta * 1 mod 13 lies in the
+# orbit of axis 1's first entry.
+INVALID_BASES = {
+    "zero_base": [[1, 0], [3, 4, 5]],
+    "orbit_collision": [[1, 12], [3, 4, 5]],
+}
+GOLDEN_INVALID_BASE = {
+    "zero_base": "c3bb9c6382ab840b055385a8b9ea513191143672dfd555001bf21e2df3129dea",
+    "orbit_collision": "19190cafc6783e693855a4cd659c53a98bc57ada02bf690692a6cebaa4e2e110",
+}
+
 # `verify --q-extra` stdout with a large second field, so that its base is
 # drawn among thousands of scaling orbits; keyed by (config, q2, seed), the
 # seed being added to the config file so that it moves the second-field draws
@@ -124,6 +136,15 @@ def test_cli_stdout_sha256(name, argv, digest, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.endswith("\n")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_INVALID_BASE))
+def test_verify_invalid_base_sha256(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(dict(CONFIGS["C0"], base=INVALID_BASES[name])))
+    assert main(["verify", "--config", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_INVALID_BASE[name]
 
 
 @pytest.mark.parametrize(
