@@ -13,7 +13,7 @@ import sys
 
 from .cone import EffectiveCone, generator_labels
 from .errors import BlowupError
-from .fieldgeom import Config, generate_config, structural_problems
+from .fieldgeom import Config, generate_config, point_keys, structural_problems
 from .lattice import BlowupLattice
 from .report import SweepCase, product_cases, run_all, sweep
 from .rigidity import build_graph, geometric_automorphisms, verify_rigidity
@@ -204,7 +204,7 @@ def cmd_vector_fields(args) -> int:
     if args.matrix:
         # the rows come in assemble_system's order: points outer, axes inner
         r = config.r
-        tags = [f"p[{p.key}]@axis{axis}" for p in config.delta for axis in range(1, r + 1)]
+        tags = [f"p[{key}]@axis{axis}" for key in point_keys(config) for axis in range(1, r + 1)]
         rows = [
             {"tag": tag, "coeffs": [0] * (4 * block - 4) + list(entries) + [0] * (4 * (r - block))}
             for tag, (block, entries) in zip(tags, kernel.rows)
@@ -240,7 +240,6 @@ def _cases_from_spec(raw) -> list[SweepCase]:
             raise UsageError("sweep spec: 'cases' must be a list")
         if not raw["cases"]:
             raise UsageError("sweep spec: 'cases' is empty, so no case would run")
-        first: dict[str, int] = {}  # rows are keyed by case: one row per key
         out = []
         for idx, case in enumerate(raw["cases"]):
             where = f"case {idx}"
@@ -256,9 +255,6 @@ def _cases_from_spec(raw) -> list[SweepCase]:
                     seed=_spec_value(where, case, "seed", _is_int, seed),
                 )
             )
-            seen = first.setdefault(out[-1].key, idx)
-            if seen != idx:
-                raise UsageError(f"sweep spec: {where} repeats case {seen}")
         return out
     if "n" in raw and "r" in raw:
         ns = _spec_value("the spec", raw, "n", _is_int_list)

@@ -45,6 +45,11 @@ class NotEffective(BlowupError):
     """A curve class is not a nonnegative combination of the generators."""
 
 
+class UnsoundDecomposition(BlowupError):
+    """A cone search produced a decomposition that does not re-sum to its
+    target."""
+
+
 class AmbiguousProfile(BlowupError):
     """Incidence profiles do not pin the components apart."""
 
@@ -54,7 +59,8 @@ class NonGeneric(BlowupError):
 
 
 class InvalidSetting(BlowupError, ValueError):
-    """A run setting (the draw count) is out of range."""
+    """A run setting is out of range: a draw count below 1, or a sweep case
+    given twice."""
 
 
 class UnknownCheckId(BlowupError):

@@ -8,6 +8,12 @@ scaling z -> zeta*z, all avoiding 0.  A marked point of the ambient product
 of projective lines has coordinate [1:z] at its own axis and [0:1]
 everywhere else, so it is stored as its own-axis affine coordinate z.
 
+A marked point is named by (axis, orbit, torsion), and in that order by its
+position k: config.delta holds the coordinates z by position and
+config.axis_of the axes.  Each axis is one range of n * s_i positions, so a
+point's torsion is k mod n.  The keys axis.orbit.torsion are built by
+point_keys only for output and FAIL text.
+
 The symmetries of an axis are the scalings z -> mu*z, which fix [0:1]
 and [1:0]; a scaling is stored as its factor mu.
 """
@@ -77,39 +83,6 @@ def format_map(mu: int) -> str:
     """The scaling z -> mu*z as its canonical matrix [[1,0],[0,mu]], which
     acts by [u:v] -> [u : mu*v]."""
     return f"[[1,0],[0,{mu}]]"
-
-
-class DeltaPoint:
-    """A marked point: axis and orbit are 1-based, torsion runs 0..n-1.
-
-    coord is the point's own-axis affine coordinate z = zeta^torsion * base
-    mod q, standing for [1:z]; at every other axis the point sits at [0:1].
-    Points compare and hash by all four fields.
-    """
-
-    __slots__ = ("axis", "orbit", "torsion", "coord")
-
-    def __init__(self, axis: int, orbit: int, torsion: int, coord: int):
-        self.axis = axis
-        self.orbit = orbit
-        self.torsion = torsion
-        self.coord = coord
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.axis, self.orbit, self.torsion, self.coord) == (
-            other.axis, other.orbit, other.torsion, other.coord)
-
-    def __hash__(self):
-        return hash((self.axis, self.orbit, self.torsion, self.coord))
-
-    @property
-    def key(self) -> str:
-        return f"{self.axis}.{self.orbit}.{self.torsion}"
-
-    def __repr__(self):
-        return f"p[{self.key}]=[1:{self.coord}]"
 
 
 def shape_problems(n, r, s) -> list[str]:
@@ -209,15 +182,18 @@ class Config:
         return (f"Config(n={self.n!r}, r={self.r!r}, s={self.s!r}, q={self.q!r}, "
                 f"zeta={self.zeta!r}, base={self.base!r}, seed={self.seed!r})")
 
-    @property
-    def delta_size(self) -> int:
-        return self.n * sum(self.s)
+    @functools.cached_property
+    def delta(self) -> tuple[int, ...]:
+        """The marked coordinates by position (build_delta); raises ZeroBase
+        or OrbitCollision for a bad base table."""
+        return build_delta(self)
 
     @functools.cached_property
-    def delta(self) -> tuple[DeltaPoint, ...]:
-        """The marked points (build_delta); raises ZeroBase or OrbitCollision
-        for a bad base table."""
-        return build_delta(self)
+    def axis_of(self) -> tuple[int, ...]:
+        """The axis of each marked point, by position: n * len(base[i - 1])
+        positions of axis i, one range per axis in axis order."""
+        return tuple(axis for axis, b in enumerate(self.base, start=1)
+                     for _ in range(self.n * len(b)))
 
     @functools.cached_property
     def stabilizers(self) -> tuple[tuple[int, ...], ...]:
@@ -276,16 +252,16 @@ def orbit_labels(n: int, q: int, zeta: int) -> tuple[int, ...]:
     return tuple(labels)
 
 
-def build_delta(config: Config) -> tuple[DeltaPoint, ...]:
-    """All marked points in (axis, orbit, torsion) lexicographic order.
+def build_delta(config: Config) -> tuple[int, ...]:
+    """The own-axis coordinate zeta^torsion * base of every marked point, in
+    (axis, orbit, torsion) lexicographic order.
 
     Two nonzero entries b', b of an axis lie in one scaling orbit exactly
     when (b'/b)^n = 1: zeta has exact order n, so its powers are all the
     n-th roots of unity in F_q^*."""
     n, q, zeta = config.n, config.q, config.zeta
-    points = []
-    for axis in range(1, config.r + 1):
-        axis_base = config.base[axis - 1]
+    coords = []
+    for axis, axis_base in enumerate(config.base, start=1):
         for orbit, b in enumerate(axis_base, start=1):
             if b % q == 0:
                 raise ZeroBase(f"axis {axis} orbit {orbit}: base coordinate is 0")
@@ -294,27 +270,33 @@ def build_delta(config: Config) -> tuple[DeltaPoint, ...]:
                 raise OrbitCollision(
                     f"axis {axis}: base {b} lies in an already-used orbit"
                 )
-            for torsion in range(n):
-                coord = b * pow(zeta, torsion, q) % q
-                points.append(DeltaPoint(axis, orbit, torsion, coord))
-    return tuple(points)
+            coords += (b * pow(zeta, torsion, q) % q for torsion in range(n))
+    return tuple(coords)
 
 
-def g_action(config: Config, g: tuple[int, ...], p: DeltaPoint) -> DeltaPoint:
-    """Apply the torsion tuple g: shift p's torsion by g at p's own axis."""
+def point_keys(config: Config) -> list[str]:
+    """Each marked point's key axis.orbit.torsion, by position."""
+    return [f"{axis}.{orbit}.{torsion}"
+            for axis, axis_base in enumerate(config.base, start=1)
+            for orbit in range(1, len(axis_base) + 1)
+            for torsion in range(config.n)]
+
+
+def g_action(config: Config, g: tuple[int, ...], k: int) -> int:
+    """Apply the torsion tuple g to the point at position k: its torsion
+    k mod n shifted by g at its own axis, within its orbit's n positions."""
     if len(g) != config.r:
         raise ValueError(f"g has {len(g)} entries, expected {config.r}")
-    shift = g[p.axis - 1] % config.n
-    torsion = (p.torsion + shift) % config.n
-    b = config.base[p.axis - 1][p.orbit - 1]
-    coord = b * pow(config.zeta, torsion, config.q) % config.q
-    return DeltaPoint(p.axis, p.orbit, torsion, coord)
+    n = config.n
+    torsion = k % n
+    return k - torsion + (torsion + g[config.axis_of[k] - 1]) % n
 
 
 def delta_permutation(
-    config: Config, g: tuple[int, ...], delta: tuple[DeltaPoint, ...]
-) -> dict[DeltaPoint, DeltaPoint]:
-    return {p: g_action(config, g, p) for p in delta}
+    config: Config, g: tuple[int, ...], positions
+) -> tuple[int, ...]:
+    """The images under the torsion tuple g of the points at positions."""
+    return tuple(g_action(config, g, k) for k in positions)
 
 
 def stabilizer_of_axis(config: Config, axis: int) -> list[int]:
@@ -329,7 +311,7 @@ def stabilizer_of_axis(config: Config, axis: int) -> list[int]:
     |S| candidates, each checked against all of S.
     """
     q = config.q
-    coords = [p.coord for p in config.delta if p.axis == axis]
+    coords = [z for z, a in zip(config.delta, config.axis_of) if a == axis]
     marked = frozenset(coords)
     z1_inv = pow(coords[0], -1, q)
     found = []
@@ -574,47 +556,33 @@ def validate_config(config: Config) -> list["CheckRecord"]:
         )
         return records
 
-    sizes = [sum(1 for p in delta if p.axis == i) for i in range(1, config.r + 1)]
-    coords = {(p.axis, p.coord) for p in delta}
-    closed = all((p.axis, p.coord * config.zeta % config.q) in coords for p in delta)
-    # [1:z] is never [0:1], and it is [1:0] exactly when z = 0
-    off_fixed = all(p.coord != 0 for p in delta)
-    distinct = len(coords) == len(delta)
-    delta_ok = (
-        len(delta) == config.delta_size
-        and sizes == [config.n * si for si in config.s]
-        and closed
-        and off_fixed
-        and distinct
-    )
-    records.append(
-        make_record(
-            "config.delta",
-            PASS if delta_ok else FAIL,
-            {"total": len(delta), "per_axis": sizes, "orbit_closed": closed,
-             "off_fixed_points": off_fixed, "distinct": distinct},
-            {"total": config.delta_size,
-             "per_axis": [config.n * si for si in config.s],
-             "orbit_closed": True, "off_fixed_points": True, "distinct": True},
-        )
-    )
+    n, r, axis_of = config.n, config.r, config.axis_of
+    coords = set(zip(axis_of, delta))
+    closed = all((axis, z * config.zeta % config.q) in coords for axis, z in coords)
+    computed = {"total": len(delta), "per_axis": [axis_of.count(i) for i in range(1, r + 1)],
+                "orbit_closed": closed,
+                # [1:z] is never [0:1], and it is [1:0] exactly when z = 0
+                "off_fixed_points": all(delta), "distinct": len(coords) == len(delta)}
+    expected = {"total": n * sum(config.s), "per_axis": [n * si for si in config.s],
+                "orbit_closed": True, "off_fixed_points": True, "distinct": True}
+    records.append(make_record("config.delta", PASS if computed == expected else FAIL,
+                               computed, expected))
 
-    identity = tuple(0 for _ in range(config.r))
-    id_ok = all(g_action(config, identity, p) == p for p in delta)
+    positions = range(len(delta))
+    id_ok = all(g_action(config, (0,) * r, k) == k for k in positions)
     rng = Lcg(0xACC)
     comp_ok = True
     for _ in range(20):
-        g = tuple(rng.below(config.n) for _ in range(config.r))
-        h = tuple(rng.below(config.n) for _ in range(config.r))
-        gh = tuple((a + b) % config.n for a, b in zip(g, h))
-        for p in delta:
-            if g_action(config, gh, p) != g_action(config, g, g_action(config, h, p)):
+        g = tuple(rng.below(n) for _ in range(r))
+        h = tuple(rng.below(n) for _ in range(r))
+        gh = tuple((a + b) % n for a, b in zip(g, h))
+        for k in positions:
+            if g_action(config, gh, k) != g_action(config, g, g_action(config, h, k)):
                 comp_ok = False
     orbit_ok = all(
-        len({g_action(config, tuple(k if i == p.axis - 1 else 0 for i in range(config.r)), p)
-             for k in range(config.n)})
-        == config.n
-        for p in delta
+        len({g_action(config, tuple(t if i == axis else 0 for i in range(1, r + 1)), k)
+             for t in range(n)}) == n
+        for k, axis in enumerate(axis_of)
     )
     action_ok = id_ok and comp_ok and orbit_ok
     records.append(

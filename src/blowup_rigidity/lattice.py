@@ -3,8 +3,9 @@
 Divisor classes are integer vectors over (pullback hyperplanes pi*(H_1..H_r),
 exceptional divisors E_p); curve classes over (strict line transforms
 lt_1..lt_r, exceptional lines e_p).  The marked points are ordered by
-(axis, orbit, torsion), a point is its position k in that order, and all
-coefficients are exact Python integers.
+(axis, orbit, torsion), a point is its position k in that order, and the
+lattice reads only each position's axis (config.axis_of), never a
+coordinate.  All coefficients are exact Python integers.
 
 Pairing rules, extended bilinearly:
 
@@ -18,7 +19,8 @@ of its nonzero E-coefficients when it is built, and `intersect` walks only
 those, so pairing with a basis divisor or a pullback costs O(r).
 The gt[p;i] of the points p off axis i form axis i's gamma block.  Basis
 classes and blocks are built once per lattice and shared with the cone;
-labels are built only for output and FAIL text.
+labels (from fieldgeom.point_keys) are built only for output and FAIL
+text.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import itertools
 
 from .checks import FAIL, PASS, CheckRecord, make_record
 from .errors import AxisOutOfRange, ConfigMismatch
-from .fieldgeom import Config, Lcg, config_seed
+from .fieldgeom import Config, Lcg, config_seed, point_keys
 
 
 class DivisorClass:
@@ -82,10 +84,10 @@ class BlowupLattice:
 
     def __init__(self, config: Config):
         self.config = config
-        self.points = config.delta
-        self.axis_of = tuple(p.axis for p in self.points)
+        # config.delta raises for a base table with no marked set
+        self.size = len(config.delta)
+        self.axis_of = config.axis_of
         self._axis_index = tuple(axis - 1 for axis in self.axis_of)
-        self.size = len(self.points)
         # the basis classes, strict transforms and gamma blocks, each built
         # on first use
         self._basis: dict[tuple[str, int], DivisorClass | CurveClass | tuple] = {}
@@ -231,12 +233,12 @@ class BlowupLattice:
 
     def curve_labels(self) -> list[str]:
         return [f"lt{i}" for i in range(1, self.config.r + 1)] + [
-            f"e[{p.key}]" for p in self.points
+            f"e[{key}]" for key in point_keys(self.config)
         ]
 
     def divisor_labels(self) -> list[str]:
         return [f"piH{i}" for i in range(1, self.config.r + 1)] + [
-            f"E[{p.key}]" for p in self.points
+            f"E[{key}]" for key in point_keys(self.config)
         ]
 
     def curve_from_array(self, arr: list[int]) -> CurveClass:

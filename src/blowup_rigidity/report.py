@@ -242,7 +242,13 @@ def sweep(
     """One report per case; failures in one case do not stop the others.
     Results are keyed and sorted, so the output is order-stable regardless
     of worker completion order.  More than one job runs the cases in forked
-    workers, or serially where the process cannot fork safely."""
+    workers, or serially where the process cannot fork safely.  A repeated
+    case key raises InvalidSetting, since a row is keyed by its case."""
+    first: dict[str, int] = {}
+    for idx, case in enumerate(cases):
+        seen = first.setdefault(case.key, idx)
+        if seen != idx:
+            raise InvalidSetting(f"sweep case {idx} repeats case {seen}")
     work = [(case, draws, extra_q) for case in cases]
     if jobs <= 1 or len(work) <= 1:
         rows = [_sweep_worker(w) for w in work]

@@ -3,19 +3,22 @@ geometric automorphism group.
 
 Components: the exceptional divisors E_p (dimension r-1), the strict line
 transforms (dimension 1), and the strict through-point lines (dimension 1).
-A component is only its index in the vertex order: the divisors by point,
-then the lines by axis, then the gammas by (axis, point).  The adjacency is
-tuples of those indices, found by offset from closed-form coordinate rules
-(stated at `build_graph`) instead of by testing every pair, and the census
-reads each kind as an index range.  Labels are built by `vertex_labels`
-only for graph output and error messages; the point-level oracle that
-re-derives each rule from all pairs lives in the test suite.
+A component is only its index in the vertex order: the divisors by point
+position, then the lines by axis, then the gammas by (axis, point
+position).  The adjacency is tuples of those indices, found by offset from
+closed-form coordinate rules (stated at `build_graph`) instead of by testing
+every pair, and the census reads each kind as an index range.  Labels are
+built by `vertex_labels` only for graph output and error messages; the
+point-level oracle that re-derives each rule from all pairs lives in the
+test suite.
 
 The automorphism group is checked per axis through its product structure:
 once pinning fixes the axis permutation, it is the direct product of the r
 per-axis scaling groups, so verify_rigidity compares each factor's action
 with the torsion shifts on that axis's marked points instead of listing
-the n^r elements (see its docstring for the argument).
+the n^r elements (see its docstring for the argument).  Both actions map
+point positions to point positions: the scalings by looking up the image
+coordinate in config.delta, the torsion shifts by position arithmetic.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from .checks import FAIL, PASS, WARN, make_record
 from .errors import AmbiguousProfile, NonGeneric
 from .fieldgeom import (
     Config,
-    DeltaPoint,
     delta_permutation,
     format_map,
+    point_keys,
     scaling_group,
     stabilizer_excess,
 )
@@ -41,9 +44,10 @@ def vertex_labels(config: Config) -> list[str]:
     """Each vertex's label, in vertex order: E[p] for the divisor over p,
     lt<i> for the axis-i line, gt[p;i] for the line through p with free
     axis i."""
-    delta, axes = config.delta, range(1, config.r + 1)
-    return ([f"E[{p.key}]" for p in delta] + [f"lt{i}" for i in axes]
-            + [f"gt[{p.key};{i}]" for i in axes for p in delta if p.axis != i])
+    keys, axes = point_keys(config), range(1, config.r + 1)
+    return ([f"E[{key}]" for key in keys] + [f"lt{i}" for i in axes]
+            + [f"gt[{key};{i}]" for i in axes
+               for key, axis in zip(keys, config.axis_of) if axis != i])
 
 
 class IncidenceGraph:
@@ -106,35 +110,35 @@ def build_graph(config: Config) -> IncidenceGraph:
     So E_p meets lt_{axis(p)} and gt[p;i] for i != axis(p); lt_i meets E_p
     for p on axis i and the other lines; gt[p;i] meets E_p and gt[q;axis(p)]
     for q on axis i.  Each neighbour tuple is ascending vertex indices,
-    found by offset: E_p is p's index in config.delta, where each axis's
-    points are one range, and the gammas of axis i are one block in delta
+    found by offset: E_p is p's position in config.delta, where each axis's
+    points are one range, and the gammas of axis i are one block in point
     order that skips axis i's range.
     """
-    delta = config.delta
-    d, r = len(delta), config.r
+    axis_of = config.axis_of
+    d, r = len(config.delta), config.r
     axes = range(1, r + 1)
     size = [config.n * len(b) for b in config.base]
-    # the points on axis i are delta[first[i - 1]:first[i]]
+    # the points on axis i are the positions first[i - 1] to first[i] - 1
     first = list(itertools.accumulate(size, initial=0))
     # the gammas of axis i are the vertices block[i - 1] to block[i] - 1
     block = list(itertools.accumulate((d - m for m in size), initial=d + r))
 
     def gamma(k: int, i: int) -> int:
-        """The index of gt[delta[k]; i]."""
+        """The index of gt[p; i] for the point p at position k."""
         return block[i - 1] + k - (size[i - 1] if k >= first[i] else 0)
 
     adjacency = [
-        (d + p.axis - 1, *(gamma(k, i) for i in axes if i != p.axis))
-        for k, p in enumerate(delta)
+        (d + axis - 1, *(gamma(k, i) for i in axes if i != axis))
+        for k, axis in enumerate(axis_of)
     ]
     adjacency += [
         (*range(first[i - 1], first[i]), *(d + j - 1 for j in axes if j != i))
         for i in axes
     ]
     for i in axes:
-        for k, p in enumerate(delta):
-            if p.axis != i:
-                start = gamma(first[i - 1], p.axis)
+        for k, axis in enumerate(axis_of):
+            if axis != i:
+                start = gamma(first[i - 1], axis)
                 adjacency.append((k, *range(start, start + size[i - 1])))
     return IncidenceGraph(config, tuple(adjacency), block)
 
@@ -219,19 +223,22 @@ def geometric_automorphisms(config: Config) -> list[tuple[int, ...]]:
 
 
 def geometric_permutation(
-    config: Config, g: tuple[int, ...], delta: tuple[DeltaPoint, ...]
-) -> dict[DeltaPoint, DeltaPoint]:
-    """Where the scalings g send each marked point, found by looking up the
-    image coordinate; independent of the torsion bookkeeping in
-    fieldgeom.delta_permutation, which it is compared against."""
-    by_coord = {(p.axis, p.coord): p for p in delta}
-    out = {}
-    for p in delta:
-        image = by_coord.get((p.axis, g[p.axis - 1] * p.coord % config.q))
+    config: Config, g: tuple[int, ...], positions
+) -> tuple[int, ...]:
+    """The images under the scalings g of the points at positions, found by
+    looking up each image coordinate among them; independent of the torsion
+    arithmetic in fieldgeom.delta_permutation, which it is compared
+    against."""
+    delta, axis_of, q = config.delta, config.axis_of, config.q
+    at = {(axis_of[k], delta[k]): k for k in positions}
+    images = []
+    for k in positions:
+        axis = axis_of[k]
+        image = at.get((axis, g[axis - 1] * delta[k] % q))
         if image is None:
             raise NonGeneric(f"scalings {list(g)} do not stabilize the marked set")
-        out[p] = image
-    return out
+        images.append(image)
+    return tuple(images)
 
 
 def _at_axis(config: Config, axis: int, value: int, rest: int) -> tuple[int, ...]:
@@ -257,13 +264,11 @@ def verify_rigidity(config: Config) -> list:
     points.  That is 2*n*|Delta| point maps in place of 2*n^r*|Delta|.
     """
     records = []
-    delta = config.delta
     graph = build_graph(config)
     cfg = config
+    size = len(cfg.delta)
 
-    expected_count = len(delta) + cfg.r + sum(
-        len(delta) - cfg.n * si for si in cfg.s
-    )
+    expected_count = size + cfg.r + sum(size - cfg.n * si for si in cfg.s)
     records.append(
         make_record(
             "rigidity.components",
@@ -339,15 +344,14 @@ def verify_rigidity(config: Config) -> list:
         factors = axis_scalings(config)
         action_match = True
         for axis, mus in enumerate(factors, start=1):
-            points = tuple(p for p in delta if p.axis == axis)
-            # one nonzero entry, at this axis; images listed in delta order
+            points = [k for k, a in enumerate(cfg.axis_of) if a == axis]
+            # one nonzero entry, at this axis; images listed in point order
             geometric = [
-                tuple(geometric_permutation(cfg, _at_axis(cfg, axis, mu, 1), points).values())
-                for mu in mus
+                geometric_permutation(cfg, _at_axis(cfg, axis, mu, 1), points) for mu in mus
             ]
             torsion = {
-                tuple(delta_permutation(cfg, _at_axis(cfg, axis, k, 0), points).values())
-                for k in range(cfg.n)
+                delta_permutation(cfg, _at_axis(cfg, axis, t, 0), points)
+                for t in range(cfg.n)
             }
             # faithful (no two scalings act alike) and every shift is hit
             action_match &= len(set(geometric)) == len(geometric) and set(geometric) == torsion

@@ -38,8 +38,8 @@ def assemble_system(config: Config) -> list[Row]:
     """One row per (marked point, axis), points outer and axes inner:
     |Delta| * r rows, duplicates allowed."""
     return [
-        eigen_constraint_row((1, p.coord) if axis == p.axis else (0, 1), axis, config.q)
-        for p in config.delta
+        eigen_constraint_row((1, z) if axis == own else (0, 1), axis, config.q)
+        for z, own in zip(config.delta, config.axis_of)
         for axis in range(1, config.r + 1)
     ]
 
@@ -152,7 +152,7 @@ def direction_counts(config: Config) -> list[int]:
     distinct own-axis coordinates plus the shared [0:1]."""
     counts = []
     for axis in range(1, config.r + 1):
-        coords = {p.coord for p in config.delta if p.axis == axis}
+        coords = {z for z, a in zip(config.delta, config.axis_of) if a == axis}
         counts.append(len(coords) + 1)
     return counts
 

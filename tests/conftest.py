@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from blowup_rigidity.cone import EffectiveCone
-from blowup_rigidity.fieldgeom import Config, build_delta
+from blowup_rigidity.fieldgeom import Config
 from blowup_rigidity.lattice import BlowupLattice
 from blowup_rigidity.report import product_cases, resolve_case
 
@@ -36,11 +36,6 @@ def lat1(c1) -> BlowupLattice:
 @pytest.fixture(scope="session")
 def cone0(lat0) -> EffectiveCone:
     return EffectiveCone(lat0)
-
-
-@pytest.fixture(scope="session")
-def delta0(c0):
-    return build_delta(c0)
 
 
 @pytest.fixture

@@ -6,7 +6,9 @@ search) so the main implementation is checked against code that shares none
 of its shortcuts.  The projective line and PGL2 arithmetic is its own: a
 point is a normalized pair (u, v) and a map a normalized matrix (a, b, c, d)
 acting by [u:v] -> [a*u + b*v : c*u + d*v], both scaled so that the first
-nonzero entry is 1.
+nonzero entry is 1.  So is the marked set: `marked_points` rebuilds it from
+the base table and zeta, never from the package's config.delta, axis_of or
+point_keys.
 """
 
 from __future__ import annotations
@@ -14,16 +16,8 @@ from __future__ import annotations
 import functools
 import itertools
 
-from blowup_rigidity.fieldgeom import (
-    Config,
-    DeltaPoint,
-    delta_permutation,
-)
-from blowup_rigidity.rigidity import (
-    IncidenceGraph,
-    geometric_automorphisms,
-    geometric_permutation,
-)
+from blowup_rigidity.fieldgeom import Config
+from blowup_rigidity.rigidity import IncidenceGraph, geometric_automorphisms
 
 
 def multiplicative_order(z: int, q: int) -> int:
@@ -136,33 +130,63 @@ def projective_line(q: int) -> list[tuple[int, int]]:
     return [(1, z) for z in range(q)] + [(0, 1)]
 
 
-def full_coords(p: DeltaPoint, r: int) -> tuple[tuple[int, int], ...]:
+# A marked point as (axis, orbit, torsion, coord): axis and orbit 1-based,
+# coord its own-axis coordinate z, standing for [1:z]
+Point = tuple[int, int, int, int]
+
+
+@functools.lru_cache(maxsize=None)
+def marked_points(config: Config) -> tuple[Point, ...]:
+    """The marked points in (axis, orbit, torsion) order, each orbit walked
+    from its base entry by repeated multiplication with zeta."""
+    points = []
+    for axis, axis_base in enumerate(config.base, start=1):
+        for orbit, b in enumerate(axis_base, start=1):
+            z = b % config.q
+            for torsion in range(config.n):
+                points.append((axis, orbit, torsion, z))
+                z = z * config.zeta % config.q
+    return tuple(points)
+
+
+def point_key(p: Point) -> str:
+    axis, orbit, torsion, _ = p
+    return f"{axis}.{orbit}.{torsion}"
+
+
+def point_axes(config: Config) -> tuple[int, ...]:
+    """The axis of each marked point, in marked_points order."""
+    return tuple(axis for axis, *_ in marked_points(config))
+
+
+def full_coords(p: Point, r: int) -> tuple[tuple[int, int], ...]:
     """The marked point in the ambient product: [1:z] at its own axis and
     [0:1] at every other."""
-    return tuple((1, p.coord) if i == p.axis else (0, 1) for i in range(1, r + 1))
+    axis, _, _, z = p
+    return tuple((1, z) if i == axis else (0, 1) for i in range(1, r + 1))
 
 
 # A vertex of the incidence graph as (kind, axis, point): ("exc", None, p)
 # for the divisor over p, ("line", i, None) for the axis-i line and
 # ("gamma", i, p) for the line through p with free axis i.
-Vertex = tuple[str, int | None, DeltaPoint | None]
+Vertex = tuple[str, int | None, Point | None]
 
 
 def oracle_vertices(config: Config) -> list[Vertex]:
     """The vertices in the documented vertex order: the divisors by point,
     then the lines by axis, then the gammas by (axis, point)."""
-    delta, axes = config.delta, range(1, config.r + 1)
-    return ([("exc", None, p) for p in delta] + [("line", i, None) for i in axes]
-            + [("gamma", i, p) for i in axes for p in delta if p.axis != i])
+    points, axes = marked_points(config), range(1, config.r + 1)
+    return ([("exc", None, p) for p in points] + [("line", i, None) for i in axes]
+            + [("gamma", i, p) for i in axes for p in points if p[0] != i])
 
 
 def oracle_label(vertex: Vertex) -> str:
     kind, axis, point = vertex
     if kind == "exc":
-        return f"E[{point.key}]"
+        return f"E[{point_key(point)}]"
     if kind == "line":
         return f"lt{axis}"
-    return f"gt[{point.key};{axis}]"
+    return f"gt[{point_key(point)};{axis}]"
 
 
 def curve_point_set(comp: Vertex, config: Config) -> frozenset[tuple]:
@@ -172,7 +196,8 @@ def curve_point_set(comp: Vertex, config: Config) -> frozenset[tuple]:
     assert kind in ("line", "gamma")
     fixed: dict[int, tuple[int, int]] = {}
     if kind == "gamma":
-        fixed[point.axis] = (1, point.coord)
+        axis, _, _, z = point
+        fixed[axis] = (1, z)
     points = set()
     for t in projective_line(config.q):
         coords = tuple(
@@ -183,12 +208,7 @@ def curve_point_set(comp: Vertex, config: Config) -> frozenset[tuple]:
     return frozenset(points)
 
 
-def incident_oracle(
-    comp1: Vertex,
-    comp2: Vertex,
-    config: Config,
-    delta: tuple[DeltaPoint, ...],
-) -> bool:
+def incident_oracle(comp1: Vertex, comp2: Vertex, config: Config) -> bool:
     """Point-level incidence on the blow-up:
 
     - divisor vs divisor: the blown-up points are distinct, so never;
@@ -198,7 +218,7 @@ def incident_oracle(
       blown up, or is blown up but both curves leave it along the same axis
       (the strict transforms then meet on that exceptional divisor).
     """
-    delta_coords = {full_coords(p, config.r): p for p in delta}
+    delta_coords = {full_coords(p, config.r) for p in marked_points(config)}
     if comp1[0] == "exc" and comp2[0] == "exc":
         return False
     if "exc" in (comp1[0], comp2[0]):
@@ -213,28 +233,35 @@ def incident_oracle(
     return False
 
 
-def oracle_adjacency(config: Config, delta: tuple[DeltaPoint, ...]) -> dict[Vertex, tuple]:
+def oracle_adjacency(config: Config) -> dict[Vertex, tuple]:
     """The incidence graph by testing every ordered pair of oracle_vertices
     with incident_oracle; each neighbour tuple is in vertex order."""
     vertices = oracle_vertices(config)
     return {
-        v: tuple(
-            w for w in vertices if w != v and incident_oracle(v, w, config, delta)
-        )
+        v: tuple(w for w in vertices if w != v and incident_oracle(v, w, config))
         for v in vertices
     }
 
 
-def full_group_fields(config: Config, delta: tuple[DeltaPoint, ...]) -> dict:
+def full_group_fields(config: Config) -> dict:
     """The computed fields of rigidity.automorphisms from the whole group:
     list all n^r product automorphisms, map each over the whole marked set
     by coordinate lookup, and compare with every torsion shift tuple mapped
-    over the whole marked set.  Exponential in r; for n^r up to about 100."""
+    over the whole marked set by its (axis, orbit, torsion) name; both maps
+    give the image's index in marked_points.  Exponential in r; for n^r up
+    to about 100."""
+    points, q, n = marked_points(config), config.q, config.n
+    by_coord = {(axis, z): k for k, (axis, _, _, z) in enumerate(points)}
+    by_name = {p[:3]: k for k, p in enumerate(points)}
     group = geometric_automorphisms(config)
-    geometric = [tuple(geometric_permutation(config, g, delta).values()) for g in group]
+    geometric = [
+        tuple(by_coord[(axis, g[axis - 1] * z % q)] for axis, _, _, z in points)
+        for g in group
+    ]
     torsion = {
-        tuple(delta_permutation(config, shifts, delta).values())
-        for shifts in itertools.product(range(config.n), repeat=config.r)
+        tuple(by_name[(axis, orbit, (t + shifts[axis - 1]) % n)]
+              for axis, orbit, t, _ in points)
+        for shifts in itertools.product(range(n), repeat=config.r)
     }
     return {
         "order": len(group),
@@ -253,15 +280,15 @@ def dense_pairing(lattice, curve, divisor) -> int:
         lt_i . pi*(H_j) = delta_ij          lt_i . E_q = 1 iff q on axis i
         e_p  . pi*(H_j) = 0                 e_p  . E_q = -delta_pq
     """
-    r, points = lattice.config.r, lattice.points
-    size = r + len(points)
+    r, axes = lattice.config.r, point_axes(lattice.config)
+    size = r + len(axes)
     gram = [[0] * size for _ in range(size)]
     for i in range(r):
         gram[i][i] = 1
-        for k, q in enumerate(points):
-            if q.axis == i + 1:
+        for k, axis in enumerate(axes):
+            if axis == i + 1:
                 gram[i][r + k] = 1
-    for k in range(len(points)):
+    for k in range(len(axes)):
         gram[r + k][r + k] = -1
     c, d = curve.l + curve.e, divisor.h + divisor.m
     return sum(c[a] * gram[a][b] * d[b] for a in range(size) for b in range(size))
@@ -271,8 +298,9 @@ def pointwise_phi(lattice, curve) -> int:
     """The degree functional as defined, one marked point at a time:
     N * sum(l) minus curve . E_p = l_{axis(p)} - e_p for every p, with
     N = 1 + |Delta|."""
-    total = (1 + lattice.size) * sum(curve.l)
-    for ep, axis in zip(curve.e, lattice.axis_of):
+    axes = point_axes(lattice.config)
+    total = (1 + len(axes)) * sum(curve.l)
+    for ep, axis in zip(curve.e, axes, strict=True):
         total -= curve.l[axis - 1] - ep
     return total
 
@@ -281,9 +309,9 @@ def oracle_generators(lattice) -> list[Vertex]:
     """The generators in the documented canonical order, as (kind, axis,
     point): the lines by axis, then the gammas by (free axis, point), then
     the exceptional lines by point."""
-    points, axes = lattice.config.delta, range(1, lattice.config.r + 1)
+    points, axes = marked_points(lattice.config), range(1, lattice.config.r + 1)
     return ([("line", i, None) for i in axes]
-            + [("gamma", i, p) for i in axes for p in points if p.axis != i]
+            + [("gamma", i, p) for i in axes for p in points if p[0] != i]
             + [("exc", None, p) for p in points])
 
 
@@ -291,7 +319,7 @@ def oracle_gamma(lattice, k: int, i: int):
     """gt[p;i] for the point p at position k, from its definition as a
     coefficient array: lt_i, plus e_q for every q on axis i, minus e_p."""
     arr = [1 if j == i else 0 for j in range(1, lattice.config.r + 1)]
-    arr += [(q.axis == i) - (j == k) for j, q in enumerate(lattice.points)]
+    arr += [(axis == i) - (j == k) for j, axis in enumerate(point_axes(lattice.config))]
     return lattice.curve_from_array(arr)
 
 
@@ -301,9 +329,9 @@ def oracle_generator_labels(lattice) -> list[str]:
         if kind == "line":
             labels.append(f"lt{axis}")
         elif kind == "gamma":
-            labels.append(f"gt[{point.key};{axis}]")
+            labels.append(f"gt[{point_key(point)};{axis}]")
         else:
-            labels.append(f"e[{point.key}]")
+            labels.append(f"e[{point_key(point)}]")
     return labels
 
 

@@ -14,7 +14,6 @@ from blowup_rigidity.cli import main
 from blowup_rigidity.cone import EffectiveCone
 from blowup_rigidity.fieldgeom import (
     Lcg,
-    build_delta,
     delta_permutation,
     next_valid_q,
     stabilizer_of_axis,
@@ -28,7 +27,12 @@ from blowup_rigidity.rigidity import (
 )
 from blowup_rigidity.vectorfields import derivation_kernel, extra_q_vanishing
 
-from oracles import incident_oracle, oracle_vertices, stabilizer_oracle
+from oracles import (
+    incident_oracle,
+    marked_coordinates,
+    oracle_vertices,
+    stabilizer_oracle,
+)
 
 
 @contextmanager
@@ -131,23 +135,14 @@ def test_criterion_rigidity(c0, c1):
     with criterion("automorphism rigidity on C0 and C1 (< 10 s each)"):
         for cfg, order in ((c0, 4), (c1, 27)):
             t0 = time.perf_counter()
-            delta = build_delta(cfg)
+            positions = range(len(cfg.delta))
             group = geometric_automorphisms(cfg)
             assert len(group) == order == cfg.n ** cfg.r
             for g in group:
                 assert all(pow(mu, cfg.n, cfg.q) == 1 for mu in g)
-            group_perms = {
-                tuple(sorted(
-                    (p.key, img.key)
-                    for p, img in geometric_permutation(cfg, g, delta).items()
-                ))
-                for g in group
-            }
+            group_perms = {geometric_permutation(cfg, g, positions) for g in group}
             torsion_perms = {
-                tuple(sorted(
-                    (p.key, img.key)
-                    for p, img in delta_permutation(cfg, shifts, delta).items()
-                ))
+                delta_permutation(cfg, shifts, positions)
                 for shifts in itertools.product(range(cfg.n), repeat=cfg.r)
             }
             assert group_perms == torsion_perms
@@ -175,16 +170,14 @@ def test_criterion_oracle_equivalences(sweep_configs, c0, c1):
         small = [cfg for cfg in sweep_configs if cfg.q <= 31]
         assert len(small) >= 20
         for cfg in (c0, c1, *small):
-            delta = build_delta(cfg)
             for axis in range(1, cfg.r + 1):
-                coords = {p.coord for p in delta if p.axis == axis}
+                coords = marked_coordinates(cfg, axis)
                 got = stabilizer_of_axis(cfg, axis)
                 assert [(1, 0, 0, mu) for mu in got] == stabilizer_oracle(coords, cfg.q)
         for cfg in (c0, c1):
-            delta = build_delta(cfg)
             adj = build_graph(cfg).adjacency
             for (a, ca), (b, cb) in itertools.combinations(enumerate(oracle_vertices(cfg)), 2):
-                assert (b in adj[a]) == incident_oracle(ca, cb, cfg, delta)
+                assert (b in adj[a]) == incident_oracle(ca, cb, cfg)
 
 
 def test_criterion_determinism(tmp_path):

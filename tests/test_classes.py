@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from blowup_rigidity.fieldgeom import Config, DeltaPoint
+from blowup_rigidity.fieldgeom import Config
 from blowup_rigidity.lattice import CurveClass, DivisorClass
 from blowup_rigidity.report import SweepCase
 
@@ -13,15 +13,14 @@ C0_FIELDS = dict(n=2, r=2, s=(2, 3), q=13, zeta=12, base=((1, 2), (3, 4, 5)))
 
 # name -> make(v, lattice), different for v = 0 and v = 1
 VALUES = {
-    "DeltaPoint": lambda v, lat: DeltaPoint(1, 1, v, 5),
     "DivisorClass": lambda v, lat: DivisorClass((1, 0), (0, v, -1), lat),
     "CurveClass": lambda v, lat: CurveClass((1, v), (0, 1), lat),
     "SweepCase": lambda v, lat: SweepCase(2, 3, (1, 2, 3), seed=v),
     "Config": lambda v, lat: Config(**C0_FIELDS, seed=v),
 }
 
-# marked points key dicts, and check_same compares configs
-COMPARED = ["Config", "DeltaPoint"]
+# check_same compares configs
+COMPARED = ["Config"]
 
 
 @pytest.mark.parametrize("name", COMPARED)

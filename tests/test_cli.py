@@ -296,7 +296,7 @@ def test_sweep_bad_spec_exits_2(tmp_path, capsys):
     ({"seed": 0, "cases": [{"n": 2, "r": 2, "s": [2, 3], "q": 13},
                            {"n": 3, "r": 2, "s": [1, 2]},
                            {"n": 2, "r": 2, "s": [2, 3], "q": 13, "seed": 0}]},
-     "sweep spec: case 2 repeats case 0"),
+     "sweep case 2 repeats case 0"),
 ])
 def test_sweep_malformed_spec_exits_2(spec, message, tmp_path, capsys):
     path = tmp_path / "spec.json"

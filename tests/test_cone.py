@@ -9,23 +9,30 @@ from blowup_rigidity.cone import (
     generator_labels,
     generators_extremal,
 )
-from blowup_rigidity.errors import NotEffective
+from blowup_rigidity.errors import NotEffective, UnsoundDecomposition
 from blowup_rigidity.fieldgeom import Lcg
 from blowup_rigidity.lattice import BlowupLattice, CurveClass
 from blowup_rigidity.report import SweepCase, default_s, resolve_case, run_all
 
 from oracles import (
     full_extremal_scan,
+    marked_points,
     naive_decompositions,
     oracle_gamma,
     oracle_generator_labels,
     oracle_generators,
+    point_key,
     pointwise_phi,
 )
 
 
 def zero_curve(lat):
     return CurveClass((0,) * lat.config.r, (0,) * lat.size, lat)
+
+
+def _key(lat, k):
+    """The oracle's key of the point at position k."""
+    return point_key(marked_points(lat.config)[k])
 
 
 def _labelled(lat, dec):
@@ -55,7 +62,7 @@ def test_generator_order_and_labels(lat0, request):
         # each position holds the class of the oracle's generator there, and
         # the gammas of free axis i sit from blocks[i - 1] to blocks[i] - 1
         gens = oracle_generators(lat)
-        position = {p: k for k, p in enumerate(lat.points)}
+        position = {p: k for k, p in enumerate(marked_points(lat.config))}
         want = [lat.line(i) if kind == "line" else
                 oracle_gamma(lat, position[p], i) if kind == "gamma" else
                 lat.exc_curve(position[p])
@@ -106,7 +113,7 @@ def test_member_gamma_combination(cone0, lat0):
             target = target + lat0.exc_curve(q)
     dec = cone0.member(target)
     assert dec is not None
-    assert _labelled(lat0, dec) == ((f"gt[{lat0.points[k].key};1]", 1),)
+    assert _labelled(lat0, dec) == ((f"gt[{_key(lat0, k)};1]", 1),)
 
 
 def test_member_absent(cone0, lat0):
@@ -124,16 +131,16 @@ def test_member_zero_class(cone0, lat0):
 
 
 def test_two_part_examples(cone0, lat0):
-    p = lat0.points[0]
+    key = _key(lat0, 0)
     e = lat0.exc_curve(0)
     assert cone0.two_part_decompositions(e) == []
     double = cone0.two_part_decompositions(e.scale(2))
     assert len(double) == 1
     d1, d2 = double[0]
-    assert _labelled(lat0, d1) == _labelled(lat0, d2) == ((f"e[{p.key}]", 1),)
+    assert _labelled(lat0, d1) == _labelled(lat0, d2) == ((f"e[{key}]", 1),)
     mixed = cone0.two_part_decompositions(lat0.line(1) + e)
     assert any(
-        {_labelled(lat0, d1), _labelled(lat0, d2)} == {(("lt1", 1),), ((f"e[{p.key}]", 1),)}
+        {_labelled(lat0, d1), _labelled(lat0, d2)} == {(("lt1", 1),), ((f"e[{key}]", 1),)}
         for d1, d2 in mixed
     )
     with pytest.raises(NotEffective):
@@ -214,7 +221,7 @@ def test_case3_identity_fails_on_wrong_generator_support(lat0):
     # one wrong entry in gt[q0;1] must break the identity wherever it is used
     cone = EffectiveCone(lat0)
     k0 = lat0.axis_of.index(2)
-    g = oracle_generator_labels(lat0).index(f"gt[{lat0.points[k0].key};1]")
+    g = oracle_generator_labels(lat0).index(f"gt[{_key(lat0, k0)};1]")
     supports = list(cone.genset.supports)
     (k, x), *rest = supports[g]
     supports[g] = ((k, x + 1), *rest)
@@ -222,7 +229,7 @@ def test_case3_identity_fails_on_wrong_generator_support(lat0):
     assert not cone.case3_identity(k0, (1, 0), 0)
     assert not cone.case3_identity(k0, (3, 0), 2)
     assert cone.case3_identity(k0, (0, 0), 1)  # gt[q0;1] takes no part
-    with pytest.raises(RuntimeError):  # the search's re-sum guard agrees
+    with pytest.raises(UnsoundDecomposition):  # the search's re-sum guard agrees
         cone.member(oracle_gamma(lat0, k0, 1))
 
 
@@ -240,8 +247,8 @@ def test_member_has_no_degree_cap(cone0, lat0):
 def test_unsound_decomposition_raises(cone0, lat0, monkeypatch):
     monkeypatch.setattr(GeneratorSet, "resum", lambda self, parts: zero_curve(lat0))
     # the message names the generators by label
-    with pytest.raises(RuntimeError,
-                       match=re.escape("unsound decomposition lt1 of C(l=[1, 0]")):
+    with pytest.raises(UnsoundDecomposition,
+                       match=re.escape("lt1 does not re-sum to C(l=[1, 0]")):
         cone0.member(lat0.line(1))
 
 
@@ -404,7 +411,7 @@ def _lopsided_cone(config, monkeypatch):
 
     monkeypatch.setattr(BlowupLattice, "gammas", lopsided)
     cone = EffectiveCone(lat)
-    return cone, oracle_generator_labels(lat).index(f"gt[{lat.points[p].key};3]")
+    return cone, oracle_generator_labels(lat).index(f"gt[{_key(lat, p)};3]")
 
 
 def _spy_extremal(monkeypatch, answers):

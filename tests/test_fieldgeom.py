@@ -31,6 +31,7 @@ from blowup_rigidity.fieldgeom import (
     is_prime,
     orbit_labels,
     parameter_problems,
+    point_keys,
     prime_divisors,
     primitive_nth_root,
     scaling_group,
@@ -40,17 +41,20 @@ from blowup_rigidity.fieldgeom import (
     validate_config,
 )
 
-from blowup_rigidity.report import SweepCase, default_s, sweep
+from blowup_rigidity.report import SweepCase, default_s, resolve_case, sweep
 
 from oracles import (
     marked_coordinates,
+    marked_points,
     multiplicative_order,
     pair_scan_stabilizer,
+    point_key,
     scaling_orbit,
     smallest_of_order,
     stabilizer_is_generic,
     stabilizer_oracle,
 )
+from test_golden import CONFIGS as GOLDEN_CONFIGS, GENERATED as GOLDEN_GENERATED
 
 
 # --- residues mod q ----------------------------------------------------
@@ -123,18 +127,46 @@ def test_format_map_is_the_canonical_matrix():
 
 def test_build_delta_c0_coordinates(c0):
     delta = build_delta(c0)
-    assert len(delta) == 10
-    axis1 = sorted(p.coord for p in delta if p.axis == 1)
-    axis2 = sorted(p.coord for p in delta if p.axis == 2)
-    assert axis1 == [1, 2, 11, 12]
-    assert axis2 == [3, 4, 5, 8, 9, 10]
+    assert delta == (1, 12, 2, 11, 3, 10, 4, 9, 5, 8)
+    assert c0.axis_of == (1,) * 4 + (2,) * 6
+    assert point_keys(c0)[:3] == ["1.1.0", "1.1.1", "1.2.0"]
+    assert point_keys(c0)[-1] == "2.3.1"
 
 
 def test_build_delta_orbit_closure(c0):
-    delta = build_delta(c0)
-    coords = {(p.axis, p.coord) for p in delta}
-    for p in delta:
-        assert (p.axis, p.coord * c0.zeta % c0.q) in coords
+    coords = set(zip(c0.axis_of, build_delta(c0)))
+    for axis, z in coords:
+        assert (axis, z * c0.zeta % c0.q) in coords
+
+
+def marked_set_configs(c0, c1) -> list[Config]:
+    """C0, C1, non_generic and the generated configurations of the golden
+    pins."""
+    return ([c0, c1, Config.from_dict(GOLDEN_CONFIGS["non_generic"])]
+            + [resolve_case(case) for case in GOLDEN_GENERATED.values()])
+
+
+def test_marked_set_matches_the_oracle(c0, c1):
+    # coordinates, axes and keys by position, against the oracle's own walk
+    # of each orbit
+    for cfg in marked_set_configs(c0, c1):
+        points = marked_points(cfg)
+        assert cfg.delta == tuple(z for *_, z in points)
+        assert cfg.axis_of == tuple(axis for axis, *_ in points)
+        assert point_keys(cfg) == [point_key(p) for p in points]
+
+
+def test_g_action_scales_each_coordinate_by_its_shift(c0, c1):
+    # the image of a point under g is the point of its axis whose coordinate
+    # is zeta^shift times its own, shift being g's entry at that axis
+    for cfg in marked_set_configs(c0, c1):
+        points = marked_points(cfg)
+        for t in range(cfg.n):
+            g = tuple((t + i) % cfg.n for i in range(cfg.r))
+            for k, (axis, orbit, _, z) in enumerate(points):
+                image = points[g_action(cfg, g, k)]
+                want = pow(cfg.zeta, g[axis - 1], cfg.q) * z % cfg.q
+                assert (image[0], image[1], image[3]) == (axis, orbit, want)
 
 
 def test_build_delta_orbit_collision():
@@ -163,32 +195,29 @@ def test_config_constructor_enforces_structure():
 
 
 def test_g_action(c0):
-    delta = build_delta(c0)
-    p = delta[0]
-    assert g_action(c0, (0, 0), p) == p
-    moved = g_action(c0, (1, 0), p)
-    assert (moved.axis, moved.orbit, moved.torsion) == (p.axis, p.orbit, 1)
+    assert g_action(c0, (0, 0), 0) == 0
+    assert g_action(c0, (1, 0), 0) == 1  # 1.1.0 -> 1.1.1
+    assert g_action(c0, (0, 1), 9) == 8  # 2.3.1 -> 2.3.0
     # orbit under the cyclic subgroup at the point's own axis has size n
-    for p in delta:
-        g = tuple(1 if i == p.axis - 1 else 0 for i in range(c0.r))
-        orbit = {p}
-        cur = p
+    for k, axis in enumerate(c0.axis_of):
+        g = tuple(1 if i == axis - 1 else 0 for i in range(c0.r))
+        orbit = {k}
+        cur = k
         for _ in range(c0.n - 1):
             cur = g_action(c0, g, cur)
             orbit.add(cur)
         assert len(orbit) == c0.n
-        assert g_action(c0, g, cur) == p
+        assert g_action(c0, g, cur) == k
 
 
 def test_g_action_is_group_action(c1):
-    delta = build_delta(c1)
     rng = Lcg(7)
     for _ in range(25):
         g = tuple(rng.below(c1.n) for _ in range(c1.r))
         h = tuple(rng.below(c1.n) for _ in range(c1.r))
         gh = tuple((a + b) % c1.n for a, b in zip(g, h))
-        for p in delta:
-            assert g_action(c1, gh, p) == g_action(c1, g, g_action(c1, h, p))
+        for k in range(len(c1.delta)):
+            assert g_action(c1, gh, k) == g_action(c1, g, g_action(c1, h, k))
 
 
 # --- stabilizers -------------------------------------------------------
@@ -202,11 +231,10 @@ def test_stabilizer_c0_axis1_is_order_two(c0):
 
 def test_stabilizer_matches_pgl2_oracle(c0, c1):
     for cfg in (c0, c1):
-        delta = build_delta(cfg)
         for axis in range(1, cfg.r + 1):
-            coords = {p.coord for p in delta if p.axis == axis}
             stab = stabilizer_of_axis(cfg, axis)
-            assert [(1, 0, 0, mu) for mu in stab] == stabilizer_oracle(coords, cfg.q)
+            assert [(1, 0, 0, mu) for mu in stab] == stabilizer_oracle(
+                marked_coordinates(cfg, axis), cfg.q)
 
 
 def scaling_orbits(n, q, zeta):
@@ -256,9 +284,9 @@ def test_stabilizer_of_axis_matches_pair_scan_random(cfg):
 def test_stabilizer_matches_pair_scan_on_sweep_configs(sweep_configs):
     for cfg in sweep_configs:
         for axis in range(1, cfg.r + 1):
-            coords = [p.coord for p in cfg.delta if p.axis == axis]
             stab = stabilizer_of_axis(cfg, axis)
-            assert [(0, mu) for mu in stab] == pair_scan_stabilizer(coords, cfg.q)
+            assert [(0, mu) for mu in stab] == pair_scan_stabilizer(
+                marked_coordinates(cfg, axis), cfg.q)
 
 
 def test_stabilizer_of_full_multiplicative_group():

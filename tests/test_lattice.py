@@ -10,7 +10,7 @@ from blowup_rigidity.fieldgeom import Config, Lcg
 from blowup_rigidity.lattice import BlowupLattice, CurveClass, DivisorClass, lattice_checks
 from blowup_rigidity.report import run_all
 
-from oracles import dense_pairing, oracle_gamma
+from oracles import dense_pairing, oracle_gamma, point_axes
 
 
 def divisor_from_array(lat, arr):
@@ -59,8 +59,8 @@ def test_gram_blocks(lat0):
         li = lat0.line(i)
         for j in range(1, r + 1):
             assert lat0.intersect(li, lat0.pullback_h(j)) == (1 if i == j else 0)
-        for k, p in enumerate(lat0.points):
-            assert lat0.intersect(li, lat0.exc_divisor(k)) == (1 if p.axis == i else 0)
+        for k, axis in enumerate(point_axes(lat0.config)):
+            assert lat0.intersect(li, lat0.exc_divisor(k)) == (1 if axis == i else 0)
     for k in range(lat0.size):
         ep = lat0.exc_curve(k)
         for j in range(1, r + 1):
@@ -72,7 +72,7 @@ def test_gram_blocks(lat0):
 def test_strict_h_expansion(lat0):
     h1 = lat0.strict_h(1)
     assert h1.h == (1, 0)
-    assert h1.m == tuple(0 if p.axis == 1 else -1 for p in lat0.points)
+    assert h1.m == tuple(0 if axis == 1 else -1 for axis in point_axes(lat0.config))
     with pytest.raises(AxisOutOfRange):
         lat0.strict_h(3)
 
@@ -90,9 +90,9 @@ def test_strict_h_empty_other_axis():
 
 def test_strict_h_exc_membership(lat0, lat1):
     for lat in (lat0, lat1):
-        for k, p in enumerate(lat.points):
+        for k, axis in enumerate(point_axes(lat.config)):
             for i in range(1, lat.config.r + 1):
-                want = 0 if p.axis == i else 1
+                want = 0 if axis == i else 1
                 assert lat.intersect(lat.exc_curve(k), lat.strict_h(i)) == want
 
 
@@ -111,7 +111,7 @@ def test_gamma_class_identities(lat0, lat1):
         cfg = lat.config
         for i in range(1, cfg.r + 1):
             unit = tuple(1 if k == i else 0 for k in range(1, cfg.r + 1))
-            off_axis = [k for k, p in enumerate(lat.points) if p.axis != i]
+            off_axis = [k for k, axis in enumerate(point_axes(lat.config)) if axis != i]
             block = lat.gammas(i)
             assert len(block) == len(off_axis)
             for k, g in zip(off_axis, block):
@@ -138,8 +138,8 @@ def test_expand_in_basis(lat0):
     eps = tuple(1 if k == 1 else 0 for k in range(lat0.size))
     got = lat0.expand_in_basis((1, 0), eps)
     want = lat0.line(1)
-    for k, q in enumerate(lat0.points):
-        if q.axis == 1 and k != 1:
+    for k, axis in enumerate(point_axes(lat0.config)):
+        if axis == 1 and k != 1:
             want = want + lat0.exc_curve(k)
     assert (got.l, got.e) == (want.l, want.e)
 
@@ -231,7 +231,7 @@ def test_exc_pairings_row(lat0, lat1):
         -1 if k == 3 else 0 for k in range(lat0.size)
     )
     assert lat0.exc_pairings(lat0.line(2)) == tuple(
-        1 if q.axis == 2 else 0 for q in lat0.points
+        1 if axis == 2 else 0 for axis in point_axes(lat0.config)
     )
     assert lat0.exc_pairings(zero_curve(lat0)) == (0,) * lat0.size
     with pytest.raises(ConfigMismatch):
@@ -242,7 +242,7 @@ def test_divisor_support(lat0):
     assert lat0.pullback_h(1).support == ()
     assert lat0.exc_divisor(4).support == (4,)
     h1 = lat0.strict_h(1)
-    assert h1.support == tuple(k for k, p in enumerate(lat0.points) if p.axis != 1)
+    assert h1.support == tuple(k for k, axis in enumerate(point_axes(lat0.config)) if axis != 1)
     assert divisor_sum(lat0, (1, h1), (-1, h1)).support == ()
 
 

@@ -10,8 +10,9 @@ import pytest
 
 from blowup_rigidity import fieldgeom, rigidity, vectorfields
 from blowup_rigidity.checks import CLAIMS, CheckRecord, make_record
+from blowup_rigidity.cli import main
 from blowup_rigidity.cone import EffectiveCone, GeneratorSet
-from blowup_rigidity.errors import UnknownCheckId
+from blowup_rigidity.errors import InvalidSetting, UnknownCheckId
 from blowup_rigidity.fieldgeom import Config, next_valid_q
 from blowup_rigidity.lattice import BlowupLattice, DivisorClass
 from blowup_rigidity.rigidity import IncidenceGraph
@@ -101,6 +102,13 @@ def test_run_all_builds_marked_set_and_stabilizers_once(c1, count_calls):
     assert calls == {"build_delta": 1, "stabilizer_of_axis": config.r}
 
 
+def test_run_all_builds_no_point_key(c1, count_calls):
+    # point keys are only for labels, which verify builds only for FAIL text
+    calls = count_calls("point_keys")
+    assert run_all(c1, draws=20).exit_code == 0
+    assert calls == {"point_keys": 0}
+
+
 def test_run_all_tests_one_generator_per_orbit(c1, count_calls):
     name = "cone.EffectiveCone.two_part_decompositions"
     calls = count_calls(name)
@@ -122,9 +130,12 @@ REAL_DIRECTION_COUNTS = vectorfields.direction_counts
 REAL_ASSEMBLE_SYSTEM = vectorfields.assemble_system
 
 
-def g_action_fixing_the_last_axis(config, g, p):
+REAL_GENSET_INIT = GeneratorSet.__init__
+
+
+def g_action_fixing_the_last_axis(config, g, k):
     # the points of axis r stay put under every torsion shift
-    return p if p.axis == config.r else REAL_G_ACTION(config, g, p)
+    return k if config.axis_of[k] == config.r else REAL_G_ACTION(config, g, k)
 
 
 def scaling_group_without_its_last(config):
@@ -149,6 +160,17 @@ def gamma_of_the_next_point(lattice, i):
     # generator set holds that gamma twice and the first point's not at all
     block = REAL_GAMMAS(lattice, i)
     return block[1:2] + block[1:]
+
+
+def genset_with_a_gamma_support_one_off(genset, lattice):
+    # the first gamma's first sparse entry is one too large, its class as
+    # before, so every search that uses it emits a decomposition that does
+    # not re-sum to its target
+    REAL_GENSET_INIT(genset, lattice)
+    supports = list(genset.supports)
+    (k, x), *rest = supports[genset.blocks[0]]
+    supports[genset.blocks[0]] = ((k, x + 1), *rest)
+    genset.supports = tuple(supports)
 
 
 def phi_minus_one(genset, c):
@@ -213,6 +235,7 @@ def assemble_system_without_the_last_axis_own_rows(config):
     ("cone.generator_count", GeneratorSet, "__iter__", iter_repeating_a_gamma),
     ("cone.phi_positive", GeneratorSet, "phi", phi_minus_one),
     ("cone.generators_extremal", EffectiveCone, "is_extremal", lambda cone, c: False),
+    ("cone.generators_extremal", GeneratorSet, "__init__", genset_with_a_gamma_support_one_off),
     ("cone.sample_splits", EffectiveCone, "two_part_decompositions", lambda cone, c: []),
     ("cone.case2_membership", EffectiveCone, "member", lambda cone, c: None),
     ("cone.case3_identity", GeneratorSet, "resum", resum_of_positive_parts),
@@ -238,6 +261,31 @@ def test_sabotaged_input_fails_its_check(config, check_id, owner, attr, sabotage
     report = run_all(cfg, draws=200, extra_q=next_valid_q(cfg.n, cfg.s, cfg.q))
     assert next(rec.status for rec in report.records if rec.check_id == check_id) == "FAIL"
     assert report.exit_code == 1
+    assert json.loads(report.to_json())["summary"]["FAIL"] >= 1
+
+
+def test_unsound_search_is_a_fail_record_of_each_searching_check(c0, monkeypatch):
+    # no decomposition re-sums to its nonzero target, so every search raises
+    monkeypatch.setattr(GeneratorSet, "resum",
+                        lambda genset, parts: REAL_RESUM(genset, ()))
+    report = run_all(c0, draws=200)
+    by_id = {rec.check_id: rec for rec in report.records}
+    for check_id in ("cone.generators_extremal", "cone.sample_splits",
+                     "cone.case2_membership"):
+        assert by_id[check_id].status == "FAIL"
+        assert by_id[check_id].computed.startswith("UnsoundDecomposition: ")
+    assert report.exit_code == 1
+
+
+def test_extremal_reports_an_unsound_search_on_one_line(c0, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(GeneratorSet, "__init__", genset_with_a_gamma_support_one_off)
+    path = tmp_path / "c0.json"
+    path.write_text(c0.canonical_json())
+    assert main(["extremal", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: UnsoundDecomposition: gt[2.1.0;1] does not re-sum")
+    assert captured.err.count("\n") == 1
 
 
 def test_markdown_rendering(c0):
@@ -329,7 +377,6 @@ def test_sweep_parallel_matches_serial():
         SweepCase(n=3, r=3, s=(1, 2, 3), q=7, seed=0),  # impossible field
         SweepCase(n=2, r=3, s=(1, 2, 3), seed=1),
         SweepCase(n=4, r=2, s=(1, 2), seed=1),
-        SweepCase(n=2, r=2, s=(2, 3), q=13, seed=1),  # a repeated key
     ]
     serial = sweep(cases, jobs=1, draws=50)
     assert serial.exit_code == 1
@@ -340,6 +387,18 @@ def test_sweep_parallel_matches_serial():
                 == json.dumps(serial.rows, sort_keys=True))
         assert parallel.to_json() == serial.to_json()
         assert parallel.exit_code == 1
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_rejects_a_repeated_case(jobs, monkeypatch):
+    # rows are keyed by case, so a repeat would be one row in to_dict() but
+    # two in the aggregate; no case runs
+    import blowup_rigidity.report as report
+
+    monkeypatch.setattr(report, "_sweep_worker", lambda args: pytest.fail("a case ran"))
+    case = SweepCase(n=2, r=2, s=(2, 3), q=13, seed=1)
+    with pytest.raises(InvalidSetting, match="sweep case 1 repeats case 0"):
+        sweep([case, case], jobs=jobs, draws=5)
 
 
 def test_sweep_dead_worker_leaves_an_error_row(monkeypatch):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from blowup_rigidity.errors import AmbiguousProfile, NonGeneric
-from blowup_rigidity.fieldgeom import Config, build_delta, delta_permutation
+from blowup_rigidity.fieldgeom import Config, delta_permutation
 from blowup_rigidity.rigidity import (
     build_graph,
     census,
@@ -20,6 +20,7 @@ from oracles import (
     abstract_automorphism_count,
     full_group_fields,
     incident_oracle,
+    marked_points,
     oracle_adjacency,
     oracle_label,
     oracle_vertices,
@@ -49,8 +50,8 @@ def test_incident_spot_rules(c0):
     adj = build_graph(c0).adjacency
     line1 = index_of(c0, "line", 1)
     line2 = index_of(c0, "line", 2)
-    p1 = next(p for p in c0.delta if p.axis == 1)
-    p2 = next(p for p in c0.delta if p.axis == 2)
+    p1 = next(p for p in marked_points(c0) if p[0] == 1)
+    p2 = next(p for p in marked_points(c0) if p[0] == 2)
     p_on_1, p_on_2 = index_of(c0, "exc", point=p1), index_of(c0, "exc", point=p2)
     gamma_p1 = index_of(c0, "gamma", 1, p2)
     assert p_on_1 in adj[line1]
@@ -64,24 +65,24 @@ def test_incident_spot_rules(c0):
 
 
 def test_incident_gamma_gamma_same_point_r3(c1):
-    delta = build_delta(c1)
+    points = marked_points(c1)
     adj = build_graph(c1).adjacency
-    p = next(pt for pt in delta if pt.axis == 3)
+    p = next(pt for pt in points if pt[0] == 3)
     g1 = index_of(c1, "gamma", 1, p)
     g2 = index_of(c1, "gamma", 2, p)
     # same marked point, different directions: separated on the blow-up
     assert g2 not in adj[g1]
     # gamma(p, 1) meets gamma(q, 3) for every q on axis 1
-    for q in delta:
-        if q.axis == 1:
+    for q in points:
+        if q[0] == 1:
             gq = index_of(c1, "gamma", 3, q)
             assert gq in adj[g1] and g1 in adj[gq]
 
 
-def test_incident_matches_point_oracle_c0(c0, delta0):
+def test_incident_matches_point_oracle_c0(c0):
     adj = build_graph(c0).adjacency
     for (a, ca), (b, cb) in itertools.combinations(enumerate(oracle_vertices(c0)), 2):
-        assert (b in adj[a]) == incident_oracle(ca, cb, c0, delta0), (ca, cb)
+        assert (b in adj[a]) == incident_oracle(ca, cb, c0), (ca, cb)
 
 
 def test_incident_symmetric(c0, c1):
@@ -96,25 +97,13 @@ def test_graph_equals_all_pairs_oracle(name, c0, c1):
     cfg = {"C0": c0, "C1": c1}.get(name) or resolve_case(
         SweepCase(3, 4, default_s(3, 4), q=19, seed=1)
     )
-    delta = build_delta(cfg)
     graph = build_graph(cfg)
-    want = oracle_adjacency(cfg, delta)
+    want = oracle_adjacency(cfg)
     # the oracle's own vertex order and labels, and the same neighbours in
     # the same order
     index = {v: k for k, v in enumerate(want)}
     assert vertex_labels(cfg) == [oracle_label(v) for v in want]
     assert graph.adjacency == tuple(tuple(index[w] for w in want[v]) for v in want)
-
-
-def test_graph_census_and_pinning_hash_no_marked_point(count_calls):
-    # a vertex is its index: building the graph, its census and the pinning
-    # certificate never keys a dict or set by a DeltaPoint
-    cfg = resolve_case(SweepCase(3, 4, default_s(3, 4), q=19, seed=1))
-    cfg.delta
-    calls = count_calls("fieldgeom.DeltaPoint.__hash__")
-    graph = build_graph(cfg)
-    pin_components(graph, census(graph))
-    assert calls == {"fieldgeom.DeltaPoint.__hash__": 0}
 
 
 def test_graph_counts(c0, c1):
@@ -229,21 +218,14 @@ def test_geometric_automorphisms_closed(c0):
 
 
 def test_group_action_embedding_is_bijective(c1):
-    delta = build_delta(c1)
+    positions = range(len(c1.delta))
     auts = geometric_automorphisms(c1)
-    perm_of = {
-        g: tuple(sorted(
-            (p.key, img.key) for p, img in geometric_permutation(c1, g, delta).items()
-        ))
-        for g in auts
-    }
+    perm_of = {g: geometric_permutation(c1, g, positions) for g in auts}
     assert len(set(perm_of.values())) == len(auts)  # faithful
-    torsion_perms = set()
-    for shifts in itertools.product(range(c1.n), repeat=c1.r):
-        torsion_perms.add(tuple(sorted(
-            (p.key, img.key)
-            for p, img in delta_permutation(c1, shifts, delta).items()
-        )))
+    torsion_perms = {
+        delta_permutation(c1, shifts, positions)
+        for shifts in itertools.product(range(c1.n), repeat=c1.r)
+    }
     assert torsion_perms == set(perm_of.values())
 
 
@@ -269,7 +251,7 @@ def test_verify_rigidity_fails_when_actions_differ(c0, monkeypatch):
     import blowup_rigidity.rigidity as rigidity
 
     monkeypatch.setattr(rigidity, "geometric_permutation",
-                        lambda config, g, delta: {p: p for p in delta})
+                        lambda config, g, positions: tuple(positions))
     by_id = {r.check_id: r for r in verify_rigidity(c0)}
     assert by_id["rigidity.automorphisms"].status == "FAIL"
     assert by_id["rigidity.automorphisms"].computed["matches_torsion_action"] is False
@@ -281,27 +263,31 @@ def test_verify_rigidity_matches_full_group_oracle(name, c0, c1):
     cfg = {"C0": c0, "C1": c1}.get(name) or resolve_case(
         SweepCase(3, 4, default_s(3, 4), q=19, seed=1)
     )
-    delta = build_delta(cfg)
     by_id = {r.check_id: r for r in verify_rigidity(cfg)}
-    assert by_id["rigidity.automorphisms"].computed == full_group_fields(cfg, delta)
+    assert by_id["rigidity.automorphisms"].computed == full_group_fields(cfg)
 
 
 def _fix_points(real, hit):
-    """real, with every point for which hit(config, p) holds left fixed."""
-    def sabotaged(config, g, delta):
-        return {p: p if hit(config, p) else img for p, img in real(config, g, delta).items()}
+    """real, with every position k for which hit(config, k) holds left
+    fixed."""
+    def sabotaged(config, g, positions):
+        return tuple(k if hit(config, k) else img
+                     for k, img in zip(positions, real(config, g, positions)))
     return sabotaged
+
+
+def _past_first_orbit_of_last_axis(cfg, k):
+    """The point at position k is on axis r, outside its first orbit."""
+    return cfg.axis_of[k] == cfg.r and k >= cfg.axis_of.index(cfg.r) + cfg.n
 
 
 SABOTAGE = {
     # faithful on the last axis, but moves only its first orbit
-    "geometric_last_axis": ("geometric_permutation",
-                            lambda cfg, p: p.axis == cfg.r and p.orbit > 1),
+    "geometric_last_axis": ("geometric_permutation", _past_first_orbit_of_last_axis),
     # every scaling acts trivially on axis 1
-    "geometric_not_faithful": ("geometric_permutation", lambda cfg, p: p.axis == 1),
+    "geometric_not_faithful": ("geometric_permutation", lambda cfg, k: cfg.axis_of[k] == 1),
     # the shifts of the last axis leave all but its first orbit in place
-    "torsion_last_axis": ("delta_permutation",
-                          lambda cfg, p: p.axis == cfg.r and p.orbit > 1),
+    "torsion_last_axis": ("delta_permutation", _past_first_orbit_of_last_axis),
 }
 
 

@@ -19,6 +19,26 @@ STAGE_MODULES = {"config": "fieldgeom.py", "lattice": "lattice.py", "cone": "con
                  "rigidity": "rigidity.py", "vectorfields": "vectorfields.py"}
 
 
+def layout_modules(readme: str) -> list[str]:
+    """The module names listed under src/blowup_rigidity/ in the README's
+    Layout block, in order."""
+    block = readme.split("## Layout", 1)[1].split("```")[1]
+    package = block.split("src/blowup_rigidity/\n", 1)[1].split("tests/", 1)[0]
+    return re.findall(r"^  (\w+\.py) ", package, flags=re.MULTILINE)
+
+
+def test_layout_modules_reads_the_block():
+    readme = ("# x\n## Layout\n\n```\nsrc/blowup_rigidity/\n"
+              "  a.py     one\n           more text.py here\n  b.py     two\n"
+              "tests/   pytest\n```\n")
+    assert layout_modules(readme) == ["a.py", "b.py"]
+
+
+def test_readme_layout_names_every_module():
+    listed = layout_modules((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert sorted(listed) == [name for name in MODULES if name != "__init__.py"]
+
+
 def unused_imports(source: str) -> list[str]:
     """The names bound by top-level imports that the module never reads."""
     tree = ast.parse(source)
