@@ -58,9 +58,11 @@ CLAIMS: dict[str, str] = {
         "multidegree at i"
     ),
     "lattice.multidegree_expansion": (
-        "for random integer multidegrees a and excesses eps, the class "
+        "for all integer multidegrees a and excesses eps, the class "
         "sum_i a_i * (strict line i) + sum_p (a_{axis(p)} - eps_p) * e_p has "
-        "exceptional multiplicity eps_p at every p and multidegree a"
+        "exceptional multiplicity eps_p at every p and multidegree a; all "
+        "three are linear in (a, eps), so each of the r + |Delta| basis "
+        "vectors is checked exactly"
     ),
     "lattice.canonical_degree": (
         "the pullback of the ambient canonical class (-2 on every hyperplane "
@@ -88,9 +90,13 @@ CLAIMS: dict[str, str] = {
         "combinations that re-sum exactly to the class"
     ),
     "cone.case3_identity": (
-        "for marked q0 on axis j, multidegree a with a_j = 0 and excess "
-        "eps at q0: the expanded class equals (-eps + sum_{i != j} a_i) * "
-        "e_{q0} + sum_{i != j} a_i * (through-q0 line in direction i) exactly"
+        "for marked q0 on axis j, every multidegree a with a_j = 0 and "
+        "excess eps at q0: the expanded class equals (-eps + sum_{i != j} "
+        "a_i) * e_{q0} + sum_{i != j} a_i * (through-q0 line in direction i) "
+        "exactly; both sides are linear in (a, eps), so at every q0 the "
+        "basis is checked: excess 1 expands to -e_{q0}, and e_{q0} + "
+        "(through-q0 line in direction i) = (strict line i) + the sum of the "
+        "e_q over the q on axis i, for each i != j"
     ),
     "rigidity.components": (
         "the special configuration has |Delta| divisor components plus r + "

@@ -29,10 +29,16 @@ therefore enumerated as a composition of Y_i, and the exceptional lines are
 forced at the end.  A point q on axis j must be covered Y_j - e_q times by
 gammas through q, which prunes the blocks.  The recursion depth is at most
 2r plus the number of nonzero parts, however many generators there are.
+
+The case-3 identity is linear in its multidegree and excess, so
+`EffectiveCone.case3_identity` decides it exactly on a basis, point by
+point, against the generators' stored supports; only the membership check
+`cone.case2_membership` draws its classes at random.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import operator
@@ -335,32 +341,59 @@ class EffectiveCone:
         """True when c admits no splitting into two nonzero effective classes."""
         return not self.two_part_decompositions(c)
 
-    def case3_identity(self, k0: int, a: tuple[int, ...], eps_q: int) -> bool:
-        """Exact vector identity for a class with zero multidegree at the axis
-        j of the point q0 at position k0 and prescribed excess at q0: the
-        expansion equals
-        (-eps_q + sum_{i != j} a_i) * e_{q0} + sum_{i != j} a_i * gt[q0;i].
-        """
+    @functools.cached_property
+    def _lines_plus_f(self) -> tuple[dict[int, int], ...]:
+        """lt_i + F_i = expand_in_basis(unit_i, 0) for each axis i, F_i
+        being the sum of the e_q over the points q on axis i, by its nonzero
+        (coordinate, coefficient) pairs over (lt, e)."""
         lat = self.lattice
-        cfg = lat.config
-        j = lat.axis_of[k0]
-        if len(a) != cfg.r:
-            raise ValueError("multidegree length mismatch")
-        if a[j - 1] != 0:
-            raise ValueError(f"a_{j} must be 0 for a point on axis {j}")
-        if any(x < 0 for x in a):
-            raise ValueError("multidegree must be nonnegative")
-        gamma_terms = [(g, x) for g, x in zip(self._gamma_at[k0], a) if x]
-        # a generator set without some gt[q0;i] cannot give the identity
-        if any(g is None for g, _ in gamma_terms):
-            return False
+        r, zeros = lat.config.r, (0,) * lat.size
+        sums = []
+        for i in range(r):
+            c = lat.expand_in_basis(tuple(int(j == i) for j in range(r)), zeros)
+            arr = c.l + c.e
+            sums.append(dict(itertools.compress(enumerate(arr), arr)))
+        return tuple(sums)
+
+    def case3_identity(self, k0: int) -> bool:
+        """Every basis identity of case 3 at the point q0 at position k0.
+
+        For q0 on axis j, the class with multidegree a (a_j = 0) and excess
+        eps at q0 is claimed to equal (-eps + sum_{i != j} a_i) * e_{q0} +
+        sum_{i != j} a_i * gt[q0;i].  Both sides are linear in (a, eps), so
+        the claim holds for every (a, eps) once it holds on the basis:
+
+            (a, eps) = (0, 1):       expand_in_basis(0, unit_q0) = -e_{q0}
+            (a, eps) = (unit_i, 0):  e_{q0} + gt[q0;i] = lt_i + F_i
+
+        for each free axis i != j.  The generator set re-sums -e_{q0}.  The
+        left side of each other identity adds the two generators' stored
+        sparse supports, and is compared sparsely with `_lines_plus_f`, so
+        it costs O(|Delta_i|).  A generator set without some gt[q0;i] fails.
+        """
+        lat, genset = self.lattice, self.genset
+        exc = genset.blocks[-1] + k0
         eps = [0] * lat.size
-        eps[k0] = eps_q
-        lhs = lat.expand_in_basis(tuple(a), tuple(eps))
-        # the right-hand side adds the generators' own sparse classes; a_j = 0
-        terms = [(self.genset.blocks[-1] + k0, sum(a) - eps_q)] + gamma_terms
-        rhs = self.genset.resum(terms)
-        return (lhs.l, lhs.e) == (rhs.l, rhs.e)
+        eps[k0] = 1
+        lhs = lat.expand_in_basis((0,) * lat.config.r, tuple(eps))
+        rhs = genset.resum(((exc, -1),))
+        if (lhs.l, lhs.e) != (rhs.l, rhs.e):
+            return False
+        j = lat.axis_of[k0]
+        for i, (g, line_plus_f) in enumerate(zip(self._gamma_at[k0], self._lines_plus_f), 1):
+            if i == j:
+                continue
+            if g is None:
+                return False
+            # only the entries of e_{q0} can cancel, so only they are added
+            total = dict(genset.supports[g])
+            for k, x in genset.supports[exc]:
+                total[k] = total.get(k, 0) + x
+                if not total[k]:
+                    del total[k]
+            if total != line_plus_f:
+                return False
+        return True
 
 
 def generators_extremal(cone: EffectiveCone) -> CheckRecord:
@@ -466,23 +499,15 @@ def cone_checks(cone: EffectiveCone, draws: int = 1000) -> list[CheckRecord]:
         )
     )
 
-    rng = Lcg(config_seed(cfg, "case3"))
-    case3_ok = True
-    # a point, then a_i for each axis i but the point's own (a_j = 0), then
-    # the excess at the point
-    bounds = (lattice.size,) + (4,) * cfg.r
-    for _ in range(draws):
-        k, *rest, eps_q = rng.take(bounds)
-        rest.insert(lattice.axis_of[k] - 1, 0)
-        if not cone.case3_identity(k, tuple(rest), eps_q):
-            case3_ok = False
-            break
+    # one call per point decides the r basis identities there
+    case3_ok = all(map(cone.case3_identity, range(lattice.size)))
+    identities = cfg.r * lattice.size
     records.append(
         make_record(
             "cone.case3_identity",
             PASS if case3_ok else FAIL,
-            {"draws": draws, "all_exact": case3_ok},
-            {"draws": draws, "all_exact": True},
+            {"identities": identities, "all_exact": case3_ok},
+            {"identities": identities, "all_exact": True},
         )
     )
     return records

@@ -20,16 +20,18 @@ those, so pairing with a basis divisor or a pullback costs O(r).
 The gt[p;i] of the points p off axis i form axis i's gamma block.  Basis
 classes and blocks are built once per lattice and shared with the cone;
 labels (from fieldgeom.point_keys) are built only for output and FAIL
-text.
+text.  The checks draw nothing at random: each identity they test is linear
+in its inputs, so they test it exactly on a basis.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .checks import FAIL, PASS, CheckRecord, make_record
 from .errors import AxisOutOfRange, ConfigMismatch
-from .fieldgeom import Config, Lcg, config_seed, point_keys
+from .fieldgeom import Config, point_keys
 
 
 class DivisorClass:
@@ -217,11 +219,12 @@ class BlowupLattice:
         """The class sum_i a_i lt_i + sum_p (a_{axis(p)} - eps_p) e_p.
 
         Its pairing with E_p should be eps_p and its multidegree a; the
-        check lattice.multidegree_expansion compares both.
+        check lattice.multidegree_expansion compares both on each basis
+        vector (unit_i, 0) and (0, unit_p).
         """
         if len(a) != self.config.r or len(eps) != self.size:
             raise ValueError("vector lengths do not match the bases")
-        e = tuple([a[k] - ep for ep, k in zip(eps, self._axis_index)])
+        e = tuple(map(operator.sub, map(a.__getitem__, self._axis_index), eps))
         return CurveClass(tuple(a), e, self)
 
     def canonical_pullback_check(self, i: int) -> int:
@@ -262,7 +265,7 @@ class BlowupLattice:
             writer.writerow([label, *self.pushforward(c), *self.exc_pairings(c)])
 
 
-def lattice_checks(lattice: BlowupLattice, draws: int = 1000) -> list[CheckRecord]:
+def lattice_checks(lattice: BlowupLattice) -> list[CheckRecord]:
     cfg = lattice.config
     r = cfg.r
     axis_of = lattice.axis_of
@@ -271,12 +274,14 @@ def lattice_checks(lattice: BlowupLattice, draws: int = 1000) -> list[CheckRecor
     # each basis curve's pushforward and pairing row; each E_p also goes
     # through intersect, against its own exceptional line and every strict
     # line, so a wrong exc_divisor class fails here as well.  A mismatch is
-    # a (curve, divisor) pair of basis positions, labelled only for FAIL text
+    # a (curve, divisor) pair of basis positions, labelled only for FAIL text;
+    # a row too short or too long mismatches at each missing or extra column
     bad = []
 
     def row_mismatches(row, c, want):
         got = lattice.pushforward(c) + lattice.exc_pairings(c)
-        bad.extend((row, col) for col, (x, y) in enumerate(zip(got, want)) if x != y)
+        bad.extend((row, col) for col, (x, y)
+                   in enumerate(itertools.zip_longest(got, want)) if x != y)
 
     # the expected rows with one nonzero E-pairing are slices of one zero row
     zeros = (0,) * lattice.size
@@ -296,7 +301,8 @@ def lattice_checks(lattice: BlowupLattice, draws: int = 1000) -> list[CheckRecor
                 bad.append((i - 1, r + k))
     if bad:
         curves, divisors = lattice.curve_labels(), lattice.divisor_labels()
-        bad = [f"{curves[row]}.{divisors[col]}" for row, col in bad]
+        bad = [f"{curves[row]}.{divisors[col] if col < len(divisors) else col}"
+               for row, col in bad]
     records.append(
         make_record(
             "lattice.pairing_blocks",
@@ -372,22 +378,27 @@ def lattice_checks(lattice: BlowupLattice, draws: int = 1000) -> list[CheckRecor
         )
     )
 
-    rng = Lcg(config_seed(cfg, "expansion"))
+    # the expansion and both pairings are linear in (a, eps), so they agree
+    # on every vector once they agree on each basis vector (unit_i, 0) and
+    # (0, unit_p)
+    zeros_r = (0,) * r
+    basis = itertools.chain(
+        ((zeros_r[:i] + (1,) + zeros_r[i + 1:], zeros) for i in range(r)),
+        ((zeros_r, zeros[:k] + (1,) + zeros[k + 1:]) for k in range(lattice.size)),
+    )
     expansion_ok = True
-    bounds = (15,) * (r + lattice.size)
-    for _ in range(draws):
-        vec = tuple([x - 5 for x in rng.take(bounds)])
-        a, eps = vec[:r], vec[r:]
+    for a, eps in basis:
         c = lattice.expand_in_basis(a, eps)
         if lattice.pushforward(c) != a or lattice.exc_pairings(c) != eps:
             expansion_ok = False
             break
+    vectors = r + lattice.size
     records.append(
         make_record(
             "lattice.multidegree_expansion",
             PASS if expansion_ok else FAIL,
-            {"draws": draws, "all_exact": expansion_ok},
-            {"draws": draws, "all_exact": True},
+            {"basis_vectors": vectors, "all_exact": expansion_ok},
+            {"basis_vectors": vectors, "all_exact": True},
         )
     )
 

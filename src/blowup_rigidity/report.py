@@ -110,7 +110,7 @@ def run_all(
     Every stage reads the marked set and its per-axis stabilizers from the
     config, which builds each once.  Validation failures stop the run; the
     remaining check ids are listed as skipped and the report carries exit
-    code 1.  draws must be at least 1, so that the sampled checks can fail.
+    code 1.  draws must be at least 1, so that the sampled check can fail.
     """
     if draws < 1:
         raise InvalidSetting(f"draws must be a positive integer, got {draws}")
@@ -133,7 +133,7 @@ def run_all(
         return VerificationReport(config.to_dict(), records, skipped)
 
     lattice = BlowupLattice(config)
-    staged(lambda: lattice_checks(lattice, draws=draws))
+    staged(lambda: lattice_checks(lattice))
     cone = EffectiveCone(lattice)
     staged(lambda: cone_checks(cone, draws=draws))
     staged(lambda: verify_rigidity(config))

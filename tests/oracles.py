@@ -323,6 +323,20 @@ def oracle_gamma(lattice, k: int, i: int):
     return lattice.curve_from_array(arr)
 
 
+def oracle_case3_sum(lattice, k: int, a: tuple[int, ...], eps: int) -> list[int]:
+    """(sum_i a_i - eps) * e_p + sum_i a_i * gt[p;i] as a coefficient array,
+    for the point p at position k and a multidegree a that is 0 at p's own
+    axis: the unit array of e_p and the oracle_gamma arrays, added densely."""
+    r = lattice.config.r
+    total = [0] * (r + len(point_axes(lattice.config)))
+    total[r + k] = sum(a) - eps
+    for i, ai in enumerate(a, start=1):
+        if ai:
+            for idx, x in enumerate(oracle_gamma(lattice, k, i).to_array()):
+                total[idx] += ai * x
+    return total
+
+
 def oracle_generator_labels(lattice) -> list[str]:
     labels = []
     for kind, axis, point in oracle_generators(lattice):

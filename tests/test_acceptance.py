@@ -30,7 +30,9 @@ from blowup_rigidity.vectorfields import derivation_kernel, extra_q_vanishing
 from oracles import (
     incident_oracle,
     marked_coordinates,
+    oracle_case3_sum,
     oracle_vertices,
+    point_axes,
     stabilizer_oracle,
 )
 
@@ -92,13 +94,18 @@ def test_criterion_expansion_identities(sweep_configs):
                     lat.intersect(c, lat.exc_divisor(k)) == ep
                     for k, ep in enumerate(eps)
                 )
+            assert all(cone.case3_identity(k) for k in range(lat.size))
+            axes = point_axes(cfg)
             for _ in range(1000):
                 k0 = rng.below(lat.size)
                 a = tuple(
-                    0 if axis == lat.axis_of[k0] else rng.below(4)
+                    0 if axis == axes[k0] else rng.below(4)
                     for axis in range(1, cfg.r + 1)
                 )
-                assert cone.case3_identity(k0, a, rng.below(4))
+                eps = rng.below(4)
+                excess = tuple(eps if k == k0 else 0 for k in range(lat.size))
+                assert (lat.expand_in_basis(a, excess).to_array()
+                        == oracle_case3_sum(lat, k0, a, eps))
 
 
 def test_criterion_extremality_c0(c0, lat0, cone0):

@@ -18,9 +18,11 @@ from oracles import (
     full_extremal_scan,
     marked_points,
     naive_decompositions,
+    oracle_case3_sum,
     oracle_gamma,
     oracle_generator_labels,
     oracle_generators,
+    point_axes,
     point_key,
     pointwise_phi,
 )
@@ -191,46 +193,75 @@ def test_case2_random_membership(cone0, lat0):
         assert (resum.l, resum.e) == (target.l, target.e)
 
 
-def test_case3_identity(cone0, lat0, lat1, c1):
-    k0 = lat0.axis_of.index(2)  # the first point on axis 2
-    assert cone0.case3_identity(k0, (0, 0), 0)
-    assert cone0.case3_identity(k0, (1, 0), 0)
-    assert cone0.case3_identity(k0, (3, 0), 2)
+def _case3_class(lat, k0, a, eps):
+    """The expanded class of multidegree a and excess eps at position k0
+    alone, as a coefficient array."""
+    excess = [0] * lat.size
+    excess[k0] = eps
+    return lat.expand_in_basis(a, tuple(excess)).to_array()
+
+
+def test_case3_identity(cone0, lat0, lat1):
     cone1 = EffectiveCone(lat1)
-    assert cone1.case3_identity(lat1.axis_of.index(3), (2, 1, 0), 1)
-    with pytest.raises(ValueError):
-        cone0.case3_identity(k0, (0, 1), 0)  # nonzero at the point's own axis
-    with pytest.raises(ValueError):
-        cone0.case3_identity(k0, (-1, 0), 0)
+    for cone, lat in ((cone0, lat0), (cone1, lat1)):
+        assert all(cone.case3_identity(k) for k in range(lat.size))
+    k0 = point_axes(lat0.config).index(2)  # the first point on axis 2
+    for a, eps in (((0, 0), 0), ((1, 0), 0), ((3, 0), 2), ((0, 0), 5)):
+        assert _case3_class(lat0, k0, a, eps) == oracle_case3_sum(lat0, k0, a, eps)
+    k1 = point_axes(lat1.config).index(3)
+    assert _case3_class(lat1, k1, (2, 1, 0), 1) == oracle_case3_sum(lat1, k1, (2, 1, 0), 1)
 
 
 def test_case3_identity_random(lat1):
-    cone1 = EffectiveCone(lat1)
+    # the identity that case3_identity decides on a basis, on random
+    # (q0, a, eps), against the oracle's own dense generator classes
+    axes = point_axes(lat1.config)
     rng = Lcg(123)
     for _ in range(200):
         k0 = rng.below(lat1.size)
-        a = tuple(
-            0 if axis == lat1.axis_of[k0] else rng.below(4)
-            for axis in range(1, lat1.config.r + 1)
-        )
-        assert cone1.case3_identity(k0, a, rng.below(4))
+        a = tuple(0 if axis == axes[k0] else rng.below(4)
+                  for axis in range(1, lat1.config.r + 1))
+        eps = rng.below(4)
+        assert _case3_class(lat1, k0, a, eps) == oracle_case3_sum(lat1, k0, a, eps)
 
 
 def test_case3_identity_fails_on_wrong_generator_support(lat0):
-    # the right-hand side is summed from the cone's own generator table, so
-    # one wrong entry in gt[q0;1] must break the identity wherever it is used
+    # the identities read the cone's own generator table, so one wrong
+    # entry in gt[q0;1] must fail at q0 and nowhere else
     cone = EffectiveCone(lat0)
-    k0 = lat0.axis_of.index(2)
+    k0 = point_axes(lat0.config).index(2)
     g = oracle_generator_labels(lat0).index(f"gt[{_key(lat0, k0)};1]")
     supports = list(cone.genset.supports)
     (k, x), *rest = supports[g]
     supports[g] = ((k, x + 1), *rest)
     cone.genset.supports = tuple(supports)
-    assert not cone.case3_identity(k0, (1, 0), 0)
-    assert not cone.case3_identity(k0, (3, 0), 2)
-    assert cone.case3_identity(k0, (0, 0), 1)  # gt[q0;1] takes no part
+    assert [k for k in range(lat0.size) if not cone.case3_identity(k)] == [k0]
     with pytest.raises(UnsoundDecomposition):  # the search's re-sum guard agrees
         cone.member(oracle_gamma(lat0, k0, 1))
+
+
+def test_case3_identity_sees_every_gamma_on_n2_r12(monkeypatch):
+    # n2 r12 q29 has 1716 gammas.  The stored support of gt[155;10] (the
+    # last point, free axis 10) gets its -1 entry one point along, at 154,
+    # and its class stays as it was; no check but case3_identity reads
+    # that gamma's support
+    cfg = resolve_case(SweepCase(2, 12, default_s(2, 12), seed=1))
+    assert (cfg.q, len(cfg.delta)) == (29, 156)
+    honest = GeneratorSet.__init__
+
+    def init(self, lattice):
+        honest(self, lattice)
+        r = lattice.config.r
+        g = oracle_generator_labels(lattice).index(f"gt[{_key(lattice, 155)};10]")
+        supports = list(self.supports)
+        supports[g] = tuple((r + 154 if k == r + 155 else k, x) for k, x in supports[g])
+        self.supports = tuple(supports)
+
+    monkeypatch.setattr(GeneratorSet, "__init__", init)
+    report = run_all(cfg)
+    assert [rec.check_id for rec in report.records if rec.status == "FAIL"] == [
+        "cone.case3_identity"]
+    assert report.exit_code == 1
 
 
 def test_member_has_no_degree_cap(cone0, lat0):

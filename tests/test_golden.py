@@ -25,12 +25,12 @@ CONFIGS = {
 }
 
 GOLDEN = [
-    ("C0", ["verify"], "f186d13f96c03fd8ca89960f1622c9ee5ed7e716122b7d591fb8695609add99a"),
+    ("C0", ["verify"], "9f994d1293c40672aa4d9ed6277f40488095c3a1df95a69cc9d4b04a9bdaba35"),
     ("C0", ["rigidity"], "21f075d76665e82fbcef11d9b399e8e95e55007fc4630e5284217c28928d3ab4"),
     ("C0", ["vector-fields"], "87e2325fe3ecbbe170444373848a60f898597c08134980f5de5ff2d196f8d23d"),
     ("C0", ["verify", "--q-extra", "17"],
-     "b5f0ddd2395fb2e73f7d315ff3865db5ccf5af7abb4a8ae9db5d04a40df585ca"),
-    ("C1", ["verify"], "21d5e29f7e8b0a3d90ea79381b024f2ce4cab94c0d45ee68163e7ecf844883dc"),
+     "55312c74e29133a7b8c72eec1db67940024054c1f4c83299cb44d9fb0c3461be"),
+    ("C1", ["verify"], "2f5277d4b88dd7e0440b072998ce642a9a0da6704d82daaba188bff3b331695d"),
     ("C1", ["rigidity"], "fbdce147f24e591583d7fc9a6452afbb7f8311b41191128de55a3a67b47a1656"),
     ("C1", ["vector-fields"], "c26fa0bf9f1aa5f4aad0fa91c73a7508341cf0465e158da7e5757e1b89b0d715"),
     ("non_generic", ["verify"],
@@ -60,7 +60,7 @@ GOLDEN = [
     ("non_generic", ["extremal", "--json"],
      "b596e69e3ba22077f7c840021c900712ea51f6166c56d381337abf4ed454467a"),
     ("C0", ["verify", "--format", "md"],
-     "8c80335dd34a76f7c5a75c4ec0748c10e4445a2c746755a76b8944538a170411"),
+     "ba1e45125a8652e521ceb3786c1a4b1cd51835336c3c7317fffa387cc28dc9f2"),
 ]
 
 # `verify` stdout for base tables that the marked set refuses: each stops at
@@ -79,10 +79,10 @@ GOLDEN_INVALID_BASE = {
 # drawn among thousands of scaling orbits; keyed by (config, q2, seed), the
 # seed being added to the config file so that it moves the second-field draws
 GOLDEN_EXTRA_Q = {
-    ("C0", 10007, 1): "85bfa951e077390825f184a4a16cb758a138e67aa969f572c15fd7dd7ead307d",
-    ("C0", 10007, 7): "f6b9217778fdda0592763efe90730065bf6631346d593382a79900fcc3b6a82f",
-    ("C1", 10009, 1): "5e8761db50cf4f64150edddf359629a1767b9bd5c934ac52c4463d3fb48cd7c8",
-    ("C1", 10009, 7): "ad88c41a570073c2b1c9c424645bf99d8e92a8c0ebea53963996ae416882d52b",
+    ("C0", 10007, 1): "7a018080f8dda17584b7923f4389e5c1ad3c755ba7f651586da6f0846ba7a887",
+    ("C0", 10007, 7): "343bff8d35d283a66b5c289e7655a8f38a634f032dfffac6a58e4b5538d5665f",
+    ("C1", 10009, 1): "4528b4a19a04a65e816eaeb1e545ab11538a7acf9487525b5977c9897f1e71d9",
+    ("C1", 10009, 7): "e0a1550814054791fee6d2b4623f790b184b92b3764ce2e765b88dbc43bc31db",
 }
 
 # sha256 of the file written by `graph --dot`
@@ -270,8 +270,8 @@ def test_generated_configs_sha256(workload, seed):
 # sha256 of `sweep --draws 50 --extra-q` stdout on the grid n in {2, 3, 4},
 # r in {2, 3}, two s-variants; serial and forked runs print the same bytes
 GOLDEN_SWEEP = {
-    1: "a52521eec9ffd929c61c2620ff64e540accde8cd9ca08e38645e053f119517dc",
-    7: "1d23822fbede18a70d9fce08e6a22b2f4b5cb58cc6b7b0a47a14cc96b5729215",
+    1: "4d8d9ac670a4ad40bcd23eb2932f8de09d10cfdc394256e9d914d84e52b3cd32",
+    7: "999db1e54c69092a0caf27f98602f7b918eb28d363bac32c5f70449dbfc84677",
 }
 
 

@@ -157,6 +157,29 @@ def test_expand_in_basis_random_recovery(lat1):
         )
 
 
+def test_expand_in_basis_matches_dense_formula(lat0, lat1):
+    # sum_i a_i lt_i + sum_p (a_{axis(p)} - eps_p) e_p, added from unit
+    # arrays over the oracle's point axes, and its pairings from the dense
+    # Gram matrix
+    rng = Lcg(29)
+    for lat in (lat0, lat1):
+        r, axes = lat.config.r, point_axes(lat.config)
+        for _ in range(50):
+            a = tuple(rng.below(19) - 9 for _ in range(r))
+            eps = tuple(rng.below(19) - 9 for _ in axes)
+            want = [0] * (r + len(axes))
+            for i, ai in enumerate(a):
+                want[i] += ai
+            for k, (axis, ep) in enumerate(zip(axes, eps)):
+                want[r + k] += a[axis - 1] - ep
+            c = lat.expand_in_basis(a, eps)
+            assert c.to_array() == want
+            assert tuple(dense_pairing(lat, c, lat.pullback_h(i))
+                         for i in range(1, r + 1)) == a
+            assert tuple(dense_pairing(lat, c, lat.exc_divisor(k))
+                         for k in range(len(axes))) == eps
+
+
 def test_canonical_pullback(lat0, lat1):
     for lat in (lat0, lat1):
         for i in range(1, lat.config.r + 1):
@@ -263,8 +286,8 @@ def test_intersect_matches_dense_reference(lat0, lat1, data):
             assert row[k] == dense_pairing(lat, c, lat.exc_divisor(k))
 
 
-def statuses(lat, draws=20):
-    return {rec.check_id: rec.status for rec in lattice_checks(lat, draws=draws)}
+def statuses(lat):
+    return {rec.check_id: rec.status for rec in lattice_checks(lat)}
 
 
 def test_off_by_one_pairing_row_fails_checks(c0, monkeypatch):
@@ -304,10 +327,27 @@ def test_wrong_basis_divisor_fails_pairing_blocks(c0, which, monkeypatch):
         return DivisorClass(d.h, tuple(a + b for a, b in zip(d.m, bump)), self)
 
     monkeypatch.setattr(BlowupLattice, which, wrong)
-    rec = next(rec for rec in lattice_checks(BlowupLattice(c0), draws=20)
+    rec = next(rec for rec in lattice_checks(BlowupLattice(c0))
                if rec.check_id == "lattice.pairing_blocks")
     assert rec.status == FAIL
     assert rec.computed == PAIRING_BLOCKS_MISMATCHES[which]
+
+
+@pytest.mark.parametrize("change", ["short", "long"])
+def test_pairing_row_of_wrong_length_fails_pairing_blocks(c0, change, monkeypatch):
+    # every entry that is there is right, so only the row length can tell
+    honest = BlowupLattice.exc_pairings
+
+    def wrong_length(self, c):
+        row = honest(self, c)
+        return row[:-1] if change == "short" else row + (0,)
+
+    monkeypatch.setattr(BlowupLattice, "exc_pairings", wrong_length)
+    rec = next(rec for rec in lattice_checks(BlowupLattice(c0))
+               if rec.check_id == "lattice.pairing_blocks")
+    assert rec.status == FAIL
+    last = "E[2.3.1]" if change == "short" else "12"
+    assert rec.computed == [f"{label}.{last}" for label in BlowupLattice(c0).curve_labels()]
 
 
 def test_point_position_out_of_range(lat0):

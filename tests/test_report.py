@@ -122,6 +122,8 @@ def test_run_all_tests_one_generator_per_orbit(c1, count_calls):
 REAL_PHI = GeneratorSet.phi
 REAL_RESUM = GeneratorSet.resum
 REAL_GAMMAS = BlowupLattice.gammas
+REAL_EXC_PAIRINGS = BlowupLattice.exc_pairings
+REAL_STRICT_H = BlowupLattice.strict_h
 REAL_BUILD_GRAPH = rigidity.build_graph
 REAL_CENSUS = rigidity.census
 REAL_G_ACTION = fieldgeom.g_action
@@ -171,6 +173,19 @@ def genset_with_a_gamma_support_one_off(genset, lattice):
     (k, x), *rest = supports[genset.blocks[0]]
     supports[genset.blocks[0]] = ((k, x + 1), *rest)
     genset.supports = tuple(supports)
+
+
+def exc_pairings_without_the_last(lattice, c):
+    return REAL_EXC_PAIRINGS(lattice, c)[:-1]
+
+
+def strict_h_r_moved_on_axis_1(lattice, i):
+    # strict_h(r) gains E_p at the first point and loses it at the second,
+    # both on axis 1, so every strict line pairs with it as before
+    d = REAL_STRICT_H(lattice, i)
+    if i != lattice.config.r:
+        return d
+    return DivisorClass(d.h, (d.m[0] + 1, d.m[1] - 1) + d.m[2:], lattice)
 
 
 def phi_minus_one(genset, c):
@@ -230,6 +245,8 @@ def assemble_system_without_the_last_axis_own_rows(config):
 @pytest.mark.parametrize("check_id, owner, attr, sabotage", [
     ("config.action", fieldgeom, "g_action", g_action_fixing_the_last_axis),
     ("config.genericity", fieldgeom, "scaling_group", scaling_group_without_its_last),
+    ("lattice.pairing_blocks", BlowupLattice, "exc_pairings", exc_pairings_without_the_last),
+    ("lattice.strict_h_exc", BlowupLattice, "strict_h", strict_h_r_moved_on_axis_1),
     ("lattice.canonical_degree", BlowupLattice, "ambient_canonical_pullback",
      halved_canonical_pullback),
     ("cone.generator_count", GeneratorSet, "__iter__", iter_repeating_a_gamma),
@@ -239,6 +256,7 @@ def assemble_system_without_the_last_axis_own_rows(config):
     ("cone.sample_splits", EffectiveCone, "two_part_decompositions", lambda cone, c: []),
     ("cone.case2_membership", EffectiveCone, "member", lambda cone, c: None),
     ("cone.case3_identity", GeneratorSet, "resum", resum_of_positive_parts),
+    ("cone.case3_identity", GeneratorSet, "__init__", genset_with_a_gamma_support_one_off),
     ("lattice.gamma_pairings", BlowupLattice, "gammas", gamma_of_the_next_point),
     ("cone.generator_count", BlowupLattice, "gammas", gamma_of_the_next_point),
     ("cone.case3_identity", BlowupLattice, "gammas", gamma_of_the_next_point),
@@ -357,7 +375,7 @@ def wrong_e_part(self, a, eps):
 
 BlowupLattice.expand_in_basis = wrong_e_part
 cfg = Config(n=2, r=2, s=(2, 3), q=13, zeta=12, base=((1, 2), (3, 4, 5)))
-records = lattice_checks(BlowupLattice(cfg), draws=20)
+records = lattice_checks(BlowupLattice(cfg))
 print(next(r.status for r in records if r.check_id == "lattice.multidegree_expansion"))
 """
 
