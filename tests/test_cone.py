@@ -243,8 +243,8 @@ def test_case3_identity_fails_on_wrong_generator_support(lat0):
 def test_case3_identity_sees_every_gamma_on_n2_r12(monkeypatch):
     # n2 r12 q29 has 1716 gammas.  The stored support of gt[155;10] (the
     # last point, free axis 10) gets its -1 entry one point along, at 154,
-    # and its class stays as it was; no check but case3_identity reads
-    # that gamma's support
+    # and its class stays as it was.  No other check's search re-sums that
+    # gamma at seed 1, so only a check of every gamma can see it
     cfg = resolve_case(SweepCase(2, 12, default_s(2, 12), seed=1))
     assert (cfg.q, len(cfg.delta)) == (29, 156)
     honest = GeneratorSet.__init__

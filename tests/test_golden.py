@@ -196,9 +196,11 @@ def test_vector_fields_matrix_sha256(name, tmp_path, capsys):
 
 
 # fieldgeom.config_seed per config and salt: the seeds of the random draws of
-# lattice.multidegree_expansion, cone.case2_membership, cone.case3_identity
-# and vectorfields.kernel_extra (at q = 17).  A changed seed changes the
-# drawn vectors even where every check still passes and the stdout pins hold.
+# cone.case2_membership and vectorfields.kernel_extra (at q = 17).  A changed
+# seed changes the drawn vectors even where every check still passes and the
+# stdout pins hold.  The `expansion` and `case3` salts are no longer drawn
+# from, since both identities are decided on a basis; their pins stay as
+# further values of config_seed.
 GOLDEN_SEEDS = {
     ("C0", "expansion"): 0xE682ECE1433DD847,
     ("C0", "case2"): 0xA8F416650529B3B6,

@@ -39,6 +39,46 @@ def test_readme_layout_names_every_module():
     assert sorted(listed) == [name for name in MODULES if name != "__init__.py"]
 
 
+def readme_salts(readme: str) -> list[tuple[str, str]]:
+    """The (salt, drawn in) rows of the README's salt table, with each
+    `<name>` placeholder written as `<>`."""
+    table = readme.split("| salt | check | drawn in |", 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \|[^|]+\| `([^`]+)` \|$", table, flags=re.MULTILINE)
+    return sorted((re.sub(r"<\w+>", "<>", salt), where) for salt, where in rows)
+
+
+def source_salts(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """The salt of every config_seed call in the sources (module name ->
+    text) with the module.function, a top-level function, that makes it; a
+    formatted value in an f-string salt is written as `<>`."""
+    found = []
+    for module, text in sources.items():
+        for fn in ast.parse(text).body:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "config_seed":
+                    salt = node.args[1]
+                    parts = salt.values if isinstance(salt, ast.JoinedStr) else [salt]
+                    rendered = "".join(
+                        p.value if isinstance(p, ast.Constant) else "<>" for p in parts)
+                    found.append((rendered, f"{module}.{fn.name}"))
+    return sorted(found)
+
+
+def test_salt_readers_read_both_sides():
+    readme = ("x\n| salt | check | drawn in |\n|---|---|---|\n"
+              "| `a` | `m.a` | `m.f` |\n| `b=<q>` | `m.b` at q | `n.g` |\n\nmore\n")
+    assert readme_salts(readme) == [("a", "m.f"), ("b=<>", "n.g")]
+    source = ("def f(c):\n    return config_seed(c, 'a')\n\n"
+              "def g(c, q2):\n    return config_seed(c, f'b={q2}')\n")
+    assert source_salts({"m": source}) == [("a", "m.f"), ("b=<>", "m.g")]
+
+
+def test_readme_salt_table_lists_every_salt_drawn():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert readme_salts(readme) == source_salts(sources)
+
+
 def unused_imports(source: str) -> list[str]:
     """The names bound by top-level imports that the module never reads."""
     tree = ast.parse(source)
